@@ -11,6 +11,13 @@ corresponding forward substitution (exact, O(N^2); Newton iteration buys
 nothing over rationals).  Every arithmetic result carries the minimum of
 the operand orders.
 
+Both kernels run in integers.  ``egf_mul`` puts each operand over the lcm
+of its denominators, convolves the integer numerators with Pascal-row
+binomials, and divides once per output coefficient.  ``egf_div`` is
+fraction-free forward substitution: it carries numerators scaled by
+powers of the divisor's constant term and builds one ``Fraction`` per
+coefficient.
+
 Atoms are e^{at} for rational a (coefficients a^k).  From these the module
 builds the two alternating-sum quotients the rest of the package leans on:
 
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import lcm
+from operator import add, mul
 from typing import Sequence
 
-from .exact_arith import RationalLike
+from .exact_arith import RationalLike, int_weights
 
 __all__ = [
     "TruncatedEGF",
@@ -122,35 +130,60 @@ def egf_scale(series: TruncatedEGF, factor: RationalLike) -> TruncatedEGF:
     return TruncatedEGF(tuple(c * factor for c in series.coeffs))
 
 
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers c'_k and one d > 0 with coeffs[k] = c'_k / d (d the lcm)."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _next_binomial_row(row: list[int]) -> list[int]:
+    """C(k+1, 0..k+1) from C(k, 0..k); the empty row starts at C(0, 0)."""
+    return [1, *map(add, row[1:], row[:-1]), 1] if row else [1]
+
+
 def egf_mul(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     n = _common_order(lhs, rhs)
-    a, b = lhs.coeffs, rhs.coeffs
+    a, da = _over_common_denominator(lhs.coeffs[: n + 1])
+    b, db = _over_common_denominator(rhs.coeffs[: n + 1])
+    d = da * db
     out = []
+    row: list[int] = []  # C(k, 0..k), Pascal's rule
     for k in range(n + 1):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += comb(k, j) * a[j] * b[k - j]
-        out.append(acc)
+        row = _next_binomial_row(row)
+        acc = sum(map(mul, map(mul, row, a), b[k::-1]))
+        out.append(Fraction(acc, d))
     return TruncatedEGF(tuple(out))
 
 
 def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     """Quotient q with q * rhs = lhs up to the common order.
 
-    Forward substitution on q_n = (f_n - sum_{j<n} C(n,j) q_j g_{n-j}) / g_0.
+    Forward substitution on q_n = (f_n - sum_{j<n} C(n,j) q_j g_{n-j}) / g_0,
+    fraction-free: with f = F/df and g = G/dg over integers, the integers
+
+        Q_k = dg F_k G_0^k - sum_{j<k} C(k,j) Q_j G_{k-j} G_0^{k-j-1}
+
+    satisfy q_k = Q_k / (df G_0^{k+1}).
     """
     if rhs.coeffs[0] == 0:
         raise NonInvertibleSeriesError("non-invertible series: constant term is zero")
     n = _common_order(lhs, rhs)
-    f, g = lhs.coeffs, rhs.coeffs
+    f, df = _over_common_denominator(lhs.coeffs[: n + 1])
+    g, dg = _over_common_denominator(rhs.coeffs[: n + 1])
     g0 = g[0]
-    q: list[Fraction] = []
+    # h[i] = G_i G_0^{i-1}, the part of the inner term independent of k.
+    h = [0] + [g[i] * g0 ** (i - 1) for i in range(1, n + 1)]
+    big_q: list[int] = []
+    out = []
+    g0_pow = 1  # G_0^k
+    row: list[int] = []
     for k in range(n + 1):
-        acc = f[k]
-        for j in range(k):
-            acc -= comb(k, j) * q[j] * g[k - j]
-        q.append(acc / g0)
-    return TruncatedEGF(tuple(q))
+        row = _next_binomial_row(row)
+        acc = dg * f[k] * g0_pow - sum(map(mul, map(mul, row, big_q), h[k:0:-1]))
+        big_q.append(acc)
+        g0_pow *= g0
+        out.append(Fraction(acc, df * g0_pow))
+    return TruncatedEGF(tuple(out))
 
 
 def egf_pow(series: TruncatedEGF, exponent: int) -> TruncatedEGF:
@@ -191,9 +224,9 @@ def _validate_lambda_args(
 ) -> tuple[int, tuple[int, int, int], tuple[Fraction, ...]]:
     if family not in LAMBDA_FAMILIES:
         raise ValueError(f"unknown series family {family!r}; expected one of {LAMBDA_FAMILIES}")
-    if len(w) != 3 or any(int(v) < 1 for v in w):
+    if len(w) != 3:
         raise ValueError("w must be a triple of positive integers")
-    w3 = (int(w[0]), int(w[1]), int(w[2]))
+    w3 = int_weights(w)
 
     if family == "L12_0":
         i = 0 if i is None else i

@@ -10,8 +10,8 @@ coefficients) is built on this type.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Union
+from math import comb
+from typing import Sequence, Union
 
 __all__ = [
     "Rational",
@@ -21,6 +21,7 @@ __all__ = [
     "pow_rational",
     "parse_rational",
     "format_rational",
+    "int_weights",
 ]
 
 Rational = Fraction
@@ -71,8 +72,13 @@ def format_rational(value: RationalLike) -> str:
     return str(Fraction(value))
 
 
-def _factorial_multinomial3(n: int, k: int, l: int, m: int) -> int:
-    # factorial-definition route, kept as an independent cross-check
-    if k + l + m != n:
-        raise ValueError("parts must sum to n")
-    return factorial(n) // (factorial(k) * factorial(l) * factorial(m))
+def int_weights(w: Sequence[object]) -> tuple[int, ...]:
+    """The weights w as a tuple of ints; each must be a positive ``int``.
+
+    Nothing is coerced: ``Fraction(5, 2)``, ``2.9`` and ``True`` raise
+    ``ValueError`` rather than being truncated or read as the weight 1.
+    """
+    for v in w:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"weights must be positive integers, got {tuple(w)!r}")
+    return tuple(int(v) for v in w)

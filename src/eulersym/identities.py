@@ -33,7 +33,7 @@ from math import comb
 from typing import Callable, Mapping, Sequence
 
 from . import altsum, euler
-from .exact_arith import RationalLike, multinomial3
+from .exact_arith import RationalLike, int_weights, multinomial3
 from .orbits import ALL_PERMS, EXPECTED_ORBIT_SIZES, Perm, orbit_audit
 
 __all__ = [
@@ -158,9 +158,7 @@ def _validate_case(
         raise ValueError("n must be >= 0")
     if len(w) != w_arity:
         raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
-    wt = tuple(int(v) for v in w)
-    if any(v < 1 for v in wt):
-        raise ValueError(f"weights must be positive, got {wt}")
+    wt = int_weights(w)
     if odd_only and any(v % 2 == 0 for v in wt):
         raise ValueError(f"this family requires odd weights, got {wt}")
     if len(y) != y_arity:
@@ -775,7 +773,7 @@ def check_case(
     return VerificationReport(
         family_id=family_id,
         n=n,
-        w=tuple(int(v) for v in w),
+        w=int_weights(w),
         y=tuple(Fraction(v) for v in y),
         variant_values=values,
         all_equal=all(v == first for v in values[1:]),

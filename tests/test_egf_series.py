@@ -228,6 +228,13 @@ def test_lambda_series_validation():
     lambda_series("L12_0", None, (2, 4, 6), (Fraction(1),), order=3)
 
 
+@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.9, True])
+def test_lambda_series_rejects_non_integral_weights(bad):
+    # Neither truncated (5/2 -> 2, 2.9 -> 2) nor read as a number (True -> 1).
+    with pytest.raises(ValueError):
+        lambda_series("L23", 0, (bad, 3, 1), (0, 0, 0))
+
+
 def test_truncated_egf_validation():
     with pytest.raises(ValueError):
         TruncatedEGF(())

@@ -1,7 +1,10 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from eulersym import euler
 from eulersym.egf_series import egf_add, egf_div, egf_exp, egf_one, egf_scale
 from eulersym.euler import (
     EulerPolynomial,
@@ -114,3 +117,57 @@ def test_invalid_inputs():
         euler_values(0, -1)
     with pytest.raises(ValueError):
         EulerPolynomial(2, (Fraction(1),))
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty Euler tables for one test; the shared ones come back afterwards."""
+
+    def reset():
+        monkeypatch.setattr(euler, "_SCALED_NUMBERS", [1])
+        monkeypatch.setattr(euler, "_COEFFS", [(Fraction(1),)])
+        monkeypatch.setattr(euler, "_VALUES", {})
+
+    reset()
+    return reset
+
+
+def test_concurrent_first_use(fresh_tables):
+    n = 60
+    points = [Fraction(j, 7) for j in range(-3, 4)]
+
+    def work():
+        polys = euler_polynomials_up_to(n)
+        return [p.coeffs for p in polys], [euler_values(x, n) for x in points]
+
+    expected = work()
+    fresh_tables()
+    results, errors = [], []
+    barrier = threading.Barrier(4, timeout=60)
+
+    def racer():
+        try:
+            barrier.wait()
+            results.append(work())
+        except Exception as exc:  # noqa: BLE001 - any failure is the finding
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=racer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 4
+    # Each entry was appended exactly once, in order.
+    assert euler._COEFFS == expected[0]
+    assert euler._SCALED_NUMBERS == [row[0] * 2**m for m, row in enumerate(expected[0])]
+    for x, vec in zip(points, expected[1]):
+        assert tuple(euler._VALUES[x]) == vec

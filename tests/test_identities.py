@@ -424,3 +424,15 @@ def test_variant_values_validation():
         variant_values("T1", 0, (1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         variant_values("T1", 0, (1, 1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.9, True])
+def test_non_integral_weights_rejected(bad):
+    # Neither truncated (5/2 -> 2, 2.9 -> 2) nor read as a number (True -> 1).
+    w = (bad, 3, 1)
+    with pytest.raises(ValueError):
+        variant_values("T1", 2, w, (0, 0, 0))
+    with pytest.raises(ValueError):
+        check_case("T1", 2, w, (0, 0, 0))
+    with pytest.raises(ValueError):
+        eval_t1_variant((0, 1, 2), 2, w, (0, 0, 0))
