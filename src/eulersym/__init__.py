@@ -35,8 +35,7 @@ from .identities import (
     IdentityFamily,
     VerificationReport,
     check_case,
-    eval_corollary,
-    eval_intro_chain,
+    eval_variant,
     variant_values,
 )
 from .orbits import EXPECTED_ORBIT_SIZES, orbit_audit

@@ -39,7 +39,7 @@ from math import lcm
 from operator import add, mul
 from typing import Sequence
 
-from .exact_arith import RationalLike, int_weights
+from .exact_arith import RationalLike, int_weights, rational_shifts
 
 __all__ = [
     "TruncatedEGF",
@@ -251,7 +251,7 @@ def _validate_lambda_args(
     expected_y = {"L23": 3 - i, "L13": 3 - i, "L12_0": 1, "L12_1": 0}[family]
     if len(y) != expected_y:
         raise ValueError(f"family {family} with i={i} takes {expected_y} shift value(s), got {len(y)}")
-    return i, w3, tuple(Fraction(v) for v in y)
+    return i, w3, rational_shifts(y)
 
 
 def lambda_series(

@@ -60,14 +60,6 @@ class EulerPolynomial:
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient vector length must be degree + 1")
 
-    def __call__(self, x: RationalLike) -> Fraction:
-        """Evaluate at x by Horner's rule."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 # 2^k E_k for k = 0, 1, ...: the Euler numbers scaled to integers.
 _SCALED_NUMBERS: list[int] = [1]

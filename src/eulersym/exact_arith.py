@@ -22,6 +22,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "int_weights",
+    "rational_shifts",
 ]
 
 Rational = Fraction
@@ -82,3 +83,16 @@ def int_weights(w: Sequence[object]) -> tuple[int, ...]:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"weights must be positive integers, got {tuple(w)!r}")
     return tuple(int(v) for v in w)
+
+
+def rational_shifts(y: Sequence[object]) -> tuple[Fraction, ...]:
+    """The shift values y as a tuple of Fractions; each must be an ``int``
+    or a ``Fraction``.
+
+    Nothing is coerced: ``0.1``, ``True`` and ``'1/2'`` raise ``ValueError``
+    rather than being read as a binary float's exact value, as 1, or parsed.
+    """
+    for v in y:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"shift values must be ints or Fractions, got {tuple(y)!r}")
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in y)

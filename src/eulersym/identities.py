@@ -1,62 +1,52 @@
 """Catalog of the symmetry-identity families and their exact evaluators.
 
-Each family bundles the finitely many expressions that one theorem or
-corollary asserts equal.  Every expression ("variant") is its own
-evaluator, generated from a slot-permutation descriptor and computed from
-scratch on each call; no variant is ever derived by permuting another
-variant's value, because independent computation of the allegedly equal
-expressions is the whole point.
+Each family bundles the finitely many expressions ("variants") that one
+theorem or corollary asserts equal.  Every variant is described once, as a
+term of the vocabulary in ``orbits``, and compiled at import into its own
+evaluator ``(n, w, y) -> Fraction`` that computes the expression from
+scratch on each call; no variant is derived from another's value, because
+independent computation of the allegedly equal expressions is the point.
 
-Conventions used throughout:
+* A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
+  weight permutations it lists in chain order, one per orbit class.  The
+  same template drives the orbit audit and, at one permutation, the
+  series oracle of ``SERIES_ORACLES``.
+* A corollary family is a row of terms written at the pinned weights (slot
+  0 is w1, slot 1 is w2), never the parent theorem evaluated at pinned
+  weights, so the specialization checks compare two different
+  computations.  A row repeating another row's expression names its term.
 
-* ``w`` is a tuple of positive integer weights (three for theorems, two or
-  one for corollaries); a permutation ``perm`` is a tuple of 0-based slot
-  indices, e.g. (1, 0, 2) reads slot roles (a, b, c) as (w2, w1, w3).
-* ``y`` is a tuple of exact rational shift values; its arity is fixed per
-  family (0 to 3).
-* E_n is the Euler polynomial (see ``euler``), T_k the alternating power
-  sum (see ``altsum``).  Families built on T require odd weights; the two
-  all-Euler families (T1, T16) accept any positive weights.
+``w`` is a tuple of positive integer weights and ``y`` a tuple of exact
+shift values (``int`` or ``Fraction``), their arities fixed per family.  A
+permutation is a tuple of 0-based slots: (1, 0, 2) reads the roles (a, b,
+c) as (w2, w1, w3).  Families built on T_k (the alternating power sum)
+require odd weights; the all-Euler families T1 and T16 accept any.
 
 Family ids: T1, T2, T5, T8, T11, T14, T16, T17 are the three-weight
 theorems; C3, C4, C6, C7, C9, C10, C12, C13, C15, C18 the corollaries
 obtained by pinning trailing weights to 1; INTRO_CHAIN is the eight-way
-equality chain in two weights that the corollaries C9/C12/C15 combine
-into.
+equality chain in two weights that the corollaries C9/C12/C15 combine into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, Mapping, Sequence
 
 from . import altsum, euler
-from .exact_arith import RationalLike, int_weights, multinomial3
-from .orbits import ALL_PERMS, EXPECTED_ORBIT_SIZES, Perm, orbit_audit
+from .exact_arith import RationalLike, int_weights, multinomial3, rational_shifts
+from .orbits import (
+    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
+    Term, orbit_audit, substitute, term,
+)
 
 __all__ = [
-    "IdentityFamily",
-    "VerificationReport",
-    "FAMILIES",
-    "FAMILY_IDS",
-    "SERIES_ORACLES",
-    "PARENT_SPECIALIZATIONS",
-    "variant_values",
-    "check_case",
-    "eval_t1_variant",
-    "eval_t2_variant",
-    "eval_t5_variant",
-    "eval_t8_variant",
-    "eval_t11_variant",
-    "eval_t14_variant",
-    "eval_t16_variant",
-    "eval_t17_variant",
-    "eval_corollary",
-    "eval_intro_chain",
-    "eval_triple_altsum",
-    "orbit_audit",
+    "IdentityFamily", "VerificationReport", "FAMILIES", "FAMILY_IDS", "SERIES_ORACLES",
+    "PARENT_SPECIALIZATIONS", "variant_values", "check_case", "eval_variant",
+    "eval_triple_altsum", "orbit_audit",
 ]
 
 Evaluator = Callable[[int, Sequence[int], Sequence[Fraction]], Fraction]
@@ -65,9 +55,9 @@ CYCLIC_PERMS: tuple[Perm, ...] = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 # --------------------------------------------------------------------------
-# Building blocks.  _euler_vec and _tval are module-level seams so that a
-# deliberately perturbed stand-in can be injected to prove the checks are
-# not vacuous (see the negative-control tests).
+# Building blocks.  _euler_vec and _tval are module-level seams, looked up
+# on each call, so that a deliberately perturbed stand-in can be injected to
+# prove the checks are not vacuous (see the negative-control tests).
 
 
 def _euler_vec(x: RationalLike, n_max: int) -> Sequence[Fraction]:
@@ -98,6 +88,17 @@ def _alt_shift_vec(
     return tuple(out)
 
 
+def _double_alt(base: Fraction, m: int, c1: int, c2: int, n: int) -> Fraction:
+    """sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_n(base + (m/c1) i + (m/c2) j)."""
+    total = Fraction(0)
+    for i in range(c1):
+        start = base + Fraction(m * i, c1)
+        for j in range(c2):
+            value = _euler_vec(start + Fraction(m * j, c2), n)[n]
+            total = total - value if (i + j) & 1 else total + value
+    return total
+
+
 def _powers(base: int, n_max: int) -> list[int]:
     out = [1]
     for _ in range(n_max):
@@ -106,13 +107,8 @@ def _powers(base: int, n_max: int) -> list[int]:
 
 
 def _tri_sum(
-    n: int,
-    fk: Sequence[Fraction],
-    fl: Sequence[Fraction],
-    fm: Sequence[Fraction],
-    bk: int,
-    bl: int,
-    bm: int,
+    n: int, fk: Sequence[Fraction], fl: Sequence[Fraction], fm: Sequence[Fraction],
+    bk: int, bl: int, bm: int,
 ) -> Fraction:
     """sum over k+l+m = n of C(n;k,l,m) fk[k] fl[l] fm[m] bk^k bl^l bm^m.
 
@@ -132,11 +128,7 @@ def _tri_sum(
 
 
 def _binom_sum(
-    n: int,
-    fk: Sequence[Fraction],
-    fg: Sequence[Fraction],
-    bk: int,
-    bg: int,
+    n: int, fk: Sequence[Fraction], fg: Sequence[Fraction], bk: int, bg: int
 ) -> Fraction:
     """sum over k of C(n,k) fk[k] fg[n-k] bk^k bg^{n-k}."""
     pk, pg = _powers(bk, n), _powers(bg, n)
@@ -146,12 +138,69 @@ def _binom_sum(
     return total
 
 
+# --------------------------------------------------------------------------
+# The compiler from terms to evaluators.  Each monomial, factor and term
+# becomes a closure once; a call walks no spec.
+
+
+def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
+    """w -> the product of the weights in slots m (at most two slots)."""
+    if not m:
+        return lambda w: 1
+    if len(m) == 1:
+        (s,) = m
+        return lambda w: w[s]
+    s, t = m
+    return lambda w: w[s] * w[t]
+
+
+def _factor(f: Factor) -> Callable[..., Sequence[Fraction]]:
+    """(n, w, y) -> the factor's values at indices 0..n."""
+    kind, m, j, counts = f
+    arg = _mono(m)
+    if kind == "T":
+        return lambda n, w, y: _t_vec(arg(w) - 1, n)
+    if kind == "E":
+        return lambda n, w, y: _euler_vec(arg(w) * y[j], n)
+    (c,) = counts
+    return lambda n, w, y: _alt_shift_vec(arg(w) * y[j], Fraction(arg(w), w[c]), w[c], n)
+
+
+def _entry(f: Factor) -> Evaluator:
+    """(n, w, y) -> the factor's value at index n."""
+    kind, m, j, counts = f
+    if kind == "D":
+        arg = _mono(m)
+        c1, c2 = counts
+        return lambda n, w, y: _double_alt(arg(w) * y[j], arg(w), w[c1], w[c2], n)
+    vec = _factor(f)
+    return lambda n, w, y: vec(n, w, y)[n]
+
+
+def _compile(t: Term) -> Evaluator:
+    scale, bundles = t
+    if len(bundles) == 1:
+        body = _entry(bundles[0][0])
+    elif len(bundles) == 2:
+        (f1, b1), (f2, b2) = [(_factor(f), _mono(m)) for f, m in bundles]
+
+        def body(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
+            return _binom_sum(n, f1(n, w, y), f2(n, w, y), b1(w), b2(w))
+    else:
+        (f1, b1), (f2, b2), (f3, b3) = [(_factor(f), _mono(m)) for f, m in bundles]
+
+        def body(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
+            return _tri_sum(
+                n, f1(n, w, y), f2(n, w, y), f3(n, w, y), b1(w), b2(w), b3(w)
+            )
+    if not scale:
+        return body
+    sc = _mono(scale)
+    return lambda n, w, y: sc(w) ** n * body(n, w, y)
+
+
 def _validate_case(
-    n: int,
-    w: Sequence[int],
-    y: Sequence[RationalLike],
-    w_arity: int,
-    y_arity: int,
+    n: int, w: Sequence[int], y: Sequence[RationalLike], w_arity: int, y_arity: int,
     odd_only: bool,
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     if n < 0:
@@ -163,433 +212,64 @@ def _validate_case(
         raise ValueError(f"this family requires odd weights, got {wt}")
     if len(y) != y_arity:
         raise ValueError(f"expected {y_arity} shift value(s), got {len(y)}")
-    yt = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in y)
-    return wt, yt
-
-
-def _checked(ev: Evaluator, w_arity: int, y_arity: int, odd_only: bool) -> Evaluator:
-    def wrapper(n: int, w: Sequence[int], y: Sequence[RationalLike] = ()) -> Fraction:
-        wt, yt = _validate_case(n, w, y, w_arity, y_arity, odd_only)
-        return ev(n, wt, yt)
-
-    return wrapper
+    return wt, rational_shifts(y)
 
 
 # --------------------------------------------------------------------------
-# Theorem templates.  Each factory takes a slot permutation (a, b, c) and
-# returns the evaluator for that permuted form of the template.
-
-
-def _t1_template(perm: Perm) -> Evaluator:
-    # sum C(n;k,l,m) E_k(w_a y1) E_l(w_b y2) E_m(w_c y3)
-    #     w_a^{l+m} w_b^{k+m} w_c^{k+l}
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ea = _euler_vec(wa * y[0], n)
-        eb = _euler_vec(wb * y[1], n)
-        ec = _euler_vec(wc * y[2], n)
-        return _tri_sum(n, ea, eb, ec, wb * wc, wa * wc, wa * wb)
-
-    return ev
-
-
-def _t2_template(perm: Perm) -> Evaluator:
-    # sum C(n;k,l,m) E_k(w_a y1) E_l(w_b y2) T_m(w_c - 1)
-    #     w_a^{l+m} w_b^{k+m} w_c^{k+l}
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ea = _euler_vec(wa * y[0], n)
-        eb = _euler_vec(wb * y[1], n)
-        tc = _t_vec(wc - 1, n)
-        return _tri_sum(n, ea, eb, tc, wb * wc, wa * wc, wa * wb)
-
-    return ev
-
-
-def _t5_template(perm: Perm) -> Evaluator:
-    # w_c^n sum_k C(n,k) E_k(w_a y1)
-    #     [sum_{i<w_c} (-1)^i E_{n-k}(w_b y2 + (w_b/w_c) i)] w_a^{n-k} w_b^k
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ea = _euler_vec(wa * y[0], n)
-        shifted = _alt_shift_vec(wb * y[1], Fraction(wb, wc), wc, n)
-        return wc**n * _binom_sum(n, ea, shifted, wb, wa)
-
-    return ev
-
-
-def _t8_template(perm: Perm) -> Evaluator:
-    # sum C(n;k,l,m) E_k(w_a y1) T_l(w_b - 1) T_m(w_c - 1)
-    #     w_a^{l+m} w_b^{k+m} w_c^{k+l}
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ea = _euler_vec(wa * y[0], n)
-        tb = _t_vec(wb - 1, n)
-        tc = _t_vec(wc - 1, n)
-        return _tri_sum(n, ea, tb, tc, wb * wc, wa * wc, wa * wb)
-
-    return ev
-
-
-def _t11_template(perm: Perm) -> Evaluator:
-    # w_a^n sum_k C(n,k) [sum_{i<w_a} (-1)^i E_k(w_b y1 + (w_b/w_a) i)]
-    #     T_{n-k}(w_c - 1) w_b^{n-k} w_c^k
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        shifted = _alt_shift_vec(wb * y[0], Fraction(wb, wa), wa, n)
-        tc = _t_vec(wc - 1, n)
-        return wa**n * _binom_sum(n, shifted, tc, wc, wb)
-
-    return ev
-
-
-def _t14_template(perm: Perm) -> Evaluator:
-    # (w_a w_b)^n sum_{i<w_a} sum_{j<w_b} (-1)^{i+j}
-    #     E_n(w_c y1 + (w_c/w_a) i + (w_c/w_b) j)
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        base = wc * y[0]
-        total = Fraction(0)
-        for i in range(wa):
-            partial = base + Fraction(wc * i, wa)
-            for j in range(wb):
-                value = _euler_vec(partial + Fraction(wc * j, wb), n)[n]
-                total = total - value if (i + j) & 1 else total + value
-        return (wa * wb) ** n * total
-
-    return ev
-
-
-def _t16_template(perm: Perm) -> Evaluator:
-    # sum C(n;k,l,m) E_k(w_a y) E_l(w_b y) E_m(w_c y) w_c^k w_a^l w_b^m
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ea = _euler_vec(wa * y[0], n)
-        eb = _euler_vec(wb * y[0], n)
-        ec = _euler_vec(wc * y[0], n)
-        return _tri_sum(n, ea, eb, ec, wc, wa, wb)
-
-    return ev
-
-
-def _t17_template(perm: Perm) -> Evaluator:
-    # sum C(n;k,l,m) T_k(w_a - 1) T_l(w_b - 1) T_m(w_c - 1) w_c^k w_a^l w_b^m
-    a, b, c = perm
-
-    def ev(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        wa, wb, wc = w[a], w[b], w[c]
-        ta = _t_vec(wa - 1, n)
-        tb = _t_vec(wb - 1, n)
-        tc = _t_vec(wc - 1, n)
-        return _tri_sum(n, ta, tb, tc, wc, wa, wb)
-
-    return ev
-
-
-def _triple_altsum(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-    # sum C(n;k,l,m) T_k(w1-1) T_l(w2-1) T_m(w3-1)
-    #     w1^{l+m} w2^{k+m} w3^{k+l}; fully symmetric, no theorem attached.
-    w1, w2, w3 = w
-    t1 = _t_vec(w1 - 1, n)
-    t2 = _t_vec(w2 - 1, n)
-    t3 = _t_vec(w3 - 1, n)
-    return _tri_sum(n, t1, t2, t3, w2 * w3, w1 * w3, w1 * w2)
-
-
-# --------------------------------------------------------------------------
-# Corollary variants, written out expression by expression.  These are kept
-# independent (with the pinned weights already dropped), never built by
-# delegating to the parent theorem at specialized weights; that way the
-# specialization checks compare two genuinely different computations.
-
-
-def _c3_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _euler_vec(w2 * y[1], n), w2, w1)
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w2 * y[0], n), _euler_vec(w1 * y[1], n), w1, w2)
-
-    def v2(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(y[0], n), _euler_vec(w2 * y[1], n), _t_vec(w1 - 1, n),
-            w1 * w2, w1, w2,
-        )
-
-    def v3(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(w2 * y[0], n), _euler_vec(y[1], n), _t_vec(w1 - 1, n),
-            w1, w1 * w2, w2,
-        )
-
-    def v4(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(y[0], n), _euler_vec(w1 * y[1], n), _t_vec(w2 - 1, n),
-            w1 * w2, w2, w1,
-        )
-
-    def v5(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(w1 * y[0], n), _euler_vec(y[1], n), _t_vec(w2 - 1, n),
-            w2, w1 * w2, w1,
-        )
-
-    return (v0, v1, v2, v3, v4, v5)
-
-
-def _c4_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _euler_vec(y[1], n), 1, w1)
-
-    def v1(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(y[0], n), _euler_vec(w1 * y[1], n), w1, 1)
-
-    def v2(n, w, y):
-        (w1,) = w
-        return _tri_sum(
-            n, _euler_vec(y[0], n), _euler_vec(y[1], n), _t_vec(w1 - 1, n), w1, w1, 1
-        )
-
-    return (v0, v1, v2)
-
-
-def _c6_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _euler_vec(w2 * y[1], n), w2, w1)
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w2 * y[0], n), _euler_vec(w1 * y[1], n), w1, w2)
-
-    def v2(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(w2 * y[1], Fraction(w2, w1), w1, n)
-        return w1**n * _binom_sum(n, _euler_vec(y[0], n), shifted, w2, 1)
-
-    def v3(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[1], Fraction(1, w1), w1, n)
-        return w1**n * _binom_sum(n, _euler_vec(w2 * y[0], n), shifted, 1, w2)
-
-    def v4(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(w1 * y[1], Fraction(w1, w2), w2, n)
-        return w2**n * _binom_sum(n, _euler_vec(y[0], n), shifted, w1, 1)
-
-    def v5(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[1], Fraction(1, w2), w2, n)
-        return w2**n * _binom_sum(n, _euler_vec(w1 * y[0], n), shifted, 1, w1)
-
-    return (v0, v1, v2, v3, v4, v5)
-
-
-def _c7_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(y[0], n), _euler_vec(w1 * y[1], n), w1, 1)
-
-    def v1(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(y[1], n), _euler_vec(w1 * y[0], n), w1, 1)
-
-    def v2(n, w, y):
-        (w1,) = w
-        shifted = _alt_shift_vec(y[1], Fraction(1, w1), w1, n)
-        return w1**n * _binom_sum(n, _euler_vec(y[0], n), shifted, 1, 1)
-
-    return (v0, v1, v2)
-
-
-def _c9_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _t_vec(w2 - 1, n), w2, w1)
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w2 * y[0], n), _t_vec(w1 - 1, n), w1, w2)
-
-    def v2(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(y[0], n), _t_vec(w1 - 1, n), _t_vec(w2 - 1, n),
-            w1 * w2, w2, w1,
-        )
-
-    return (v0, v1, v2)
-
-
-def _c10_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        (w1,) = w
-        return _euler_vec(w1 * y[0], n)[n]
-
-    def v1(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(y[0], n), _t_vec(w1 - 1, n), w1, 1)
-
-    return (v0, v1)
-
-
-def _c12_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return w1**n * _alt_shift_vec(w2 * y[0], Fraction(w2, w1), w1, n)[n]
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return w2**n * _alt_shift_vec(w1 * y[0], Fraction(w1, w2), w2, n)[n]
-
-    def v2(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w2 * y[0], n), _t_vec(w1 - 1, n), w1, w2)
-
-    def v3(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _t_vec(w2 - 1, n), w2, w1)
-
-    def v4(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[0], Fraction(1, w1), w1, n)
-        return w1**n * _binom_sum(n, shifted, _t_vec(w2 - 1, n), w2, 1)
-
-    def v5(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[0], Fraction(1, w2), w2, n)
-        return w2**n * _binom_sum(n, shifted, _t_vec(w1 - 1, n), w1, 1)
-
-    return (v0, v1, v2, v3, v4, v5)
-
-
-def _c13_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        (w1,) = w
-        return _euler_vec(w1 * y[0], n)[n]
-
-    def v1(n, w, y):
-        (w1,) = w
-        return w1**n * _alt_shift_vec(y[0], Fraction(1, w1), w1, n)[n]
-
-    def v2(n, w, y):
-        (w1,) = w
-        return _binom_sum(n, _euler_vec(y[0], n), _t_vec(w1 - 1, n), w1, 1)
-
-    return (v0, v1, v2)
-
-
-def _c15_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return w1**n * _alt_shift_vec(w2 * y[0], Fraction(w2, w1), w1, n)[n]
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return w2**n * _alt_shift_vec(w1 * y[0], Fraction(w1, w2), w2, n)[n]
-
-    def v2(n, w, y):
-        w1, w2 = w
-        total = Fraction(0)
-        for i in range(w1):
-            partial = y[0] + Fraction(i, w1)
-            for j in range(w2):
-                value = _euler_vec(partial + Fraction(j, w2), n)[n]
-                total = total - value if (i + j) & 1 else total + value
-        return (w1 * w2) ** n * total
-
-    return (v0, v1, v2)
-
-
-def _c18_variants() -> tuple[Evaluator, ...]:
-    def v0(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _t_vec(w2 - 1, n), _t_vec(w1 - 1, n), w1, 1)
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _t_vec(w1 - 1, n), _t_vec(w2 - 1, n), w2, 1)
-
-    return (v0, v1)
-
-
-def _intro_chain_variants() -> tuple[Evaluator, ...]:
-    # The eight expressions of the two-weight chain, in chain order.
-    def v0(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w1 * y[0], n), _t_vec(w2 - 1, n), w2, w1)
-
-    def v1(n, w, y):
-        w1, w2 = w
-        return _binom_sum(n, _euler_vec(w2 * y[0], n), _t_vec(w1 - 1, n), w1, w2)
-
-    def v2(n, w, y):
-        w1, w2 = w
-        return w1**n * _alt_shift_vec(w2 * y[0], Fraction(w2, w1), w1, n)[n]
-
-    def v3(n, w, y):
-        w1, w2 = w
-        return w2**n * _alt_shift_vec(w1 * y[0], Fraction(w1, w2), w2, n)[n]
-
-    def v4(n, w, y):
-        w1, w2 = w
-        return _tri_sum(
-            n, _euler_vec(y[0], n), _t_vec(w1 - 1, n), _t_vec(w2 - 1, n),
-            w1 * w2, w2, w1,
-        )
-
-    def v5(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[0], Fraction(1, w1), w1, n)
-        return w1**n * _binom_sum(n, shifted, _t_vec(w2 - 1, n), w2, 1)
-
-    def v6(n, w, y):
-        w1, w2 = w
-        shifted = _alt_shift_vec(y[0], Fraction(1, w2), w2, n)
-        return w2**n * _binom_sum(n, shifted, _t_vec(w1 - 1, n), w1, 1)
-
-    def v7(n, w, y):
-        w1, w2 = w
-        total = Fraction(0)
-        for i in range(w1):
-            partial = y[0] + Fraction(i, w1)
-            for j in range(w2):
-                value = _euler_vec(partial + Fraction(j, w2), n)[n]
-                total = total - value if (i + j) & 1 else total + value
-        return (w1 * w2) ** n * total
-
-    return (v0, v1, v2, v3, v4, v5, v6, v7)
-
-
-# --------------------------------------------------------------------------
-# The catalog.
+# Corollary rows: terms at the pinned weights, slot 0 is w1 and slot 1 is w2.
+
+_C6 = (
+    term((E((0,), 0), (1,)), (E((1,), 1), (0,))),
+    term((E((1,), 0), (0,)), (E((0,), 1), (1,))),
+    term((E((), 0), (1,)), (A((1,), 1, 0), ()), scale=(0,)),
+    term((E((1,), 0), ()), (A((), 1, 0), (1,)), scale=(0,)),
+    term((E((), 0), (0,)), (A((0,), 1, 1), ()), scale=(1,)),
+    term((E((0,), 0), ()), (A((), 1, 1), (0,)), scale=(1,)),
+)
+_C3 = _C6[:2] + (
+    term((E((), 0), (0, 1)), (E((1,), 1), (0,)), (T(0), (1,))),
+    term((E((1,), 0), (0,)), (E((), 1), (0, 1)), (T(0), (1,))),
+    term((E((), 0), (0, 1)), (E((0,), 1), (1,)), (T(1), (0,))),
+    term((E((0,), 0), (1,)), (E((), 1), (0, 1)), (T(1), (0,))),
+)
+_C7 = (
+    term((E((), 0), (0,)), (E((0,), 1), ())),
+    term((E((), 1), (0,)), (E((0,), 0), ())),
+    term((E((), 0), ()), (A((), 1, 0), ()), scale=(0,)),
+)
+_C4 = (
+    term((E((0,), 0), ()), (E((), 1), (0,))),
+    _C7[0],
+    term((E((), 0), (0,)), (E((), 1), (0,)), (T(0), ())),
+)
+_C9 = (
+    term((E((0,), 0), (1,)), (T(1), (0,))),
+    term((E((1,), 0), (0,)), (T(0), (1,))),
+    term((E((), 0), (0, 1)), (T(0), (1,)), (T(1), (0,))),
+)
+_C12 = (
+    term((A((1,), 0, 0), ()), scale=(0,)),
+    term((A((0,), 0, 1), ()), scale=(1,)),
+    _C9[1], _C9[0],
+    term((A((), 0, 0), (1,)), (T(1), ()), scale=(0,)),
+    term((A((), 0, 1), (0,)), (T(0), ()), scale=(1,)),
+)
+_C13 = (
+    term((E((0,), 0), ())),
+    term((A((), 0, 0), ()), scale=(0,)),
+    term((E((), 0), (0,)), (T(0), ())),
+)
+_C10 = (_C13[0], _C13[2])
+_C15 = _C12[:2] + (term((D((), 0, 0, 1), ()), scale=(0, 1)),)
+_C18 = (term((T(1), (0,)), (T(0), ())), term((T(0), (1,)), (T(1), ())))
+# The eight expressions of the two-weight chain, in chain order.
+_INTRO_CHAIN = (_C9[0], _C9[1], _C12[0], _C12[1], _C9[2], _C12[4], _C12[5], _C15[2])
 
 
 @dataclass(frozen=True)
 class IdentityFamily:
-    """One theorem or corollary: its equal expressions and constraints."""
+    """One theorem or corollary: its equal expressions and constraints; for a
+    theorem, ``perms`` holds the template permutation of each variant."""
 
     family_id: str
     w_arity: int
@@ -598,132 +278,76 @@ class IdentityFamily:
     variants: tuple[Evaluator, ...]
     expected_orbit_size: int | None = None
     orbit_template: str | None = None
+    perms: tuple[Perm, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.expected_orbit_size is not None:
-            if len(self.variants) != self.expected_orbit_size:
-                raise ValueError(
-                    f"{self.family_id}: {len(self.variants)} variants but "
-                    f"expected orbit size {self.expected_orbit_size}"
-                )
-        if self.orbit_template is not None:
-            if EXPECTED_ORBIT_SIZES[self.orbit_template] != self.expected_orbit_size:
-                raise ValueError(f"{self.family_id}: template/orbit size mismatch")
+        size = self.expected_orbit_size
+        if size is not None and len(self.variants) != size:
+            raise ValueError(
+                f"{self.family_id}: {len(self.variants)} variants but expected orbit size {size}"
+            )
+        if self.orbit_template is not None and EXPECTED_ORBIT_SIZES[self.orbit_template] != size:
+            raise ValueError(f"{self.family_id}: template/orbit size mismatch")
 
 
-def _theorem_family(
-    family_id: str,
-    template: Callable[[Perm], Evaluator],
-    perms: Sequence[Perm],
-    w_arity: int,
-    y_arity: int,
-    odd_only: bool,
-    orbit_template: str,
-) -> IdentityFamily:
-    variants = tuple(
-        _checked(template(p), w_arity, y_arity, odd_only) for p in perms
-    )
-    return IdentityFamily(
-        family_id=family_id,
-        w_arity=w_arity,
-        y_arity=y_arity,
-        odd_only=odd_only,
-        variants=variants,
-        expected_orbit_size=len(perms),
-        orbit_template=orbit_template,
-    )
-
-
-def _corollary_family(
-    family_id: str,
-    raw_variants: tuple[Evaluator, ...],
-    w_arity: int,
-    y_arity: int,
-) -> IdentityFamily:
-    variants = tuple(_checked(ev, w_arity, y_arity, True) for ev in raw_variants)
-    return IdentityFamily(
-        family_id=family_id,
-        w_arity=w_arity,
-        y_arity=y_arity,
-        odd_only=True,
-        variants=variants,
-        expected_orbit_size=len(raw_variants),
-    )
-
-
-# Variant order follows each family's equality chain.
-_T1_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_T2_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))
-_T5_PERMS = ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))
-_T11_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_T16_PERMS = ((0, 1, 2), (0, 2, 1))
-_T17_PERMS = ((0, 1, 2), (0, 2, 1))
-
-FAMILIES: dict[str, IdentityFamily] = {
-    fam.family_id: fam
-    for fam in (
-        _theorem_family("T1", _t1_template, _T1_PERMS, 3, 3, False, "eee"),
-        _theorem_family("T2", _t2_template, _T2_PERMS, 3, 2, True, "eet"),
-        _corollary_family("C3", _c3_variants(), 2, 2),
-        _corollary_family("C4", _c4_variants(), 1, 2),
-        _theorem_family("T5", _t5_template, _T5_PERMS, 3, 2, True, "e-shift"),
-        _corollary_family("C6", _c6_variants(), 2, 2),
-        _corollary_family("C7", _c7_variants(), 1, 2),
-        _theorem_family("T8", _t8_template, CYCLIC_PERMS, 3, 1, True, "ett"),
-        _corollary_family("C9", _c9_variants(), 2, 1),
-        _corollary_family("C10", _c10_variants(), 1, 1),
-        _theorem_family("T11", _t11_template, _T11_PERMS, 3, 1, True, "shift-t"),
-        _corollary_family("C12", _c12_variants(), 2, 1),
-        _corollary_family("C13", _c13_variants(), 1, 1),
-        _theorem_family("T14", _t14_template, CYCLIC_PERMS, 3, 1, True, "double-shift"),
-        _corollary_family("C15", _c15_variants(), 2, 1),
-        _theorem_family("T16", _t16_template, _T16_PERMS, 3, 1, False, "eee-cyclic"),
-        _theorem_family("T17", _t17_template, _T17_PERMS, 3, 0, True, "ttt-cyclic"),
-        _corollary_family("C18", _c18_variants(), 2, 0),
-        IdentityFamily(
-            family_id="INTRO_CHAIN",
-            w_arity=2,
-            y_arity=1,
-            odd_only=True,
-            variants=tuple(_checked(ev, 2, 1, True) for ev in _intro_chain_variants()),
-        ),
-    )
+# Theorem -> (template, shift arity, odd weights only, perms in chain order).
+_THEOREMS: dict[str, tuple[str, int, bool, tuple[Perm, ...]]] = {
+    "T1": ("eee", 3, False, ALL_PERMS),
+    "T2": ("eet", 2, True, ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))),
+    "T5": ("e-shift", 2, True, ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))),
+    "T8": ("ett", 1, True, CYCLIC_PERMS),
+    "T11": ("shift-t", 1, True, ALL_PERMS),
+    "T14": ("double-shift", 1, True, CYCLIC_PERMS),
+    "T16": ("eee-cyclic", 1, False, ((0, 1, 2), (0, 2, 1))),
+    "T17": ("ttt-cyclic", 0, True, ((0, 1, 2), (0, 2, 1))),
 }
+
+# Corollary -> (parent theorem, number of trailing parent weights pinned to
+# 1, row).  A corollary takes the parent's shifts and its unpinned weights.
+_COROLLARIES: dict[str, tuple[str, int, tuple[Term, ...]]] = {
+    "C3": ("T2", 1, _C3),
+    "C4": ("T2", 2, _C4),
+    "C6": ("T5", 1, _C6),
+    "C7": ("T5", 2, _C7),
+    "C9": ("T8", 1, _C9),
+    "C10": ("T8", 2, _C10),
+    "C12": ("T11", 1, _C12),
+    "C13": ("T11", 2, _C13),
+    "C15": ("T14", 1, _C15),
+    "C18": ("T17", 1, _C18),
+}
+
+# Specialization checks compare values across this map.
+PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
+    cid: (parent, pinned) for cid, (parent, pinned, _) in _COROLLARIES.items()
+}
+
+# Every one of the six permuted forms of each theorem's template, compiled.
+_PERMUTED: dict[str, dict[Perm, Evaluator]] = {
+    fid: {p: _compile(substitute(ORBIT_TEMPLATES[template], p)) for p in ALL_PERMS}
+    for fid, (template, *_) in _THEOREMS.items()
+}
+
+
+def _build(fid: str) -> IdentityFamily:
+    if fid in _THEOREMS:
+        template, y_arity, odd_only, perms = _THEOREMS[fid]
+        variants = tuple(_PERMUTED[fid][p] for p in perms)
+        return IdentityFamily(fid, 3, y_arity, odd_only, variants, len(perms), template, perms)
+    parent, pinned, row = _COROLLARIES[fid]
+    y_arity = _THEOREMS[parent][1]
+    return IdentityFamily(fid, 3 - pinned, y_arity, True, tuple(map(_compile, row)), len(row))
+
+
+# In the numbering of the source, theorems and corollaries interleaved.
+FAMILIES: dict[str, IdentityFamily] = {
+    fid: _build(fid) for fid in sorted({**_THEOREMS, **_COROLLARIES}, key=lambda f: int(f[1:]))
+}
+FAMILIES["INTRO_CHAIN"] = IdentityFamily(
+    "INTRO_CHAIN", 2, 1, True, tuple(map(_compile, _INTRO_CHAIN))
+)
 
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
-
-# For each theorem, the generating-function series whose coefficient vector
-# the family expands, together with the variant form that matches the
-# series expansion literally: (series family, sub-index, evaluator).
-SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
-    "T1": ("L23", 0, _checked(_t1_template((0, 1, 2)), 3, 3, False)),
-    "T2": ("L23", 1, _checked(_t2_template((0, 1, 2)), 3, 2, True)),
-    "T5": ("L23", 1, _checked(_t5_template((0, 1, 2)), 3, 2, True)),
-    "T8": ("L23", 2, _checked(_t8_template((0, 1, 2)), 3, 1, True)),
-    "T11": ("L23", 2, _checked(_t11_template((1, 0, 2)), 3, 1, True)),
-    "T14": ("L23", 2, _checked(_t14_template((1, 2, 0)), 3, 1, True)),
-    "T16": ("L12_0", None, _checked(_t16_template((1, 2, 0)), 3, 1, False)),
-    "T17": ("L12_1", None, _checked(_t17_template((1, 2, 0)), 3, 0, True)),
-}
-
-# Corollary -> (parent theorem, number of trailing parent weights pinned
-# to 1); specialization checks compare values across this map.
-PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
-    "C3": ("T2", 1),
-    "C4": ("T2", 2),
-    "C6": ("T5", 1),
-    "C7": ("T5", 2),
-    "C9": ("T8", 1),
-    "C10": ("T8", 2),
-    "C12": ("T11", 1),
-    "C13": ("T11", 2),
-    "C15": ("T14", 1),
-    "C18": ("T17", 1),
-}
-
-
-# --------------------------------------------------------------------------
-# Reports and case evaluation.
 
 
 @dataclass(frozen=True)
@@ -736,7 +360,6 @@ class VerificationReport:
     y: tuple[Fraction, ...]
     variant_values: tuple[Fraction, ...]
     all_equal: bool
-    orbit_size_checked: bool = False
 
     def __post_init__(self) -> None:
         first = self.variant_values[0]
@@ -745,140 +368,83 @@ class VerificationReport:
             raise ValueError("all_equal flag contradicts the variant values")
 
 
-def variant_values(
-    family_id: str,
-    n: int,
-    w: Sequence[int],
-    y: Sequence[RationalLike] = (),
-    families: Mapping[str, IdentityFamily] | None = None,
-) -> tuple[Fraction, ...]:
-    catalog = FAMILIES if families is None else families
+def _family(catalog: Mapping[str, IdentityFamily], family_id: str) -> IdentityFamily:
     try:
-        fam = catalog[family_id]
+        return catalog[family_id]
     except KeyError:
         raise ValueError(f"unknown family {family_id!r}") from None
-    return tuple(ev(n, w, y) for ev in fam.variants)
+
+
+# Each public entry point below validates a case once and hands the
+# compiled evaluators validated tuples.
+
+
+def variant_values(
+    family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
+    families: Mapping[str, IdentityFamily] | None = None,
+) -> tuple[Fraction, ...]:
+    fam = _family(FAMILIES if families is None else families, family_id)
+    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    return tuple(ev(n, wt, yt) for ev in fam.variants)
 
 
 def check_case(
-    family_id: str,
-    n: int,
-    w: Sequence[int],
-    y: Sequence[RationalLike] = (),
-    orbit_size_checked: bool = False,
+    family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> VerificationReport:
     values = variant_values(family_id, n, w, y, families)
-    first = values[0]
     return VerificationReport(
         family_id=family_id,
         n=n,
-        w=int_weights(w),
+        w=tuple(int(v) for v in w),
         y=tuple(Fraction(v) for v in y),
         variant_values=values,
-        all_equal=all(v == first for v in values[1:]),
-        orbit_size_checked=orbit_size_checked,
+        all_equal=len(set(values)) == 1,
     )
 
 
-# --------------------------------------------------------------------------
-# Direct per-variant entry points.
-
-
-def _require_perm(perm: Sequence[int]) -> Perm:
-    p = tuple(perm)
-    if p not in ALL_PERMS:
-        raise ValueError(f"perm must be a permutation of (0, 1, 2), got {perm!r}")
-    return p  # type: ignore[return-value]
-
-
-def eval_t1_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y: Sequence[RationalLike]
-) -> Fraction:
-    """T1 expression for the given slot permutation (any positive weights)."""
-    return _checked(_t1_template(_require_perm(perm)), 3, 3, False)(n, w, y)
-
-
-def eval_t2_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y: Sequence[RationalLike]
-) -> Fraction:
-    """T2 expression for the given slot permutation (odd weights)."""
-    return _checked(_t2_template(_require_perm(perm)), 3, 2, True)(n, w, y)
-
-
-def eval_t5_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y: Sequence[RationalLike]
-) -> Fraction:
-    """T5 expression for the given slot permutation (odd weights)."""
-    return _checked(_t5_template(_require_perm(perm)), 3, 2, True)(n, w, y)
-
-
-def eval_t8_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y1: RationalLike
-) -> Fraction:
-    """T8 expression; the family lists the three cyclic forms, but any of
-    the six permutations is accepted (the odd ones are the duplicates that
-    collapse onto the cyclic forms under bound-index renaming)."""
-    return _checked(_t8_template(_require_perm(perm)), 3, 1, True)(n, w, (y1,))
-
-
-def eval_t11_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y1: RationalLike
-) -> Fraction:
-    """T11 expression for the given slot permutation (odd weights)."""
-    return _checked(_t11_template(_require_perm(perm)), 3, 1, True)(n, w, (y1,))
-
-
-def eval_t14_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y1: RationalLike
-) -> Fraction:
-    """T14 expression; three cyclic forms are canonical, all six accepted."""
-    return _checked(_t14_template(_require_perm(perm)), 3, 1, True)(n, w, (y1,))
-
-
-def eval_t16_variant(
-    perm: Sequence[int], n: int, w: Sequence[int], y: RationalLike
-) -> Fraction:
-    """T16 expression; two canonical forms, all six permutations accepted
-    (any positive weights)."""
-    return _checked(_t16_template(_require_perm(perm)), 3, 1, False)(n, w, (y,))
-
-
-def eval_t17_variant(perm: Sequence[int], n: int, w: Sequence[int]) -> Fraction:
-    """T17 expression; two canonical forms, all six permutations accepted."""
-    return _checked(_t17_template(_require_perm(perm)), 3, 0, True)(n, w, ())
-
-
-def eval_corollary(
-    corollary_id: str,
-    variant_index: int,
-    n: int,
-    w: Sequence[int],
+def eval_variant(
+    family_id: str, index_or_perm: int | Sequence[int], n: int, w: Sequence[int],
     y: Sequence[RationalLike] = (),
 ) -> Fraction:
-    """Evaluate one expression of a corollary's equality chain."""
-    if corollary_id not in PARENT_SPECIALIZATIONS:
-        raise ValueError(f"unknown corollary {corollary_id!r}")
-    fam = FAMILIES[corollary_id]
-    if not 0 <= variant_index < len(fam.variants):
-        raise ValueError(
-            f"{corollary_id} has {len(fam.variants)} variants; "
-            f"index {variant_index} is out of range"
-        )
-    return fam.variants[variant_index](n, w, y)
+    """Evaluate one expression of a family, chosen by its index in the
+    family's equality chain or, for a theorem family, by any of the six
+    weight permutations of its template (the unlisted ones are the forms
+    that collapse onto listed ones under bound-index renaming)."""
+    fam = _family(FAMILIES, family_id)
+    choice = index_or_perm
+    if type(choice) is int and 0 <= choice < len(fam.variants):
+        ev = fam.variants[choice]
+    elif isinstance(choice, Sequence) and tuple(choice) in _PERMUTED.get(family_id, {}):
+        ev = _PERMUTED[family_id][tuple(choice)]
+    else:
+        raise ValueError(f"{family_id} has no variant {choice!r}; it takes an index "
+                         f"below {len(fam.variants)} or, for a theorem, a permutation")
+    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    return ev(n, wt, yt)
 
 
-def eval_intro_chain(
-    variant_index: int, n: int, w1: int, w2: int, y1: RationalLike
-) -> Fraction:
-    """Evaluate one of the eight expressions of the two-weight chain."""
-    fam = FAMILIES["INTRO_CHAIN"]
-    if not 0 <= variant_index < len(fam.variants):
-        raise ValueError(f"variant index must be 0..7, got {variant_index}")
-    return fam.variants[variant_index](n, (w1, w2), (y1,))
+# For each theorem, the generating-function series whose coefficient vector
+# the family expands, together with the variant form that matches the
+# series expansion literally: (series family, sub-index, evaluator).
+SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
+    fid: (series, sub_index, partial(eval_variant, fid, perm))
+    for fid, series, sub_index, perm in (
+        ("T1", "L23", 0, (0, 1, 2)),
+        ("T2", "L23", 1, (0, 1, 2)),
+        ("T5", "L23", 1, (0, 1, 2)),
+        ("T8", "L23", 2, (0, 1, 2)),
+        ("T11", "L23", 2, (1, 0, 2)),
+        ("T14", "L23", 2, (1, 2, 0)),
+        ("T16", "L12_0", None, (1, 2, 0)),
+        ("T17", "L12_1", None, (1, 2, 0)),
+    )
+}
+
+_TRIPLE_ALTSUM = _compile(ORBIT_TEMPLATES["ttt"])
 
 
 def eval_triple_altsum(n: int, w: Sequence[int]) -> Fraction:
     """The fully symmetric three-factor alternating-power-sum expression
     (orbit size 1, hence no symmetry identities; used as a series oracle)."""
-    return _checked(_triple_altsum, 3, 0, True)(n, w, ())
+    return _TRIPLE_ALTSUM(n, *_validate_case(n, w, (), 3, 0, True))

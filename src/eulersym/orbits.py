@@ -1,184 +1,100 @@
-"""Orbit sizes of expression templates under permutations of the weights.
+"""Expression terms, the nine three-weight templates, and their orbit sizes.
 
-Each identity family arises from one expression template in the three
-weights (w1, w2, w3).  Permuting the weights always preserves the value,
-but not every permutation yields a syntactically new expression: renaming
-the bound summation indices can map one permuted form onto another.  The
-number of genuinely distinct expressions (the orbit size) is therefore
-1, 2, 3 or 6, and it determines how many equalities each template states.
+A *term* is a scale monomial to the n-th power times a sum over 1-3
+*bundles*, each a factor paired with a base monomial; a monomial is a tuple
+of weight slots standing for the product of those weights.  Three bundles
+mean sum_{k+l+m=n} C(n;k,l,m) f1[k] f2[l] f3[m] b1^k b2^l b3^m, two mean
+sum_k C(n,k) f1[k] f2[n-k] b1^k b2^{n-k}, one means entry n of its factor.
+Factors: ``E(m, j)`` is E_k(m y_j); ``T(s)`` is T_k(w_s - 1); ``A(m, j, c)``
+is sum_{i<w_c} (-1)^i E_k(m y_j + (m/w_c) i); ``D(m, j, c1, c2)`` is the
+double alternating sum of E_n(m y_j + (m/w_c1) i + (m/w_c2) i').
 
-This module canonicalizes a permuted template modulo exactly those bound
-renamings and counts distinct canonical forms.  Templates are described
-structurally, one canonicalizer per summation shape:
-
-* trinomial templates (sum over k+l+m = n of three factors):  a bound
-  renaming permutes the three (factor, exponent-pattern) bundles as units,
-  so the sorted bundle multiset is canonical;
-* binomial templates (sum over k of two factors at k and n-k):  the swap
-  k <-> n-k exchanges the two position descriptors, so the sorted pair is
-  canonical;
-* double alternating sums:  swapping the two inner indices exchanges the
-  two outer weights, so the unordered outer pair is canonical.
-
-Factor kinds: "E" is an Euler-polynomial factor, "A" an alternating sum of
-shifted Euler values, "T" an alternating power sum.  Distinct shift
-arguments are tagged y1/y2/y3 and travel with their factor.
+Templates are written in the roles a, b, c = 0, 1, 2; the permutation p
+puts role r on weight slot p[r].  Renaming bound summation indices maps
+some permuted forms onto others, and the normal form undoes exactly those
+renamings: it sorts each monomial and the double sum's count pair (i <->
+i'), then the bundles (k, l, m relabel trinomial bundles; k <-> n-k swaps
+binomial ones).  The orbit size counts the distinct normal forms.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Callable, Hashable
+from typing import Callable
 
 __all__ = ["ORBIT_TEMPLATES", "EXPECTED_ORBIT_SIZES", "orbit_audit", "orbit_forms"]
 
 Perm = tuple[int, int, int]
+Mono = tuple[int, ...]
+Factor = tuple[str, Mono, int, Mono]
+Term = tuple[Mono, tuple[tuple[Factor, Mono], ...]]
 
 ALL_PERMS: tuple[Perm, ...] = tuple(permutations((0, 1, 2)))
+a, b, c = 0, 1, 2  # template roles
 
 
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
+def E(m: Mono, j: int) -> Factor: return ("E", m, j, ())
+def T(s: int) -> Factor: return ("T", (s,), 0, ())
+def A(m: Mono, j: int, c: int) -> Factor: return ("A", m, j, (c,))
+def D(m: Mono, j: int, c1: int, c2: int) -> Factor: return ("D", m, j, (c1, c2))
+def term(*bundles: tuple[Factor, Mono], scale: Mono = ()) -> Term: return (scale, bundles)
 
 
-# Trinomial templates with the symmetric exponent pattern
-# w_a^{l+m} w_b^{k+m} w_c^{k+l}: each bundle is (kind, factor slot, shift
-# tag, pair of slots whose exponent contains this bundle's index).
+def _sym(fa: Factor, fb: Factor, fc: Factor) -> Term:  # w_a^{l+m} w_b^{k+m} w_c^{k+l}
+    return term((fa, (b, c)), (fb, (a, c)), (fc, (a, b)))
 
 
-def _canon_eee(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(
-        sorted(
-            [
-                ("E", a, 1, _pair(b, c)),
-                ("E", b, 2, _pair(a, c)),
-                ("E", c, 3, _pair(a, b)),
-            ]
-        )
-    )
+def _cyc(fa: Factor, fb: Factor, fc: Factor) -> Term:  # w_c^k w_a^l w_b^m
+    return term((fa, (c,)), (fb, (a,)), (fc, (b,)))
 
 
-def _canon_eet(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(
-        sorted(
-            [
-                ("E", a, 1, _pair(b, c)),
-                ("E", b, 2, _pair(a, c)),
-                ("T", c, 0, _pair(a, b)),
-            ]
-        )
-    )
-
-
-def _canon_ett(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(
-        sorted(
-            [
-                ("E", a, 1, _pair(b, c)),
-                ("T", b, 0, _pair(a, c)),
-                ("T", c, 0, _pair(a, b)),
-            ]
-        )
-    )
-
-
-def _canon_ttt(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(
-        sorted(
-            [
-                ("T", a, 0, _pair(b, c)),
-                ("T", b, 0, _pair(a, c)),
-                ("T", c, 0, _pair(a, b)),
-            ]
-        )
-    )
-
-
-# Trinomial templates with the cyclic exponent pattern w_c^k w_a^l w_b^m:
-# each bundle pairs a factor slot with the single slot in its exponent.
-
-
-def _canon_eee_cyclic(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(sorted([("E", a, c), ("E", b, a), ("E", c, b)]))
-
-
-def _canon_ttt_cyclic(p: Perm) -> Hashable:
-    a, b, c = p
-    return tuple(sorted([("T", a, c), ("T", b, a), ("T", c, b)]))
-
-
-# Binomial templates.  Positions are (descriptor, ...) pairs; the k <-> n-k
-# swap exchanges them, so sorting the pair canonicalizes.
-
-
-def _canon_e_shift(p: Perm) -> Hashable:
-    # w_c^n sum_k C(n,k) E_k(w_a y1) [alt sum over i < w_c of
-    # E_{n-k}(w_b y2 + (w_b/w_c) i)] w_a^{n-k} w_b^k
-    a, b, c = p
-    positions = sorted([("E", a, 1), ("A", b, 2, c)], key=repr)
-    return (c, tuple(positions))
-
-
-def _canon_shift_t(p: Perm) -> Hashable:
-    # w_a^n sum_k C(n,k) [alt sum over i < w_a of E_k(w_b y1 + (w_b/w_a) i)]
-    # T_{n-k}(w_c - 1) w_b^{n-k} w_c^k
-    a, b, c = p
-    positions = sorted([("A", b, 1, a), ("T", c)], key=repr)
-    return (a, tuple(positions))
-
-
-def _canon_double_shift(p: Perm) -> Hashable:
-    # (w_a w_b)^n sum_{i<w_a} sum_{j<w_b} (-1)^{i+j}
-    # E_n(w_c y1 + (w_c/w_a) i + (w_c/w_b) j): i <-> j swaps a and b.
-    a, b, c = p
-    return (c, _pair(a, b))
-
-
-ORBIT_TEMPLATES: dict[str, Callable[[Perm], Hashable]] = {
-    "eee": _canon_eee,
-    "eet": _canon_eet,
-    "e-shift": _canon_e_shift,
-    "ett": _canon_ett,
-    "shift-t": _canon_shift_t,
-    "double-shift": _canon_double_shift,
-    "ttt": _canon_ttt,
-    "eee-cyclic": _canon_eee_cyclic,
-    "ttt-cyclic": _canon_ttt_cyclic,
+ORBIT_TEMPLATES: dict[str, Term] = {
+    "eee": _sym(E((a,), 0), E((b,), 1), E((c,), 2)),
+    "eet": _sym(E((a,), 0), E((b,), 1), T(c)),
+    "e-shift": term((E((a,), 0), (b,)), (A((b,), 1, c), (a,)), scale=(c,)),
+    "ett": _sym(E((a,), 0), T(b), T(c)),
+    "shift-t": term((A((b,), 0, a), (c,)), (T(c), (b,)), scale=(a,)),
+    "double-shift": term((D((c,), 0, a, b), ()), scale=(a, b)),
+    "ttt": _sym(T(a), T(b), T(c)),
+    "eee-cyclic": _cyc(E((a,), 0), E((b,), 0), E((c,), 0)),
+    "ttt-cyclic": _cyc(T(a), T(b), T(c)),
 }
 
 EXPECTED_ORBIT_SIZES: dict[str, int] = {
-    "eee": 6,
-    "eet": 6,
-    "e-shift": 6,
-    "ett": 3,
-    "shift-t": 6,
-    "double-shift": 3,
-    "ttt": 1,
-    "eee-cyclic": 2,
-    "ttt-cyclic": 2,
+    "eee": 6, "eet": 6, "e-shift": 6, "ett": 3, "shift-t": 6,
+    "double-shift": 3, "ttt": 1, "eee-cyclic": 2, "ttt-cyclic": 2,
 }
 
 
-def orbit_forms(template: str) -> dict[Hashable, list[Perm]]:
-    """Group the six weight permutations by canonical expression form."""
-    try:
-        canon = ORBIT_TEMPLATES[template]
-    except KeyError:
-        raise ValueError(
-            f"unknown template {template!r}; expected one of {sorted(ORBIT_TEMPLATES)}"
-        ) from None
-    groups: dict[Hashable, list[Perm]] = {}
+def _map_monos(t: Term, f: Callable[[Mono], Mono]) -> Term:
+    scale, bundles = t
+    return f(scale), tuple(
+        ((kind, f(m), j, f(cs)), f(base)) for (kind, m, j, cs), base in bundles
+    )
+
+
+def substitute(t: Term, perm: Perm) -> Term:
+    """The term with every weight slot s replaced by perm[s]."""
+    return _map_monos(t, lambda m: tuple(perm[s] for s in m))
+
+
+def normal_form(t: Term, perm: Perm) -> Term:
+    """The permuted term modulo renaming of its bound summation indices."""
+    scale, bundles = _map_monos(t, lambda m: tuple(sorted(perm[s] for s in m)))
+    return scale, tuple(sorted(bundles))
+
+
+def orbit_forms(template: str) -> dict[Term, list[Perm]]:
+    """Group the six weight permutations by normal form."""
+    if template not in ORBIT_TEMPLATES:
+        raise ValueError(f"unknown template {template!r}; "
+                         f"expected one of {sorted(ORBIT_TEMPLATES)}")
+    groups: dict[Term, list[Perm]] = {}
     for p in ALL_PERMS:
-        groups.setdefault(canon(p), []).append(p)
+        groups.setdefault(normal_form(ORBIT_TEMPLATES[template], p), []).append(p)
     return groups
 
 
 def orbit_audit(template: str) -> int:
-    """Number of distinct expressions the template yields under all six
-    weight permutations, after bound-index canonicalization."""
+    """Number of distinct normal forms of the template over the six permutations."""
     return len(orbit_forms(template))

@@ -235,6 +235,12 @@ def test_lambda_series_rejects_non_integral_weights(bad):
         lambda_series("L23", 0, (bad, 3, 1), (0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [0.1, True, "1/2"])
+def test_lambda_series_rejects_inexact_shifts(bad):
+    with pytest.raises(ValueError):
+        lambda_series("L12_0", None, (1, 3, 5), (bad,))
+
+
 def test_truncated_egf_validation():
     with pytest.raises(ValueError):
         TruncatedEGF(())

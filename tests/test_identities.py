@@ -12,17 +12,8 @@ from eulersym.identities import (
     SERIES_ORACLES,
     VerificationReport,
     check_case,
-    eval_corollary,
-    eval_intro_chain,
-    eval_t1_variant,
-    eval_t2_variant,
-    eval_t5_variant,
-    eval_t8_variant,
-    eval_t11_variant,
-    eval_t14_variant,
-    eval_t16_variant,
-    eval_t17_variant,
     eval_triple_altsum,
+    eval_variant,
     variant_values,
 )
 from eulersym.orbits import ALL_PERMS
@@ -55,18 +46,18 @@ def _tri_eee(n, x1, x2, x3):
 
 
 def test_t1_worked_examples():
-    assert eval_t1_variant((0, 1, 2), 1, (1, 1, 1), (0, 0, 0)) == Fraction(-3, 2)
+    assert eval_variant("T1", (0, 1, 2), 1, (1, 1, 1), (0, 0, 0)) == Fraction(-3, 2)
     for perm in ALL_PERMS:
-        assert eval_t1_variant(perm, 0, (4, 9, 2), (HALF, -1, 3)) == 1
+        assert eval_variant("T1", perm, 0, (4, 9, 2), (HALF, -1, 3)) == 1
     values = {
-        eval_t1_variant(p, 4, (1, 3, 5), (HALF, -THIRD, 2)) for p in ALL_PERMS
+        eval_variant("T1", p, 4, (1, 3, 5), (HALF, -THIRD, 2)) for p in ALL_PERMS
     }
     assert len(values) == 1
 
 
 def test_t1_accepts_even_weights():
     values = {
-        eval_t1_variant(p, 5, (2, 3, 4), (HALF, -THIRD, Fraction(2, 7)))
+        eval_variant("T1", p, 5, (2, 3, 4), (HALF, -THIRD, Fraction(2, 7)))
         for p in ALL_PERMS
     }
     assert len(values) == 1
@@ -75,7 +66,7 @@ def test_t1_accepts_even_weights():
 def test_t1_degenerate_weights():
     y = (HALF, -THIRD, Fraction(2, 7))
     for n in range(7):
-        assert eval_t1_variant((0, 1, 2), n, (1, 1, 1), y) == _tri_eee(n, *y)
+        assert eval_variant("T1", (0, 1, 2), n, (1, 1, 1), y) == _tri_eee(n, *y)
 
 
 # ---------------------------------------------------------------- T2
@@ -85,21 +76,21 @@ def test_t2_degenerate_weights():
     # T_m(0) kills every m > 0 term, leaving the two-factor convolution.
     y = (HALF, -THIRD)
     for n in range(7):
-        assert eval_t2_variant((0, 1, 2), n, (1, 1, 1), y) == _binom_ee(n, *y)
+        assert eval_variant("T2", (0, 1, 2), n, (1, 1, 1), y) == _binom_ee(n, *y)
 
 
 def test_t2_six_way_agreement():
     values = {
-        eval_t2_variant(p, 5, (3, 5, 7), (Fraction(1, 4), -2)) for p in ALL_PERMS
+        eval_variant("T2", p, 5, (3, 5, 7), (Fraction(1, 4), -2)) for p in ALL_PERMS
     }
     assert len(values) == 1
     for perm in ALL_PERMS:
-        assert eval_t2_variant(perm, 0, (3, 5, 7), (1, 2)) == 1
+        assert eval_variant("T2", perm, 0, (3, 5, 7), (1, 2)) == 1
 
 
 def test_t2_rejects_even_weights():
     with pytest.raises(ValueError):
-        eval_t2_variant((0, 1, 2), 3, (2, 3, 5), (0, 0))
+        eval_variant("T2", (0, 1, 2), 3, (2, 3, 5), (0, 0))
 
 
 # ---------------------------------------------------------------- T5
@@ -108,24 +99,24 @@ def test_t2_rejects_even_weights():
 def test_t5_degenerate_weights():
     y = (HALF, THIRD)
     for n in range(7):
-        assert eval_t5_variant((0, 1, 2), n, (1, 1, 1), y) == _binom_ee(n, *y)
+        assert eval_variant("T5", (0, 1, 2), n, (1, 1, 1), y) == _binom_ee(n, *y)
 
 
 def test_t5_constant_coefficient_is_one():
     for w in ((1, 3, 5), (3, 3, 7), (5, 7, 1)):
         for perm in ALL_PERMS:
-            assert eval_t5_variant(perm, 0, w, (HALF, -2)) == 1
+            assert eval_variant("T5", perm, 0, w, (HALF, -2)) == 1
 
 
 def test_t5_six_way_agreement_and_t2_cross_check():
     n, w, y = 3, (1, 3, 5), (HALF, THIRD)
-    values = {eval_t5_variant(p, n, w, y) for p in ALL_PERMS}
+    values = {eval_variant("T5", p, n, w, y) for p in ALL_PERMS}
     assert len(values) == 1
     # T2 and T5 expand the same quotient series, so their values coincide.
-    assert values == {eval_t2_variant((0, 1, 2), n, w, y)}
+    assert values == {eval_variant("T2", (0, 1, 2), n, w, y)}
     for n in range(8):
-        assert eval_t5_variant((2, 0, 1), n, (3, 5, 7), y) == eval_t2_variant(
-            (1, 2, 0), n, (3, 5, 7), y
+        assert eval_variant("T5", (2, 0, 1), n, (3, 5, 7), y) == eval_variant(
+            "T2", (1, 2, 0), n, (3, 5, 7), y
         )
 
 
@@ -134,14 +125,16 @@ def test_t5_six_way_agreement_and_t2_cross_check():
 
 def test_t8_degenerate_weights():
     for n in range(8):
-        assert eval_t8_variant((0, 1, 2), n, (1, 1, 1), HALF) == euler_eval(n, HALF)
+        assert eval_variant("T8", (0, 1, 2), n, (1, 1, 1), (HALF,)) == euler_eval(
+            n, HALF
+        )
 
 
 def test_t8_worked_example():
     # at w = (3,1,1), n = 1, y = 0 every variant equals E_1(0) = -1/2
     for perm in ALL_PERMS:
-        assert eval_t8_variant(perm, 1, (3, 1, 1), 0) == Fraction(-1, 2)
-    assert eval_corollary("C10", 0, 1, (3,), (0,)) == Fraction(-1, 2)
+        assert eval_variant("T8", perm, 1, (3, 1, 1), (0,)) == Fraction(-1, 2)
+    assert eval_variant("C10", 0, 1, (3,), (0,)) == Fraction(-1, 2)
 
 
 def test_t8_collapse_of_transposed_forms():
@@ -150,11 +143,15 @@ def test_t8_collapse_of_transposed_forms():
     for even, odd in zip(EVEN_PERMS, ((0, 2, 1), (1, 0, 2), (2, 1, 0))):
         for n in range(6):
             w, y1 = (3, 5, 7), Fraction(2, 7)
-            assert eval_t8_variant(even, n, w, y1) == eval_t8_variant(odd, n, w, y1)
+            assert eval_variant("T8", even, n, w, (y1,)) == eval_variant(
+                "T8", odd, n, w, (y1,)
+            )
 
 
 def test_t8_three_way_agreement():
-    values = {eval_t8_variant(p, 4, (3, 5, 7), Fraction(2, 7)) for p in EVEN_PERMS}
+    values = {
+        eval_variant("T8", p, 4, (3, 5, 7), (Fraction(2, 7),)) for p in EVEN_PERMS
+    }
     assert len(values) == 1
 
 
@@ -163,19 +160,19 @@ def test_t8_three_way_agreement():
 
 def test_t11_degenerate_weights():
     for n in range(8):
-        assert eval_t11_variant((0, 1, 2), n, (1, 1, 1), -THIRD) == euler_eval(
+        assert eval_variant("T11", (0, 1, 2), n, (1, 1, 1), (-THIRD,)) == euler_eval(
             n, -THIRD
         )
     for perm in ALL_PERMS:
-        assert eval_t11_variant(perm, 0, (3, 5, 7), 1) == 1
+        assert eval_variant("T11", perm, 0, (3, 5, 7), (1,)) == 1
 
 
 def test_t11_six_way_agreement_and_t8_cross_check():
     n, w, y1 = 4, (3, 5, 1), Fraction(2, 7)
-    values = {eval_t11_variant(p, n, w, y1) for p in ALL_PERMS}
+    values = {eval_variant("T11", p, n, w, (y1,)) for p in ALL_PERMS}
     assert len(values) == 1
     # T8 and T11 both expand the doubly-divided quotient series.
-    assert values == {eval_t8_variant((0, 1, 2), n, w, y1)}
+    assert values == {eval_variant("T8", (0, 1, 2), n, w, (y1,))}
 
 
 # ---------------------------------------------------------------- T14
@@ -183,17 +180,19 @@ def test_t11_six_way_agreement_and_t8_cross_check():
 
 def test_t14_degenerate_weights():
     for n in range(8):
-        assert eval_t14_variant((0, 1, 2), n, (1, 1, 1), HALF) == euler_eval(n, HALF)
+        assert eval_variant("T14", (0, 1, 2), n, (1, 1, 1), (HALF,)) == euler_eval(
+            n, HALF
+        )
     for perm in EVEN_PERMS:
-        assert eval_t14_variant(perm, 0, (3, 5, 7), HALF) == 1
+        assert eval_variant("T14", perm, 0, (3, 5, 7), (HALF,)) == 1
 
 
 def test_t14_three_way_agreement_and_cross_checks():
     n, w, y1 = 2, (3, 5, 7), HALF
-    values = {eval_t14_variant(p, n, w, y1) for p in EVEN_PERMS}
+    values = {eval_variant("T14", p, n, w, (y1,)) for p in EVEN_PERMS}
     assert len(values) == 1
-    assert values == {eval_t8_variant((0, 1, 2), n, w, y1)}
-    assert values == {eval_t11_variant((0, 1, 2), n, w, y1)}
+    assert values == {eval_variant("T8", (0, 1, 2), n, w, (y1,))}
+    assert values == {eval_variant("T11", (0, 1, 2), n, w, (y1,))}
 
 
 # ---------------------------------------------------------------- T16
@@ -201,34 +200,36 @@ def test_t14_three_way_agreement_and_cross_checks():
 
 def test_t16_two_way_agreement_with_even_weights():
     n, w, y = 3, (2, 3, 4), HALF
-    assert eval_t16_variant((0, 1, 2), n, w, y) == eval_t16_variant((0, 2, 1), n, w, y)
+    assert eval_variant("T16", (0, 1, 2), n, w, (y,)) == eval_variant(
+        "T16", (0, 2, 1), n, w, (y,)
+    )
     for perm in ALL_PERMS:
-        assert eval_t16_variant(perm, 0, w, y) == 1
+        assert eval_variant("T16", perm, 0, w, (y,)) == 1
 
 
 def test_t16_degenerate_weights():
     for n in range(7):
-        assert eval_t16_variant((0, 1, 2), n, (1, 1, 1), HALF) == _tri_eee(
+        assert eval_variant("T16", (0, 1, 2), n, (1, 1, 1), (HALF,)) == _tri_eee(
             n, HALF, HALF, HALF
         )
 
 
 def test_t16_matches_t1_degenerate_case():
-    assert eval_t16_variant((0, 1, 2), 1, (1, 1, 1), 0) == Fraction(-3, 2)
+    assert eval_variant("T16", (0, 1, 2), 1, (1, 1, 1), (0,)) == Fraction(-3, 2)
 
 
 # ---------------------------------------------------------------- T17
 
 
 def test_t17_degenerate_weights():
-    assert eval_t17_variant((0, 1, 2), 0, (1, 1, 1)) == 1
+    assert eval_variant("T17", (0, 1, 2), 0, (1, 1, 1)) == 1
     for n in range(1, 8):
-        assert eval_t17_variant((0, 1, 2), n, (1, 1, 1)) == 0
+        assert eval_variant("T17", (0, 1, 2), n, (1, 1, 1)) == 0
 
 
 def test_t17_worked_example():
-    assert eval_t17_variant((0, 1, 2), 1, (3, 1, 1)) == 1
-    assert eval_t17_variant((0, 2, 1), 1, (3, 1, 1)) == 1
+    assert eval_variant("T17", (0, 1, 2), 1, (3, 1, 1)) == 1
+    assert eval_variant("T17", (0, 2, 1), 1, (3, 1, 1)) == 1
 
 
 def test_t17_collapse_of_relabeled_forms():
@@ -236,12 +237,12 @@ def test_t17_collapse_of_relabeled_forms():
     # canonical ones; all six evaluate equal anyway
     w = (3, 5, 7)
     for n in range(7):
-        reference = eval_t17_variant((0, 1, 2), n, w)
+        reference = eval_variant("T17", (0, 1, 2), n, w)
         for perm in ((1, 2, 0), (2, 0, 1)):
-            assert eval_t17_variant(perm, n, w) == reference
-        alternate = eval_t17_variant((0, 2, 1), n, w)
+            assert eval_variant("T17", perm, n, w) == reference
+        alternate = eval_variant("T17", (0, 2, 1), n, w)
         for perm in ((2, 1, 0), (1, 0, 2)):
-            assert eval_t17_variant(perm, n, w) == alternate
+            assert eval_variant("T17", perm, n, w) == alternate
         assert reference == alternate
 
 
@@ -249,23 +250,21 @@ def test_t17_collapse_of_relabeled_forms():
 
 
 def test_c10_worked_example():
-    assert eval_corollary("C10", 0, 1, (3,), (0,)) == Fraction(-1, 2)
-    assert eval_corollary("C10", 1, 1, (3,), (0,)) == Fraction(-1, 2)
+    assert eval_variant("C10", 0, 1, (3,), (0,)) == Fraction(-1, 2)
+    assert eval_variant("C10", 1, 1, (3,), (0,)) == Fraction(-1, 2)
 
 
 def test_c13_unit_weight_collapses():
     for n in range(8):
         for index in range(3):
-            assert eval_corollary("C13", index, n, (1,), (THIRD,)) == euler_eval(
+            assert eval_variant("C13", index, n, (1,), (THIRD,)) == euler_eval(
                 n, THIRD
             )
 
 
 def test_c18_agreement():
     for n in range(9):
-        assert eval_corollary("C18", 0, n, (3, 5)) == eval_corollary(
-            "C18", 1, n, (3, 5)
-        )
+        assert eval_variant("C18", 0, n, (3, 5)) == eval_variant("C18", 1, n, (3, 5))
 
 
 def test_corollary_chains_agree():
@@ -289,43 +288,46 @@ def test_corollary_chains_agree():
 
 def test_corollary_validation():
     with pytest.raises(ValueError):
-        eval_corollary("C99", 0, 1, (3,), (0,))
+        eval_variant("C99", 0, 1, (3,), (0,))
     with pytest.raises(ValueError):
-        eval_corollary("C10", 2, 1, (3,), (0,))  # only two variants
+        eval_variant("C10", 2, 1, (3,), (0,))  # only two variants
     with pytest.raises(ValueError):
-        eval_corollary("C10", 0, 1, (2,), (0,))  # even weight
+        eval_variant("C10", 0, 1, (2,), (0,))  # even weight
     with pytest.raises(ValueError):
-        eval_corollary("C9", 0, 1, (3,), (0,))  # needs two weights
+        eval_variant("C9", 0, 1, (3,), (0,))  # needs two weights
     with pytest.raises(ValueError):
-        eval_corollary("C9", 0, -1, (3, 5), (0,))
+        eval_variant("C9", 0, -1, (3, 5), (0,))
 
 
 # ---------------------------------------------------------------- intro chain
 
 
 def test_intro_chain_worked_examples():
-    assert eval_intro_chain(0, 1, 1, 1, 0) == Fraction(-1, 2)
+    assert eval_variant("INTRO_CHAIN", 0, 1, (1, 1), (0,)) == Fraction(-1, 2)
     # the long-known two-expression equality
-    assert eval_intro_chain(0, 6, 3, 5, THIRD) == eval_intro_chain(1, 6, 3, 5, THIRD)
+    assert eval_variant("INTRO_CHAIN", 0, 6, (3, 5), (THIRD,)) == eval_variant(
+        "INTRO_CHAIN", 1, 6, (3, 5), (THIRD,)
+    )
     # the full eight-way chain
-    values = {eval_intro_chain(i, 4, 3, 7, -HALF) for i in range(8)}
+    values = {eval_variant("INTRO_CHAIN", i, 4, (3, 7), (-HALF,)) for i in range(8)}
     assert len(values) == 1
 
 
 def test_intro_chain_degenerate_weights():
     for n in range(8):
         for index in range(8):
-            assert eval_intro_chain(index, n, 1, 1, HALF) == euler_eval(n, HALF)
+            value = eval_variant("INTRO_CHAIN", index, n, (1, 1), (HALF,))
+            assert value == euler_eval(n, HALF)
 
 
 def test_intro_chain_matches_source_corollaries():
     # the eight expressions are exactly the union of the chains of the
     # two-weight corollaries C9, C12, C15
     n, w1, w2, y1 = 5, 3, 5, Fraction(2, 7)
-    chain = [eval_intro_chain(i, n, w1, w2, y1) for i in range(8)]
-    c9 = [eval_corollary("C9", i, n, (w1, w2), (y1,)) for i in range(3)]
-    c12 = [eval_corollary("C12", i, n, (w1, w2), (y1,)) for i in range(6)]
-    c15 = [eval_corollary("C15", i, n, (w1, w2), (y1,)) for i in range(3)]
+    chain = [eval_variant("INTRO_CHAIN", i, n, (w1, w2), (y1,)) for i in range(8)]
+    c9 = [eval_variant("C9", i, n, (w1, w2), (y1,)) for i in range(3)]
+    c12 = [eval_variant("C12", i, n, (w1, w2), (y1,)) for i in range(6)]
+    c15 = [eval_variant("C15", i, n, (w1, w2), (y1,)) for i in range(3)]
     assert chain[0] == c9[0] == c12[3]
     assert chain[1] == c9[1] == c12[2]
     assert chain[2] == c12[0] == c15[0]
@@ -338,9 +340,9 @@ def test_intro_chain_matches_source_corollaries():
 
 def test_intro_chain_validation():
     with pytest.raises(ValueError):
-        eval_intro_chain(8, 1, 3, 5, 0)
+        eval_variant("INTRO_CHAIN", 8, 1, (3, 5), (0,))
     with pytest.raises(ValueError):
-        eval_intro_chain(0, 1, 2, 5, 0)
+        eval_variant("INTRO_CHAIN", 0, 1, (2, 5), (0,))
 
 
 # ---------------------------------------------------------------- structure
@@ -402,7 +404,6 @@ def test_check_case_and_report():
     assert report.all_equal
     assert report.variant_values == (Fraction(-1, 2), Fraction(-1, 2))
     assert report.w == (3,) and report.y == (Fraction(0),)
-    assert not report.orbit_size_checked
 
     with pytest.raises(ValueError):
         VerificationReport(
@@ -435,4 +436,28 @@ def test_non_integral_weights_rejected(bad):
     with pytest.raises(ValueError):
         check_case("T1", 2, w, (0, 0, 0))
     with pytest.raises(ValueError):
-        eval_t1_variant((0, 1, 2), 2, w, (0, 0, 0))
+        eval_variant("T1", (0, 1, 2), 2, w, (0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1/2"])
+def test_inexact_shift_values_rejected(bad):
+    # Neither read as the float's binary value, as 1, nor parsed as a string.
+    with pytest.raises(ValueError):
+        variant_values("T8", 1, (3, 5, 7), (bad,))
+    with pytest.raises(ValueError):
+        check_case("T8", 1, (3, 5, 7), (bad,))
+    with pytest.raises(ValueError):
+        eval_variant("T8", (0, 1, 2), 1, (3, 5, 7), (bad,))
+    with pytest.raises(ValueError):
+        eval_variant("C10", 0, 1, (3,), (bad,))
+
+
+def test_eval_variant_choice():
+    n, w, y = 3, (3, 5, 7), (HALF, THIRD)
+    for index, perm in enumerate(FAMILIES["T5"].perms):
+        assert eval_variant("T5", index, n, w, y) == eval_variant("T5", perm, n, w, y)
+    for bad in (3, -1, True, (0, 1, 1), (0, 1), "012", None):
+        with pytest.raises(ValueError):
+            eval_variant("T8", bad, n, w, y[:1])
+    with pytest.raises(ValueError):
+        eval_variant("C9", (0, 1, 2), n, (3, 5), y[:1])  # corollaries take an index

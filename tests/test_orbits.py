@@ -4,6 +4,8 @@ from eulersym.identities import FAMILIES
 from eulersym.orbits import (
     ALL_PERMS,
     EXPECTED_ORBIT_SIZES,
+    ORBIT_TEMPLATES,
+    normal_form,
     orbit_audit,
     orbit_forms,
 )
@@ -68,3 +70,15 @@ def test_family_templates_match_variant_counts():
         if family.orbit_template is not None:
             assert orbit_audit(family.orbit_template) == family.expected_orbit_size
             assert len(family.variants) == family.expected_orbit_size
+
+
+def test_family_perms_hit_each_orbit_class_once():
+    # The listed forms of a theorem are pairwise distinct expressions, one
+    # per class: no two collapse onto each other under bound renaming.
+    for family in FAMILIES.values():
+        if family.orbit_template is None:
+            continue
+        template = ORBIT_TEMPLATES[family.orbit_template]
+        classes = {normal_form(template, p) for p in family.perms}
+        assert len(family.perms) == len(family.variants) == len(classes)
+        assert len(classes) == orbit_audit(family.orbit_template)
