@@ -1,7 +1,7 @@
 """Exact arithmetic for Euler polynomials, alternating power sums, and the
 mechanical verification of their three-weight symmetry identities."""
 
-from .altsum import AltPowerSumTable, alt_power_sum, alt_power_sum_closed
+from .altsum import alt_power_sum, alt_power_sum_closed
 from .egf_series import (
     TruncatedEGF,
     egf_add,
@@ -21,14 +21,7 @@ from .euler import (
     euler_polynomials_up_to,
     euler_values,
 )
-from .exact_arith import (
-    Rational,
-    binomial,
-    format_rational,
-    multinomial3,
-    parse_rational,
-    pow_rational,
-)
+from .exact_arith import format_rational, multinomial3, parse_rational
 from .identities import (
     FAMILIES,
     FAMILY_IDS,

@@ -3,9 +3,9 @@
 Base cases: T_0(n) is 1 for even n and 0 for odd n; T_k(0) is 1 for k = 0
 and 0 for k > 0.
 
-Direct summation is the production path, kept deliberately independent of
-the Euler-polynomial module so that a failure in either localizes.  The
-closed form in terms of Euler polynomials,
+Direct summation, cached per (k, n), is the one production path, kept
+deliberately independent of the Euler-polynomial module so that a failure
+in either localizes.  The closed form in terms of Euler polynomials,
 
     T_k(n) = (E_k(0) + (-1)^n E_k(n+1)) / 2,
 
@@ -14,7 +14,6 @@ is provided as a test-only cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +22,6 @@ from . import euler
 __all__ = [
     "alt_power_sum",
     "alt_power_sum_closed",
-    "AltPowerSumTable",
 ]
 
 
@@ -45,32 +43,3 @@ def alt_power_sum_closed(k: int, n: int) -> Fraction:
         raise ValueError("alt_power_sum_closed requires nonnegative arguments")
     sign = -1 if n & 1 else 1
     return (euler.euler_number(k) + sign * euler.euler_eval(k, n + 1)) / 2
-
-
-@dataclass(frozen=True)
-class AltPowerSumTable:
-    """Precomputed rectangle of values T_k(n) for k <= k_max, n <= n_max."""
-
-    k_max: int
-    n_max: int
-    values: tuple[tuple[Fraction, ...], ...]  # values[k][n]
-
-    @classmethod
-    def build(cls, k_max: int, n_max: int) -> "AltPowerSumTable":
-        """Fill row-wise via T_k(n) = T_k(n-1) + (-1)^n n^k."""
-        if k_max < 0 or n_max < 0:
-            raise ValueError("table bounds must be >= 0")
-        rows = []
-        for k in range(k_max + 1):
-            acc = 1 if k == 0 else 0  # T_k(0), using 0**0 == 1
-            row = [Fraction(acc)]
-            for n in range(1, n_max + 1):
-                acc = acc - n**k if n & 1 else acc + n**k
-                row.append(Fraction(acc))
-            rows.append(tuple(row))
-        return cls(k_max, n_max, tuple(rows))
-
-    def value(self, k: int, n: int) -> Fraction:
-        if not (0 <= k <= self.k_max and 0 <= n <= self.n_max):
-            raise IndexError(f"(k={k}, n={n}) outside table bounds")
-        return self.values[k][n]

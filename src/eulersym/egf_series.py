@@ -18,8 +18,14 @@ fraction-free forward substitution: it carries numerators scaled by
 powers of the divisor's constant term and builds one ``Fraction`` per
 coefficient.
 
-Atoms are e^{at} for rational a (coefficients a^k).  From these the module
-builds the two alternating-sum quotients the rest of the package leans on:
+Atoms are e^{at} for rational a (coefficients a^k).  Every quotient the
+package leans on has the shape
+
+    scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1),
+
+a ratio of two sums of at most eight exponentials: expanding the products
+gives sum_r c_r e^{a_r t}, whose coefficient k is sum_r c_r a_r^k, and one
+``egf_div`` finishes the quotient.  The two families built this way:
 
 * ``quotient_alternating(w, N)``: (e^{wt} + 1)/(e^t + 1) for odd w, which
   equals sum_{i=0}^{w-1} (-1)^i e^{it} and therefore has coefficient vector
@@ -33,8 +39,10 @@ builds the two alternating-sum quotients the rest of the package leans on:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import add, mul
 from typing import Sequence
@@ -48,11 +56,9 @@ __all__ = [
     "egf_one",
     "egf_exp",
     "egf_add",
-    "egf_sub",
     "egf_mul",
     "egf_scale",
     "egf_div",
-    "egf_pow",
     "egf_coeff",
     "quotient_alternating",
     "lambda_series",
@@ -77,18 +83,6 @@ class TruncatedEGF:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        return egf_add(self, other)
-
-    def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        return egf_sub(self, other)
-
-    def __mul__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        return egf_mul(self, other)
-
-    def __truediv__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        return egf_div(self, other)
 
 
 def egf_from_coeffs(coeffs: Sequence[RationalLike]) -> TruncatedEGF:
@@ -118,11 +112,6 @@ def _common_order(lhs: TruncatedEGF, rhs: TruncatedEGF) -> int:
 def egf_add(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     n = _common_order(lhs, rhs)
     return TruncatedEGF(tuple(lhs.coeffs[k] + rhs.coeffs[k] for k in range(n + 1)))
-
-
-def egf_sub(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
-    n = _common_order(lhs, rhs)
-    return TruncatedEGF(tuple(lhs.coeffs[k] - rhs.coeffs[k] for k in range(n + 1)))
 
 
 def egf_scale(series: TruncatedEGF, factor: RationalLike) -> TruncatedEGF:
@@ -186,23 +175,34 @@ def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     return TruncatedEGF(tuple(out))
 
 
-def egf_pow(series: TruncatedEGF, exponent: int) -> TruncatedEGF:
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    result = egf_one(series.order)
-    for _ in range(exponent):
-        result = egf_mul(result, series)
-    return result
-
-
 def egf_coeff(series: TruncatedEGF, k: int) -> Fraction:
     if not 0 <= k <= series.order:
         raise IndexError(f"coefficient index {k} outside truncation order {series.order}")
     return series.coeffs[k]
 
 
-def _exp_plus_one(a: RationalLike, order: int) -> TruncatedEGF:
-    return egf_add(egf_exp(a, order), egf_one(order))
+def _exp_sum(scale: int, rate: RationalLike, parts: Sequence[int], order: int) -> TruncatedEGF:
+    """scale e^{rate t} prod_u (e^{ut} + 1) as sum_r c_r e^{a_r t}.  Each a_r = p_r/q
+    shares rate's denominator q, so coefficient k is sum_r c_r p_r^k / q^k."""
+    terms = Counter(rate + sum(s) for s in product(*((0, u) for u in parts)))
+    bases = [a.numerator for a in terms]
+    acc = [scale * c for c in terms.values()]
+    coeffs = []
+    q_pow = 1
+    for _ in range(order + 1):
+        coeffs.append(Fraction(sum(acc), q_pow))
+        acc = list(map(mul, acc, bases))
+        q_pow *= rate.denominator
+    return TruncatedEGF(tuple(coeffs))
+
+
+def _quotient(
+    scale: int, rate: RationalLike, ups: Sequence[int], downs: Sequence[int], order: int
+) -> TruncatedEGF:
+    """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1)."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return egf_div(_exp_sum(scale, rate, ups, order), _exp_sum(1, 0, downs, order))
 
 
 def quotient_alternating(w: int, order: int) -> TruncatedEGF:
@@ -213,7 +213,7 @@ def quotient_alternating(w: int, order: int) -> TruncatedEGF:
     """
     if w < 1 or w % 2 == 0:
         raise ValueError(f"quotient_alternating requires odd positive w, got {w}")
-    return egf_div(_exp_plus_one(w, order), _exp_plus_one(1, order))
+    return _quotient(1, 0, (w,), (1,), order)
 
 
 def _validate_lambda_args(
@@ -282,30 +282,12 @@ def lambda_series(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    i, w3, ys = _validate_lambda_args(family, i, w, y)
-    w1, w2, wz = w3
-    big = w1 * w2 * wz
-
-    def pair_product() -> TruncatedEGF:
-        out = _exp_plus_one(w2 * wz, order)
-        out = egf_mul(out, _exp_plus_one(w1 * wz, order))
-        return egf_mul(out, _exp_plus_one(w1 * w2, order))
-
-    def single_product() -> TruncatedEGF:
-        out = _exp_plus_one(w1, order)
-        out = egf_mul(out, _exp_plus_one(w2, order))
-        return egf_mul(out, _exp_plus_one(wz, order))
-
+    i, (w1, w2, w3), ys = _validate_lambda_args(family, i, w, y)
+    pairs, singles = (w2 * w3, w1 * w3, w1 * w2), (w1, w2, w3)
     if family == "L12_1":
-        return egf_div(pair_product(), single_product())
-
+        return _quotient(1, 0, pairs, singles, order)
     if family == "L12_0":
-        shift = (w1 * w2 + w2 * wz + wz * w1) * ys[0]
-        num = egf_scale(egf_exp(shift, order), 8)
-        return egf_div(num, single_product())
-
-    num = egf_scale(egf_exp(big * sum(ys, Fraction(0)), order), 2 ** (3 - i))
-    if i:
-        num = egf_mul(num, egf_pow(_exp_plus_one(big, order), i))
-    den = pair_product() if family == "L23" else single_product()
-    return egf_div(num, den)
+        return _quotient(8, (w1 * w2 + w2 * w3 + w3 * w1) * ys[0], (), singles, order)
+    big = w1 * w2 * w3
+    downs = pairs if family == "L23" else singles
+    return _quotient(2 ** (3 - i), big * sum(ys, Fraction(0)), (big,) * i, downs, order)

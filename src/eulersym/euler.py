@@ -17,15 +17,15 @@ g_k = 2^k E_k are integers and satisfy
 
     g_m = -sum_{k<m} C(m, k) g_k 2^{m-1-k},
 
-so the table up to n costs O(n^2) integer operations and no truncation
-parameter: row m holds C(m, j) g_{m-j} / 2^{m-j}.  ``euler_eval`` and
-``euler_number`` need only the numbers: the former sums 2^n q^n E_n(p/q)
-by integer Horner and builds a single ``Fraction`` at the end.  The
-series-division route lives in ``egf_series`` and is used only as an
-independent test oracle.
+so the numbers up to n cost O(n^2) integer operations and no truncation
+parameter.  Everything else is read off them: the coefficients of E_n(x)
+are C(n, j) g_{n-j} / 2^{n-j}, built in O(n) per call and not stored, and
+``euler_eval`` sums 2^n q^n E_n(p/q) by integer Horner and builds a single
+``Fraction`` at the end.  The series-division route lives in
+``egf_series`` and is used only as an independent test oracle.
 
-The tables (scaled numbers, coefficient rows, per-argument value vectors)
-are module-level state, grown on first use.  Growth is serialised by one
+The two tables (scaled numbers, per-argument value vectors) are
+module-level state, grown on first use.  Growth is serialised by one
 lock, and new entries are built off to the side and appended only when
 complete; readers whose entry already exists take no lock.
 """
@@ -64,13 +64,10 @@ class EulerPolynomial:
 # 2^k E_k for k = 0, 1, ...: the Euler numbers scaled to integers.
 _SCALED_NUMBERS: list[int] = [1]
 
-# Coefficient vectors E_0, E_1, ... ; grown on demand, never mutated after.
-_COEFFS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-
 # Per-argument value vectors E_0(x), E_1(x), ...; grown on demand.
 _VALUES: dict[Fraction, list[Fraction]] = {}
 
-# Serialises growth of the three tables above.  Readers take no lock: a
+# Serialises growth of the two tables above.  Readers take no lock: a
 # list only grows, and only by whole entries that are complete before they
 # are appended.
 _LOCK = threading.Lock()
@@ -87,34 +84,23 @@ def _ensure_numbers(n: int) -> None:
         _SCALED_NUMBERS.extend(g[start:])
 
 
-def _ensure_table(n: int) -> None:
-    if n < len(_COEFFS):
-        return
-    _ensure_numbers(n)
-    g = _SCALED_NUMBERS
-    with _LOCK:
-        # Appell: coefficient j of E_m(x) is C(m, j) E_{m-j}.
-        rows = [
-            tuple(Fraction(comb(m, j) * g[m - j], 1 << (m - j)) for j in range(m + 1))
-            for m in range(len(_COEFFS), n + 1)
-        ]
-        _COEFFS.extend(rows)
-
-
 def euler_polynomial(n: int) -> EulerPolynomial:
     """E_n(x) as an exact coefficient vector."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _ensure_table(n)
-    return EulerPolynomial(n, _COEFFS[n])
+    _ensure_numbers(n)
+    g = _SCALED_NUMBERS
+    # Appell: coefficient j of E_n(x) is C(n, j) E_{n-j}.
+    return EulerPolynomial(
+        n, tuple(Fraction(comb(n, j) * g[n - j], 1 << (n - j)) for j in range(n + 1))
+    )
 
 
 def euler_polynomials_up_to(n_max: int) -> list[EulerPolynomial]:
-    """E_0(x) .. E_{n_max}(x), from the shared recurrence table."""
+    """E_0(x) .. E_{n_max}(x)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _ensure_table(n_max)
-    return [EulerPolynomial(n, _COEFFS[n]) for n in range(n_max + 1)]
+    return list(map(euler_polynomial, range(n_max + 1)))
 
 
 def euler_eval(n: int, x: RationalLike) -> Fraction:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and small combinatorial coefficients.
+"""Exact scalar conventions, the trinomial coefficient and input checks.
 
 The universal scalar is ``fractions.Fraction``: arbitrary-precision signed
 rationals that are always stored in canonical form (positive denominator,
@@ -14,30 +14,15 @@ from math import comb
 from typing import Sequence, Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
-    "binomial",
     "multinomial3",
-    "pow_rational",
     "parse_rational",
     "format_rational",
     "int_weights",
     "rational_shifts",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention C(n, k) = 0 for k > n.
-
-    The zero convention (rather than an error) keeps convolution loops free
-    of bounds checks.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return comb(n, k)
 
 
 def multinomial3(n: int, k: int, l: int, m: int) -> int:
@@ -47,17 +32,6 @@ def multinomial3(n: int, k: int, l: int, m: int) -> int:
     if k + l + m != n:
         raise ValueError(f"multinomial3 parts {k}+{l}+{m} != {n}")
     return comb(n, k) * comb(n - k, l)
-
-
-def pow_rational(base: RationalLike, exp: int) -> Fraction:
-    """Exact nonnegative integer power, with 0**0 = 1.
-
-    The 0**0 = 1 convention is load-bearing: alternating power sums include
-    an i**k term at i = 0, k = 0 that must contribute 1.
-    """
-    if exp < 0:
-        raise ValueError("pow_rational requires a nonnegative exponent")
-    return Fraction(base) ** exp
 
 
 def parse_rational(text: str) -> Fraction:

@@ -88,13 +88,16 @@ def _alt_shift_vec(
     return tuple(out)
 
 
-def _double_alt(base: Fraction, m: int, c1: int, c2: int, n: int) -> Fraction:
-    """sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_n(base + (m/c1) i + (m/c2) j)."""
+def _alt_entry(base: Fraction, m: int, counts: Sequence[int], n: int) -> Fraction:
+    """sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_n(base + (m/c1) i + (m/c2) j) for
+    counts (c1, c2), or the single sum over i for counts (c1,)."""
+    c1, c2 = (*counts, 1)[:2]
+    steps = [Fraction(m * j, c2) for j in range(c2)]
     total = Fraction(0)
     for i in range(c1):
         start = base + Fraction(m * i, c1)
-        for j in range(c2):
-            value = _euler_vec(start + Fraction(m * j, c2), n)[n]
+        for j, step in enumerate(steps):
+            value = _euler_vec(start + step, n)[n]
             total = total - value if (i + j) & 1 else total + value
     return total
 
@@ -169,10 +172,9 @@ def _factor(f: Factor) -> Callable[..., Sequence[Fraction]]:
 def _entry(f: Factor) -> Evaluator:
     """(n, w, y) -> the factor's value at index n."""
     kind, m, j, counts = f
-    if kind == "D":
+    if kind in ("A", "D"):
         arg = _mono(m)
-        c1, c2 = counts
-        return lambda n, w, y: _double_alt(arg(w) * y[j], arg(w), w[c1], w[c2], n)
+        return lambda n, w, y: _alt_entry(arg(w) * y[j], arg(w), [w[c] for c in counts], n)
     vec = _factor(f)
     return lambda n, w, y: vec(n, w, y)[n]
 
@@ -203,8 +205,8 @@ def _validate_case(
     n: int, w: Sequence[int], y: Sequence[RationalLike], w_arity: int, y_arity: int,
     odd_only: bool,
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     if len(w) != w_arity:
         raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
     wt = int_weights(w)

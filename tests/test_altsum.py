@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulersym.altsum import AltPowerSumTable, alt_power_sum, alt_power_sum_closed
+from eulersym.altsum import alt_power_sum, alt_power_sum_closed
 from eulersym.egf_series import egf_add, egf_exp, egf_scale
 
 
@@ -40,20 +40,6 @@ def test_closed_form_matches_direct_summation():
             assert alt_power_sum(k, n) == alt_power_sum_closed(k, n)
 
 
-def test_recurrence_and_table():
-    table = AltPowerSumTable.build(8, 30)
-    for k in range(9):
-        for n in range(31):
-            assert table.value(k, n) == alt_power_sum(k, n)
-            if n >= 1:
-                step = (-1) ** n * n**k
-                assert table.value(k, n) == table.value(k, n - 1) + step
-    with pytest.raises(IndexError):
-        table.value(9, 0)
-    with pytest.raises(IndexError):
-        table.value(0, 31)
-
-
 def test_egf_consistency():
     # For odd w, the alternating exponential sum sum_{i<w} (-1)^i e^{it}
     # has coefficient vector (T_0(w-1), ..., T_N(w-1)).
@@ -81,5 +67,3 @@ def test_invalid_inputs():
         alt_power_sum(2, -1)
     with pytest.raises(ValueError):
         alt_power_sum_closed(-1, 0)
-    with pytest.raises(ValueError):
-        AltPowerSumTable.build(-1, 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -241,3 +242,51 @@ def test_failing_record_and_exit_code(monkeypatch, capsys):
     records = json.loads(out)
     assert any(not r["equal"] for r in records)
     assert "cases=6 failures=5" in err
+
+
+# ---------------------------------------------------------------- pinned outputs
+
+_SERIES_SHIFTS = ("1/2", "-1/3", "2/7")
+# (family, sub-index, shift count): every LAMBDA_FAMILIES member.
+_SERIES_MEMBERS = (
+    [("L23", i, 3 - i) for i in range(4)]
+    + [("L13", i, 3 - i) for i in range(4)]
+    + [("L12_0", None, 1), ("L12_1", None, 0)]
+)
+
+
+def _series_argvs():
+    for family, i, count in _SERIES_MEMBERS:
+        argv = ["series", "--family", family, "--w", "1,3,5", "--order", "40"]
+        if i is not None:
+            argv += ["--i", str(i)]
+        yield argv + ["--y=" + ",".join(_SERIES_SHIFTS[:count])]
+
+
+# SHA-256 and length of stdout, recorded before the series and Euler
+# coefficient paths were rewritten; any change to the exact values shows.
+PINNED = {
+    "verify": (
+        [["verify", "--family", "all", "--wset", "1,3,5", "--nmax", "4", "--format", "json"]],
+        848685, "f07c836c86b773656841ff7e5a1649e05545223d47429b29a2adeead020a0c93",
+    ),
+    "series": (
+        list(_series_argvs()),
+        17824, "90243a9d0c4f8ad679056ac45578ba4388427b19cd254b25ac95543c4fdd972e",
+    ),
+    "euler": (
+        [["euler", "--n", "80"]],
+        2076, "49bc30fc0074ea6848d456f10e9c951a45ebc7caf1afb10123ff1863a4e34179",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_outputs(capsys, name):
+    argvs, size, digest = PINNED[name]
+    out = b""
+    for argv in argvs:
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        out += text.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)

@@ -1,16 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulersym.exact_arith import (
-    binomial,
-    format_rational,
-    multinomial3,
-    parse_rational,
-    pow_rational,
-)
+from eulersym.exact_arith import format_rational, multinomial3, parse_rational
 
 
 def _pascal_triangle(n_max):
@@ -21,27 +16,6 @@ def _pascal_triangle(n_max):
             [1] + [prev[j] + prev[j + 1] for j in range(len(prev) - 1)] + [1]
         )
     return rows
-
-
-def test_binomial_examples():
-    assert binomial(0, 0) == 1
-    assert binomial(5, 2) == 10
-    assert binomial(3, 7) == 0  # k > n convention
-
-
-def test_binomial_matches_pascal_recurrence():
-    rows = _pascal_triangle(20)
-    for n in range(21):
-        for k in range(n + 1):
-            assert binomial(n, k) == rows[n][k]
-        assert binomial(n, n + 1) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_multinomial3_examples():
@@ -73,7 +47,7 @@ def test_multinomial3_factors_through_binomials():
         for k in range(n + 1):
             for l in range(n - k + 1):
                 m = n - k - l
-                assert multinomial3(n, k, l, m) == binomial(n, k) * binomial(n - k, l)
+                assert multinomial3(n, k, l, m) == comb(n, k) * comb(n - k, l)
 
 
 def test_multinomial3_row_sums_are_powers_of_three():
@@ -84,15 +58,6 @@ def test_multinomial3_row_sums_are_powers_of_three():
             for l in range(n - k + 1)
         )
         assert total == 3**n
-
-
-def test_pow_rational_examples():
-    assert pow_rational(Fraction(2, 3), 2) == Fraction(4, 9)
-    assert pow_rational(Fraction(0), 0) == 1  # 0**0 = 1 convention
-    assert pow_rational(Fraction(7, 3), 0) == 1
-    assert pow_rational(Fraction(-1), 7) == -1
-    with pytest.raises(ValueError):
-        pow_rational(Fraction(1, 2), -1)
 
 
 def test_parse_and_format():

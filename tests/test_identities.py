@@ -452,6 +452,17 @@ def test_inexact_shift_values_rejected(bad):
         eval_variant("C10", 0, 1, (3,), (bad,))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)], ids=["True", "2.0", "Fraction"])
+def test_non_int_n_rejected(bad):
+    # Neither read as 1 nor carried into a report, and never a TypeError.
+    with pytest.raises(ValueError):
+        variant_values("T8", bad, (3, 5, 7), (HALF,))
+    with pytest.raises(ValueError):
+        check_case("C10", bad, (3,), (0,))
+    with pytest.raises(ValueError):
+        eval_variant("T8", (0, 1, 2), bad, (3, 5, 7), (HALF,))
+
+
 def test_eval_variant_choice():
     n, w, y = 3, (3, 5, 7), (HALF, THIRD)
     for index, perm in enumerate(FAMILIES["T5"].perms):
