@@ -21,7 +21,7 @@ from .euler import (
     euler_polynomials_up_to,
     euler_values,
 )
-from .exact_arith import format_rational, multinomial3, parse_rational
+from .exact_arith import format_rational, parse_rational
 from .identities import (
     FAMILIES,
     FAMILY_IDS,

@@ -54,16 +54,12 @@ class SweepConfig:
     y_samples: tuple[Fraction, ...]
     order: int = 24
     include_even_w: bool = False
-    output_path: str | None = None
-    format: str = "json"
 
     def __post_init__(self) -> None:
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be 'json' or 'csv', got {self.format!r}")
         if any(v < 1 for v in self.w_set):
             raise ValueError("w values must be positive integers")
 
@@ -337,17 +333,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         y_samples=_parse_rational_list(args.ys),
         order=args.order,
         include_even_w=args.include_even_w,
-        output_path=args.output,
-        format=args.format,
     )
     records, summary = run_sweep(config)
-    payload = emit_report(records, config.format)
-    if config.output_path is None:
+    payload = emit_report(records, args.format)
+    if args.output is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.write(b"\n")
         sys.stdout.flush()
     else:
-        with open(config.output_path, "wb") as handle:
+        with open(args.output, "wb") as handle:
             handle.write(payload)
             handle.write(b"\n")
 

@@ -13,10 +13,10 @@ the operand orders.
 
 Both kernels run in integers.  ``egf_mul`` puts each operand over the lcm
 of its denominators, convolves the integer numerators with Pascal-row
-binomials, and divides once per output coefficient.  ``egf_div`` is
-fraction-free forward substitution: it carries numerators scaled by
-powers of the divisor's constant term and builds one ``Fraction`` per
-coefficient.
+binomials (``_binomial_conv``, shared with the identity evaluators), and
+divides once per output coefficient.  ``egf_div`` is fraction-free
+forward substitution: it carries numerators scaled by powers of the
+divisor's constant term and builds one ``Fraction`` per coefficient.
 
 Atoms are e^{at} for rational a (coefficients a^k).  Every quotient the
 package leans on has the shape
@@ -121,7 +121,7 @@ def egf_scale(series: TruncatedEGF, factor: RationalLike) -> TruncatedEGF:
 
 def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers c'_k and one d > 0 with coeffs[k] = c'_k / d (d the lcm)."""
-    d = lcm(*(c.denominator for c in coeffs))
+    d = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
@@ -130,18 +130,22 @@ def _next_binomial_row(row: list[int]) -> list[int]:
     return [1, *map(add, row[1:], row[:-1]), 1] if row else [1]
 
 
+def _binomial_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """(sum_j C(k, j) a_j b_{k-j}) for k below the shorter length, in integers."""
+    out = []
+    row: list[int] = []  # C(k, 0..k), Pascal's rule
+    for k in range(min(len(a), len(b))):
+        row = _next_binomial_row(row)
+        out.append(sum(map(mul, map(mul, row, a), b[k::-1])))
+    return out
+
+
 def egf_mul(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     n = _common_order(lhs, rhs)
     a, da = _over_common_denominator(lhs.coeffs[: n + 1])
     b, db = _over_common_denominator(rhs.coeffs[: n + 1])
     d = da * db
-    out = []
-    row: list[int] = []  # C(k, 0..k), Pascal's rule
-    for k in range(n + 1):
-        row = _next_binomial_row(row)
-        acc = sum(map(mul, map(mul, row, a), b[k::-1]))
-        out.append(Fraction(acc, d))
-    return TruncatedEGF(tuple(out))
+    return TruncatedEGF(tuple(Fraction(c, d) for c in _binomial_conv(a, b)))
 
 
 def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
@@ -196,11 +200,16 @@ def _exp_sum(scale: int, rate: RationalLike, parts: Sequence[int], order: int) -
     return TruncatedEGF(tuple(coeffs))
 
 
+def _is_int(v: object) -> bool:
+    """v is an ``int`` and not a ``bool``; ``2.0`` and ``True`` are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _quotient(
     scale: int, rate: RationalLike, ups: Sequence[int], downs: Sequence[int], order: int
 ) -> TruncatedEGF:
     """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1)."""
-    if order < 0:
+    if not _is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
     return egf_div(_exp_sum(scale, rate, ups, order), _exp_sum(1, 0, downs, order))
 
@@ -211,7 +220,7 @@ def quotient_alternating(w: int, order: int) -> TruncatedEGF:
     Coefficient k equals the alternating power sum T_k(w-1), because the
     quotient telescopes to sum_{i=0}^{w-1} (-1)^i e^{it} when w is odd.
     """
-    if w < 1 or w % 2 == 0:
+    if not _is_int(w) or w < 1 or w % 2 == 0:
         raise ValueError(f"quotient_alternating requires odd positive w, got {w}")
     return _quotient(1, 0, (w,), (1,), order)
 
@@ -230,16 +239,16 @@ def _validate_lambda_args(
 
     if family == "L12_0":
         i = 0 if i is None else i
-        if i != 0:
+        if not _is_int(i) or i != 0:
             raise ValueError("family L12_0 is the i = 0 member; pass i=0 or omit it")
     elif family == "L12_1":
         i = 1 if i is None else i
-        if i != 1:
+        if not _is_int(i) or i != 1:
             raise ValueError("family L12_1 is the i = 1 member; pass i=1 or omit it")
     else:
         if i is None:
             raise ValueError(f"family {family} requires a sub-index i in 0..3")
-        if not 0 <= i <= 3:
+        if not _is_int(i) or not 0 <= i <= 3:
             raise ValueError(f"sub-index i must be in 0..3, got {i}")
 
     # Odd weights wherever an (e^{..t}+1) factor has to telescope into an
@@ -280,7 +289,7 @@ def lambda_series(
     Division is always well-defined here: every denominator has constant
     term a power of 2.
     """
-    if order < 0:
+    if not _is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
     i, (w1, w2, w3), ys = _validate_lambda_args(family, i, w, y)
     pairs, singles = (w2 * w3, w1 * w3, w1 * w2), (w1, w2, w3)

@@ -1,4 +1,4 @@
-"""Exact scalar conventions, the trinomial coefficient and input checks.
+"""Exact scalar conventions, rational parsing and formatting, and input checks.
 
 The universal scalar is ``fractions.Fraction``: arbitrary-precision signed
 rationals that are always stored in canonical form (positive denominator,
@@ -10,12 +10,10 @@ coefficients) is built on this type.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Sequence, Union
 
 __all__ = [
     "RationalLike",
-    "multinomial3",
     "parse_rational",
     "format_rational",
     "int_weights",
@@ -23,15 +21,6 @@ __all__ = [
 ]
 
 RationalLike = Union[Fraction, int]
-
-
-def multinomial3(n: int, k: int, l: int, m: int) -> int:
-    """Trinomial coefficient n!/(k! l! m!) for a composition k + l + m = n."""
-    if min(n, k, l, m) < 0:
-        raise ValueError("multinomial3 requires nonnegative arguments")
-    if k + l + m != n:
-        raise ValueError(f"multinomial3 parts {k}+{l}+{m} != {n}")
-    return comb(n, k) * comb(n - k, l)
 
 
 def parse_rational(text: str) -> Fraction:

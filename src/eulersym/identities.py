@@ -6,6 +6,9 @@ term of the vocabulary in ``orbits``, and compiled at import into its own
 evaluator ``(n, w, y) -> Fraction`` that computes the expression from
 scratch on each call; no variant is derived from another's value, because
 independent computation of the allegedly equal expressions is the point.
+A term of two or three factors is coefficient n of a product of rescaled
+EGFs, computed by the integer binomial convolution of ``egf_series``,
+which the series oracles never run.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
@@ -32,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import comb
+from functools import partial, reduce
 from typing import Callable, Mapping, Sequence
 
 from . import altsum, euler
-from .exact_arith import RationalLike, int_weights, multinomial3, rational_shifts
+from .egf_series import _binomial_conv, _over_common_denominator
+from .exact_arith import RationalLike, int_weights, rational_shifts
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
     Term, orbit_audit, substitute, term,
@@ -102,43 +105,24 @@ def _alt_entry(base: Fraction, m: int, counts: Sequence[int], n: int) -> Fractio
     return total
 
 
-def _powers(base: int, n_max: int) -> list[int]:
-    out = [1]
-    for _ in range(n_max):
-        out.append(out[-1] * base)
-    return out
-
-
-def _tri_sum(
-    n: int, fk: Sequence[Fraction], fl: Sequence[Fraction], fm: Sequence[Fraction],
-    bk: int, bl: int, bm: int,
+def _product_entry(
+    n: int, vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]
 ) -> Fraction:
-    """sum over k+l+m = n of C(n;k,l,m) fk[k] fl[l] fm[m] bk^k bl^l bm^m.
+    """Coefficient n of prod_b F_b(base_b t) in t^n/n!, vecs[b] holding at
+    least coefficients 0..n of F_b: each vector is rescaled in integers over
+    its common denominator and the vectors are folded with ``_binomial_conv``.
 
     Any linear exponent pattern in the weights factors into one integer
-    base per summation index, which is how callers encode patterns like
-    w1^{l+m} w2^{k+m} w3^{k+l} (there: bk = w2*w3 and so on).
+    base per factor, which is how callers encode patterns like
+    w1^{l+m} w2^{k+m} w3^{k+l} (there the bases are w2*w3, w1*w3, w1*w2).
     """
-    pk, pl, pm = _powers(bk, n), _powers(bl, n), _powers(bm, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        fkk, pkk = fk[k], pk[k]
-        for l in range(n - k + 1):
-            m = n - k - l
-            coef = multinomial3(n, k, l, m) * pkk * pl[l] * pm[m]
-            total += coef * (fkk * fl[l] * fm[m])
-    return total
-
-
-def _binom_sum(
-    n: int, fk: Sequence[Fraction], fg: Sequence[Fraction], bk: int, bg: int
-) -> Fraction:
-    """sum over k of C(n,k) fk[k] fg[n-k] bk^k bg^{n-k}."""
-    pk, pg = _powers(bk, n), _powers(bg, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (comb(n, k) * pk[k] * pg[n - k]) * (fk[k] * fg[n - k])
-    return total
+    rescaled = []
+    den = 1
+    for vec, base in zip(vecs, bases):
+        nums, d = _over_common_denominator(vec)
+        rescaled.append([c * base**k for k, c in enumerate(nums)])
+        den *= d
+    return Fraction(reduce(_binomial_conv, rescaled)[n], den)
 
 
 # --------------------------------------------------------------------------
@@ -183,18 +167,12 @@ def _compile(t: Term) -> Evaluator:
     scale, bundles = t
     if len(bundles) == 1:
         body = _entry(bundles[0][0])
-    elif len(bundles) == 2:
-        (f1, b1), (f2, b2) = [(_factor(f), _mono(m)) for f, m in bundles]
-
-        def body(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-            return _binom_sum(n, f1(n, w, y), f2(n, w, y), b1(w), b2(w))
     else:
-        (f1, b1), (f2, b2), (f3, b3) = [(_factor(f), _mono(m)) for f, m in bundles]
+        factors = [_factor(f) for f, _ in bundles]
+        bases = [_mono(m) for _, m in bundles]
 
         def body(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-            return _tri_sum(
-                n, f1(n, w, y), f2(n, w, y), f3(n, w, y), b1(w), b2(w), b3(w)
-            )
+            return _product_entry(n, [f(n, w, y) for f in factors], [b(w) for b in bases])
     if not scale:
         return body
     sc = _mono(scale)

@@ -1,16 +1,17 @@
-"""Plain ``Fraction`` versions of the Euler table and EGF mul/div kernels.
+"""Plain ``Fraction`` versions of the Euler table, EGF mul/div and the
+identity-term kernels.
 
-These are the straightforward loops the integer kernels in ``eulersym.euler``
-and ``eulersym.egf_series`` replace: a fresh ``Fraction`` at every step, no
-common denominators, no scaling.  They are slow (the table is cubic) but
-obviously right, so the property tests use them as the reference the fast
-kernels must match exactly.
+These are the straightforward loops the integer kernels in ``eulersym.euler``,
+``eulersym.egf_series`` and ``eulersym.identities`` replace: a fresh
+``Fraction`` at every step, no common denominators, no scaling.  They are
+slow (the table is cubic) but obviously right, so the property tests use
+them as the reference the fast kernels must match exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 _HALF = Fraction(1, 2)
@@ -67,3 +68,27 @@ def egf_div(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...
             acc -= comb(k, j) * q[j] * g[k - j]
         q.append(acc / g0)
     return tuple(q)
+
+
+def binom_sum(
+    n: int, fk: Sequence[Fraction], fg: Sequence[Fraction], bk: int, bg: int
+) -> Fraction:
+    """sum over k of C(n,k) fk[k] fg[n-k] bk^k bg^{n-k}."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += (comb(n, k) * bk**k * bg ** (n - k)) * (fk[k] * fg[n - k])
+    return total
+
+
+def tri_sum(
+    n: int, fk: Sequence[Fraction], fl: Sequence[Fraction], fm: Sequence[Fraction],
+    bk: int, bl: int, bm: int,
+) -> Fraction:
+    """sum over k+l+m = n of n!/(k! l! m!) fk[k] fl[l] fm[m] bk^k bl^l bm^m."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        for l in range(n - k + 1):
+            m = n - k - l
+            coef = factorial(n) // (factorial(k) * factorial(l) * factorial(m))
+            total += (coef * bk**k * bl**l * bm**m) * (fk[k] * fl[l] * fm[m])
+    return total

@@ -231,6 +231,28 @@ def test_lambda_series_rejects_inexact_shifts(bad):
         lambda_series("L12_0", None, (1, 3, 5), (bad,))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lambda_series("L23", True, (1, 3, 5), (0, 0)),  # not read as i = 1
+        lambda: lambda_series("L23", 2.0, (1, 3, 5), (0,)),
+        lambda: lambda_series("L12_0", False, (1, 3, 5), (0,)),
+        lambda: lambda_series("L12_0", 0.0, (1, 3, 5), (0,)),
+        lambda: lambda_series("L12_1", True, (1, 3, 5), ()),
+        lambda: lambda_series("L23", 2, (1, 3, 5), (0,), order=3.0),
+        lambda: lambda_series("L23", 2, (1, 3, 5), (0,), order=True),
+        lambda: quotient_alternating(True, 3),  # not the w = 1 series
+        lambda: quotient_alternating(3.0, 3),
+        lambda: quotient_alternating(3, 3.0),
+    ],
+    ids=["i=True", "i=2.0", "L12_0 i=False", "L12_0 i=0.0", "L12_1 i=True",
+         "order=3.0", "order=True", "w=True", "w=3.0", "alt order=3.0"],
+)
+def test_series_reject_non_int_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_truncated_egf_validation():
     with pytest.raises(ValueError):
         TruncatedEGF(())

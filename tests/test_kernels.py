@@ -1,8 +1,9 @@
 """The integer kernels agree exactly with plain ``Fraction`` loops.
 
 ``fraction_reference`` holds the straightforward ``Fraction`` versions of the
-Euler table, Horner evaluation and EGF mul/div; every result here must be
-equal to them, not merely close.
+Euler table, Horner evaluation, EGF mul/div and the two- and three-factor
+identity-term sums; every result here must be equal to them, not merely
+close.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from eulersym.egf_series import NonInvertibleSeriesError, egf_div, egf_from_coeffs, egf_mul
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
+from eulersym.identities import _product_entry
 
 TABLE_MAX = 60
 
@@ -23,6 +25,18 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 vectors = st.lists(rationals, min_size=1, max_size=31)
 # Any nonzero constant term: negative, fractional and non-power-of-2 ones all occur.
 constant_terms = rationals.filter(lambda c: c != 0)
+# Term factors: negative and fractional entries, and 9-digit denominators.
+entries = st.one_of(rationals, st.fractions(max_denominator=10**9))
+
+
+@st.composite
+def products(draw, factors):
+    """(n, vecs, bases) for a term of the given number of factors; each
+    vector may run past index n."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    vecs = [draw(st.lists(entries, min_size=n + 1, max_size=n + 3)) for _ in range(factors)]
+    bases = [draw(st.integers(min_value=1, max_value=63)) for _ in range(factors)]
+    return n, vecs, bases
 
 
 @lru_cache(maxsize=1)
@@ -69,3 +83,17 @@ def test_div_matches_reference(f, g0, g_tail):
 def test_div_rejects_zero_constant_term(f, g_tail):
     with pytest.raises(NonInvertibleSeriesError):
         egf_div(egf_from_coeffs(f), egf_from_coeffs([0, *g_tail]))
+
+
+@given(st.sampled_from((2, 3)).flatmap(products))
+@example((0, [[Fraction(-7, 3)], [Fraction(1, 10**9 - 1)]], [1, 63]))
+# All-ones factors at base 1 sum the trinomial row: 3^12.
+@example((12, [[Fraction(1)] * 13] * 3, [1, 1, 1]))
+@example((12, [[Fraction(-1, 3)] * 13, [Fraction(5, 7)] * 13, [Fraction(2)] * 13], [63, 1, 35]))
+def test_product_entry_matches_reference(case):
+    n, vecs, bases = case
+    if len(vecs) == 2:
+        expected = ref.binom_sum(n, *vecs, *bases)
+    else:
+        expected = ref.tri_sum(n, *vecs, *bases)
+    assert _product_entry(n, vecs, bases) == expected
