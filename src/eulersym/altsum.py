@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import euler
+from .exact_arith import is_int
 
 __all__ = [
     "alt_power_sum",
@@ -25,11 +26,13 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# typed: True and 2.0 are keys of their own, so they reach the check below
+# even after (1, k) or (2, k) is cached.
+@lru_cache(maxsize=None, typed=True)
 def alt_power_sum(k: int, n: int) -> Fraction:
     """T_k(n) by direct summation (values are integers, returned exactly)."""
-    if k < 0 or n < 0:
-        raise ValueError("alt_power_sum requires nonnegative arguments")
+    if not (is_int(k) and is_int(n)) or k < 0 or n < 0:
+        raise ValueError(f"alt_power_sum requires nonnegative ints, got {(k, n)!r}")
     total = 0
     for i in range(n + 1):
         p = i**k  # 0**0 == 1, as required by the k = 0 column
@@ -39,7 +42,7 @@ def alt_power_sum(k: int, n: int) -> Fraction:
 
 def alt_power_sum_closed(k: int, n: int) -> Fraction:
     """T_k(n) via the Euler-polynomial closed form (independent oracle)."""
-    if k < 0 or n < 0:
-        raise ValueError("alt_power_sum_closed requires nonnegative arguments")
+    if not (is_int(k) and is_int(n)) or k < 0 or n < 0:
+        raise ValueError(f"alt_power_sum_closed requires nonnegative ints, got {(k, n)!r}")
     sign = -1 if n & 1 else 1
     return (euler.euler_number(k) + sign * euler.euler_eval(k, n + 1)) / 2

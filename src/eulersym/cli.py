@@ -120,7 +120,8 @@ def run_sweep(
     config: SweepConfig,
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> tuple[list[VerificationReport], SweepSummary]:
-    """Evaluate every admissible (family, n, w, y) case of the grid.
+    """Evaluate every admissible (family, n, w, y) case of the grid, each
+    (family, w, y) once for all n, and list the records in that order.
 
     Besides the variant-equality checks, each theorem family gets a one-off
     orbit-size audit of its expression template and, where applicable, a
@@ -155,15 +156,14 @@ def run_sweep(
             ):
                 oracle_failures += 1
 
-        for n in range(config.n_max + 1):
-            for wt in w_tuples:
-                for yt in y_tuples:
-                    report = identities.check_case(
-                        family_id, n, wt, yt, families=catalog
-                    )
-                    records.append(report)
-                    if not report.all_equal:
-                        failures += 1
+        by_case = [
+            identities.check_cases(family_id, config.n_max, wt, yt, families=catalog)
+            for wt in w_tuples
+            for yt in y_tuples
+        ]
+        for reports in zip(*by_case):  # one (w, y) tuple of reports per n
+            records.extend(reports)
+            failures += sum(not r.all_equal for r in reports)
 
     summary = SweepSummary(
         families_run=len(set(config.families)),

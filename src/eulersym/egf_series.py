@@ -47,7 +47,7 @@ from math import lcm
 from operator import add, mul
 from typing import Sequence
 
-from .exact_arith import RationalLike, int_weights, rational_shifts
+from .exact_arith import RationalLike, int_weights, is_int, rational_shifts
 
 __all__ = [
     "TruncatedEGF",
@@ -96,7 +96,7 @@ def egf_one(order: int) -> TruncatedEGF:
 
 def egf_exp(a: RationalLike, order: int) -> TruncatedEGF:
     """e^{at}: coefficient vector (1, a, a^2, ..., a^order)."""
-    if order < 0:
+    if not is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
     a = Fraction(a)
     coeffs = [Fraction(1)]
@@ -200,16 +200,11 @@ def _exp_sum(scale: int, rate: RationalLike, parts: Sequence[int], order: int) -
     return TruncatedEGF(tuple(coeffs))
 
 
-def _is_int(v: object) -> bool:
-    """v is an ``int`` and not a ``bool``; ``2.0`` and ``True`` are not counts."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _quotient(
     scale: int, rate: RationalLike, ups: Sequence[int], downs: Sequence[int], order: int
 ) -> TruncatedEGF:
     """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1)."""
-    if not _is_int(order) or order < 0:
+    if not is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
     return egf_div(_exp_sum(scale, rate, ups, order), _exp_sum(1, 0, downs, order))
 
@@ -220,7 +215,7 @@ def quotient_alternating(w: int, order: int) -> TruncatedEGF:
     Coefficient k equals the alternating power sum T_k(w-1), because the
     quotient telescopes to sum_{i=0}^{w-1} (-1)^i e^{it} when w is odd.
     """
-    if not _is_int(w) or w < 1 or w % 2 == 0:
+    if not is_int(w) or w < 1 or w % 2 == 0:
         raise ValueError(f"quotient_alternating requires odd positive w, got {w}")
     return _quotient(1, 0, (w,), (1,), order)
 
@@ -239,16 +234,16 @@ def _validate_lambda_args(
 
     if family == "L12_0":
         i = 0 if i is None else i
-        if not _is_int(i) or i != 0:
+        if not is_int(i) or i != 0:
             raise ValueError("family L12_0 is the i = 0 member; pass i=0 or omit it")
     elif family == "L12_1":
         i = 1 if i is None else i
-        if not _is_int(i) or i != 1:
+        if not is_int(i) or i != 1:
             raise ValueError("family L12_1 is the i = 1 member; pass i=1 or omit it")
     else:
         if i is None:
             raise ValueError(f"family {family} requires a sub-index i in 0..3")
-        if not _is_int(i) or not 0 <= i <= 3:
+        if not is_int(i) or not 0 <= i <= 3:
             raise ValueError(f"sub-index i must be in 0..3, got {i}")
 
     # Odd weights wherever an (e^{..t}+1) factor has to telescope into an
@@ -289,7 +284,7 @@ def lambda_series(
     Division is always well-defined here: every denominator has constant
     term a power of 2.
     """
-    if not _is_int(order) or order < 0:
+    if not is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
     i, (w1, w2, w3), ys = _validate_lambda_args(family, i, w, y)
     pairs, singles = (w2 * w3, w1 * w3, w1 * w2), (w1, w2, w3)

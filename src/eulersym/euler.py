@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact_arith import RationalLike
+from .exact_arith import RationalLike, is_int
 
 __all__ = [
     "EulerPolynomial",
@@ -86,8 +86,8 @@ def _ensure_numbers(n: int) -> None:
 
 def euler_polynomial(n: int) -> EulerPolynomial:
     """E_n(x) as an exact coefficient vector."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     _ensure_numbers(n)
     g = _SCALED_NUMBERS
     # Appell: coefficient j of E_n(x) is C(n, j) E_{n-j}.
@@ -98,15 +98,15 @@ def euler_polynomial(n: int) -> EulerPolynomial:
 
 def euler_polynomials_up_to(n_max: int) -> list[EulerPolynomial]:
     """E_0(x) .. E_{n_max}(x)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if not is_int(n_max) or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     return list(map(euler_polynomial, range(n_max + 1)))
 
 
 def euler_eval(n: int, x: RationalLike) -> Fraction:
     """Exact value E_n(x)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     _ensure_numbers(n)
     x = Fraction(x)
     # With x = p/q: 2^n q^n E_n(x) = sum_j C(n, j) (2^{n-j} E_{n-j}) (2p)^j q^{n-j},
@@ -123,8 +123,8 @@ def euler_eval(n: int, x: RationalLike) -> Fraction:
 
 def euler_number(n: int) -> Fraction:
     """Euler number E_n = E_n(0), i.e. the constant coefficient of E_n(x)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     _ensure_numbers(n)
     return Fraction(_SCALED_NUMBERS[n], 1 << n)
 
@@ -135,8 +135,8 @@ def euler_values(x: RationalLike, n_max: int) -> tuple[Fraction, ...]:
     Identity evaluators hit the same arguments thousands of times across a
     sweep; the per-argument cache turns those into index lookups.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if not is_int(n_max) or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     x = Fraction(x)
     vals = _VALUES.get(x)
     start = 0 if vals is None else len(vals)

@@ -16,6 +16,7 @@ __all__ = [
     "RationalLike",
     "parse_rational",
     "format_rational",
+    "is_int",
     "int_weights",
     "rational_shifts",
 ]
@@ -36,6 +37,11 @@ def format_rational(value: RationalLike) -> str:
     return str(Fraction(value))
 
 
+def is_int(v: object) -> bool:
+    """v is an ``int`` and not a ``bool``; ``2.0`` and ``True`` are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def int_weights(w: Sequence[object]) -> tuple[int, ...]:
     """The weights w as a tuple of ints; each must be a positive ``int``.
 
@@ -43,7 +49,7 @@ def int_weights(w: Sequence[object]) -> tuple[int, ...]:
     ``ValueError`` rather than being truncated or read as the weight 1.
     """
     for v in w:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if not is_int(v) or v < 1:
             raise ValueError(f"weights must be positive integers, got {tuple(w)!r}")
     return tuple(int(v) for v in w)
 

@@ -3,12 +3,15 @@
 Each family bundles the finitely many expressions ("variants") that one
 theorem or corollary asserts equal.  Every variant is described once, as a
 term of the vocabulary in ``orbits``, and compiled at import into its own
-evaluator ``(n, w, y) -> Fraction`` that computes the expression from
-scratch on each call; no variant is derived from another's value, because
-independent computation of the allegedly equal expressions is the point.
-A term of two or three factors is coefficient n of a product of rescaled
-EGFs, computed by the integer binomial convolution of ``egf_series``,
-which the series oracles never run.
+evaluator ``(n, w, y) -> Fraction`` whose ``.vector`` form gives the
+values at n = 0..n_max in one call; both compute the expression from
+scratch on each call, and no variant is derived from another's value,
+because independent computation of the allegedly equal expressions is the
+point.  Every term, of one to three factors, is [t^n] prod_b F_b(sigma
+beta_b t) for its scale monomial sigma and base monomials beta_b: the
+rescaled factor vectors are folded by the integer binomial convolution of
+``egf_series``, which the series oracles never run.  ``check_cases``
+checks all n of one (w, y) at once, as sweeps do.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
@@ -36,11 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 from . import altsum, euler
 from .egf_series import _binomial_conv, _over_common_denominator
-from .exact_arith import RationalLike, int_weights, rational_shifts
+from .exact_arith import RationalLike, int_weights, is_int, rational_shifts
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
     Term, orbit_audit, substitute, term,
@@ -48,7 +52,7 @@ from .orbits import (
 
 __all__ = [
     "IdentityFamily", "VerificationReport", "FAMILIES", "FAMILY_IDS", "SERIES_ORACLES",
-    "PARENT_SPECIALIZATIONS", "variant_values", "check_case", "eval_variant",
+    "PARENT_SPECIALIZATIONS", "variant_values", "check_case", "check_cases", "eval_variant",
     "eval_triple_altsum", "orbit_audit",
 ]
 
@@ -77,40 +81,24 @@ def _t_vec(upper: int, n_max: int) -> tuple[Fraction, ...]:
     return tuple(_tval(j, upper) for j in range(n_max + 1))
 
 
-def _alt_shift_vec(
-    base: Fraction, step: Fraction, count: int, n_max: int
-) -> tuple[Fraction, ...]:
-    """Entry j is sum_{i=0}^{count-1} (-1)^i E_j(base + i * step)."""
-    vecs = [_euler_vec(base + step * i, n_max) for i in range(count)]
-    out = []
-    for j in range(n_max + 1):
-        acc = Fraction(0)
-        for i, vec in enumerate(vecs):
-            acc = acc - vec[j] if i & 1 else acc + vec[j]
-        out.append(acc)
-    return tuple(out)
-
-
-def _alt_entry(base: Fraction, m: int, counts: Sequence[int], n: int) -> Fraction:
-    """sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_n(base + (m/c1) i + (m/c2) j) for
-    counts (c1, c2), or the single sum over i for counts (c1,)."""
+def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[Fraction]:
+    """Entry k is sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_k(base + (m/c1) i + (m/c2) j)
+    for counts (c1, c2), or the single sum over i for counts (c1,)."""
     c1, c2 = (*counts, 1)[:2]
-    steps = [Fraction(m * j, c2) for j in range(c2)]
-    total = Fraction(0)
+    total = [Fraction(0)] * (n_max + 1)
     for i in range(c1):
         start = base + Fraction(m * i, c1)
-        for j, step in enumerate(steps):
-            value = _euler_vec(start + step, n)[n]
-            total = total - value if (i + j) & 1 else total + value
+        for j in range(c2):
+            vec = _euler_vec(start + Fraction(m * j, c2), n_max)
+            total = list(map(sub if (i + j) & 1 else add, total, vec))
     return total
 
 
-def _product_entry(
-    n: int, vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]
-) -> Fraction:
-    """Coefficient n of prod_b F_b(base_b t) in t^n/n!, vecs[b] holding at
-    least coefficients 0..n of F_b: each vector is rescaled in integers over
-    its common denominator and the vectors are folded with ``_binomial_conv``.
+def _product_vec(vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]) -> list[Fraction]:
+    """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, vecs[b] holding
+    coefficients 0..N of F_b (N + 1 the shortest length): each vector is
+    rescaled in integers over its common denominator and the vectors are
+    folded with ``_binomial_conv``.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
@@ -122,7 +110,7 @@ def _product_entry(
         nums, d = _over_common_denominator(vec)
         rescaled.append([c * base**k for k, c in enumerate(nums)])
         den *= d
-    return Fraction(reduce(_binomial_conv, rescaled)[n], den)
+    return [Fraction(c, den) for c in reduce(_binomial_conv, rescaled)]
 
 
 # --------------------------------------------------------------------------
@@ -142,48 +130,39 @@ def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
 
 
 def _factor(f: Factor) -> Callable[..., Sequence[Fraction]]:
-    """(n, w, y) -> the factor's values at indices 0..n."""
+    """(n_max, w, y) -> the factor's values at indices 0..n_max."""
     kind, m, j, counts = f
     arg = _mono(m)
     if kind == "T":
-        return lambda n, w, y: _t_vec(arg(w) - 1, n)
+        return lambda n_max, w, y: _t_vec(arg(w) - 1, n_max)
     if kind == "E":
-        return lambda n, w, y: _euler_vec(arg(w) * y[j], n)
-    (c,) = counts
-    return lambda n, w, y: _alt_shift_vec(arg(w) * y[j], Fraction(arg(w), w[c]), w[c], n)
-
-
-def _entry(f: Factor) -> Evaluator:
-    """(n, w, y) -> the factor's value at index n."""
-    kind, m, j, counts = f
-    if kind in ("A", "D"):
-        arg = _mono(m)
-        return lambda n, w, y: _alt_entry(arg(w) * y[j], arg(w), [w[c] for c in counts], n)
-    vec = _factor(f)
-    return lambda n, w, y: vec(n, w, y)[n]
+        return lambda n_max, w, y: _euler_vec(arg(w) * y[j], n_max)
+    return lambda n_max, w, y: _alt_vec(arg(w) * y[j], arg(w), [w[c] for c in counts], n_max)
 
 
 def _compile(t: Term) -> Evaluator:
+    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y) -> the values
+    at 0..n_max; sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t)."""
     scale, bundles = t
-    if len(bundles) == 1:
-        body = _entry(bundles[0][0])
-    else:
-        factors = [_factor(f) for f, _ in bundles]
-        bases = [_mono(m) for _, m in bundles]
-
-        def body(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-            return _product_entry(n, [f(n, w, y) for f in factors], [b(w) for b in bases])
-    if not scale:
-        return body
     sc = _mono(scale)
-    return lambda n, w, y: sc(w) ** n * body(n, w, y)
+    factors = [_factor(f) for f, _ in bundles]
+    bases = [_mono(m) for _, m in bundles]
+
+    def vector(n_max: int, w: Sequence[int], y: Sequence[Fraction]) -> list[Fraction]:
+        return _product_vec([f(n_max, w, y) for f in factors], [sc(w) * b(w) for b in bases])
+
+    def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
+        return vector(n, w, y)[n]
+
+    evaluate.vector = vector  # type: ignore[attr-defined]
+    return evaluate
 
 
 def _validate_case(
     n: int, w: Sequence[int], y: Sequence[RationalLike], w_arity: int, y_arity: int,
     odd_only: bool,
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"n must be an int >= 0, got {n!r}")
     if len(w) != w_arity:
         raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
@@ -368,19 +347,34 @@ def variant_values(
     return tuple(ev(n, wt, yt) for ev in fam.variants)
 
 
+def _report(family_id: str, n: int, w: tuple[int, ...], y: tuple[Fraction, ...],
+            values: tuple[Fraction, ...]) -> VerificationReport:
+    return VerificationReport(family_id, n, w, y, values, len(set(values)) == 1)
+
+
 def check_case(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> VerificationReport:
     values = variant_values(family_id, n, w, y, families)
-    return VerificationReport(
-        family_id=family_id,
-        n=n,
-        w=tuple(int(v) for v in w),
-        y=tuple(Fraction(v) for v in y),
-        variant_values=values,
-        all_equal=len(set(values)) == 1,
-    )
+    return _report(family_id, n, tuple(int(v) for v in w), tuple(Fraction(v) for v in y), values)
+
+
+def check_cases(
+    family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
+    families: Mapping[str, IdentityFamily] | None = None,
+) -> list[VerificationReport]:
+    """``check_case`` at n = 0..n_max, validated once.  A compiled variant
+    computes all n in one call of its ``.vector``; any other callable is
+    called once per n."""
+    fam = _family(FAMILIES if families is None else families, family_id)
+    wt, yt = _validate_case(n_max, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    columns = [
+        ev.vector(n_max, wt, yt) if hasattr(ev, "vector")
+        else [ev(n, wt, yt) for n in range(n_max + 1)]
+        for ev in fam.variants
+    ]
+    return [_report(family_id, n, wt, yt, values) for n, values in enumerate(zip(*columns))]
 
 
 def eval_variant(

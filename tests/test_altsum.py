@@ -67,3 +67,14 @@ def test_invalid_inputs():
         alt_power_sum(2, -1)
     with pytest.raises(ValueError):
         alt_power_sum_closed(-1, 0)
+
+
+def test_invalid_inputs_after_caching():
+    # The cached (1, 3) and (2, 3) must not answer for True or 2.0.
+    assert alt_power_sum(1, 3) == -2
+    assert alt_power_sum(2, 3) == -6
+    for k, n in ((True, 3), (2.0, 3), (1, True), (1, 3.0)):
+        with pytest.raises(ValueError):
+            alt_power_sum(k, n)
+        with pytest.raises(ValueError):
+            alt_power_sum_closed(k, n)

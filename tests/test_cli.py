@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -226,6 +227,25 @@ def test_sweep_order_is_lexicographic():
     records, _ = run_sweep(config)
     keys = [(r.family_id, r.n, r.w, r.y) for r in records]
     assert keys == sorted(keys)
+
+
+def test_sweep_runs_plain_variants_per_n():
+    # A variant without a vector form is called once per n, so one wrong only
+    # at n = n_max fails exactly the n_max records.
+    n_max = 3
+    fam = identities.FAMILIES["C9"]
+    compiled = fam.variants[1]
+
+    def wrong_at_top(n, w, y):
+        return compiled(n, w, y) + (n == n_max)
+
+    catalog = {**identities.FAMILIES, "C9": dataclasses.replace(
+        fam, variants=(fam.variants[0], wrong_at_top, fam.variants[2]))}
+    config = SweepConfig(families=("C9",), w_set=(1, 3, 5), n_max=n_max,
+                         y_samples=(Fraction(0), Fraction(123457, 999983)))
+    records, summary = run_sweep(config, families=catalog)
+    assert [r.n == n_max for r in records] == [not r.all_equal for r in records]
+    assert summary.failures == 9 * 2
 
 
 def test_failing_record_and_exit_code(monkeypatch, capsys):

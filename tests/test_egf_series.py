@@ -253,6 +253,13 @@ def test_series_reject_non_int_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("call", [lambda: egf_exp(1, True), lambda: egf_exp(1, 2.0),
+                                  lambda: egf_one(True)], ids=["exp", "exp 2.0", "one"])
+def test_exp_and_one_reject_non_int_order(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_truncated_egf_validation():
     with pytest.raises(ValueError):
         TruncatedEGF(())

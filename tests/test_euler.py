@@ -119,6 +119,25 @@ def test_invalid_inputs():
         EulerPolynomial(2, (Fraction(1),))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_eval(True, 0),  # not read as n = 1
+        lambda: euler_eval(2.0, 0),
+        lambda: euler_number(True),
+        lambda: euler_polynomial(True),
+        lambda: euler_polynomials_up_to(True),
+        lambda: euler_values(0, True),
+        lambda: euler_values(0, 3.0),
+    ],
+    ids=["eval n=True", "eval n=2.0", "number n=True", "polynomial n=True",
+         "up_to n=True", "values n_max=True", "values n_max=3.0"],
+)
+def test_indices_reject_non_int(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """Empty Euler tables for one test; the shared ones come back afterwards."""

@@ -12,6 +12,7 @@ from eulersym.identities import (
     SERIES_ORACLES,
     VerificationReport,
     check_case,
+    check_cases,
     eval_triple_altsum,
     eval_variant,
     variant_values,
@@ -414,6 +415,19 @@ def test_check_case_and_report():
             variant_values=(Fraction(1), Fraction(2)),
             all_equal=True,
         )
+
+
+@pytest.mark.parametrize("family_id", FAMILY_IDS)
+def test_check_cases_match_check_case(family_id):
+    # The sweep path (each compiled variant's vector over n = 0..4, one call)
+    # gives the per-n path's reports, record for record.
+    fam = FAMILIES[family_id]
+    y = (Fraction(123457, 999983), -THIRD, 2)[: fam.y_arity]
+    for w in ((1, 3, 5), (7, 5, 3)):
+        w = w[: fam.w_arity]
+        assert check_cases(family_id, 4, w, y) == [
+            check_case(family_id, n, w, y) for n in range(5)
+        ]
 
 
 def test_variant_values_validation():

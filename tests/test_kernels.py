@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from eulersym.egf_series import NonInvertibleSeriesError, egf_div, egf_from_coeffs, egf_mul
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
-from eulersym.identities import _product_entry
+from eulersym.identities import _product_vec
 
 TABLE_MAX = 60
 
@@ -32,7 +32,7 @@ entries = st.one_of(rationals, st.fractions(max_denominator=10**9))
 @st.composite
 def products(draw, factors):
     """(n, vecs, bases) for a term of the given number of factors; each
-    vector may run past index n."""
+    vector holds at least coefficients 0..n and may run past index n."""
     n = draw(st.integers(min_value=0, max_value=12))
     vecs = [draw(st.lists(entries, min_size=n + 1, max_size=n + 3)) for _ in range(factors)]
     bases = [draw(st.integers(min_value=1, max_value=63)) for _ in range(factors)]
@@ -85,15 +85,20 @@ def test_div_rejects_zero_constant_term(f, g_tail):
         egf_div(egf_from_coeffs(f), egf_from_coeffs([0, *g_tail]))
 
 
-@given(st.sampled_from((2, 3)).flatmap(products))
+@given(st.sampled_from((1, 2, 3)).flatmap(products))
 @example((0, [[Fraction(-7, 3)], [Fraction(1, 10**9 - 1)]], [1, 63]))
+@example((4, [[Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(5, 7), Fraction(9)]], [35]))
 # All-ones factors at base 1 sum the trinomial row: 3^12.
 @example((12, [[Fraction(1)] * 13] * 3, [1, 1, 1]))
 @example((12, [[Fraction(-1, 3)] * 13, [Fraction(5, 7)] * 13, [Fraction(2)] * 13], [63, 1, 35]))
-def test_product_entry_matches_reference(case):
+def test_product_vec_matches_reference(case):
     n, vecs, bases = case
-    if len(vecs) == 2:
-        expected = ref.binom_sum(n, *vecs, *bases)
+    out = _product_vec(vecs, bases)
+    assert len(out) == min(map(len, vecs)) >= n + 1
+    if len(vecs) == 1:
+        expected = [vecs[0][k] * bases[0] ** k for k in range(len(out))]
+    elif len(vecs) == 2:
+        expected = [ref.binom_sum(k, *vecs, *bases) for k in range(len(out))]
     else:
-        expected = ref.tri_sum(n, *vecs, *bases)
-    assert _product_entry(n, vecs, bases) == expected
+        expected = [ref.tri_sum(k, *vecs, *bases) for k in range(len(out))]
+    assert out == expected
