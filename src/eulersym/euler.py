@@ -21,8 +21,12 @@ so the numbers up to n cost O(n^2) integer operations and no truncation
 parameter.  Everything else is read off them: the coefficients of E_n(x)
 are C(n, j) g_{n-j} / 2^{n-j}, built in O(n) per call and not stored, and
 ``euler_eval`` sums 2^n q^n E_n(p/q) by integer Horner and builds a single
-``Fraction`` at the end.  The series-division route lives in
-``egf_series`` and is used only as an independent test oracle.
+``Fraction`` at the end.  ``scaled_numbers`` hands the g_k themselves to
+kernels that form such numerators for many arguments at once.  The
+argument x must be an ``int`` or a ``Fraction``; floats, strings and
+``bool``s raise ``ValueError`` rather than being converted.  The
+series-division route lives in ``egf_series`` and is used only as an
+independent test oracle.
 
 The two tables (scaled numbers, per-argument value vectors) are
 module-level state, grown on first use.  Growth is serialised by one
@@ -46,6 +50,7 @@ __all__ = [
     "euler_eval",
     "euler_number",
     "euler_values",
+    "scaled_numbers",
 ]
 
 
@@ -84,6 +89,23 @@ def _ensure_numbers(n: int) -> None:
         _SCALED_NUMBERS.extend(g[start:])
 
 
+def scaled_numbers(n_max: int) -> list[int]:
+    """The integers g_0, ..., g_{n_max}, where g_k = 2^k E_k."""
+    if not is_int(n_max) or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+    _ensure_numbers(n_max)
+    return _SCALED_NUMBERS[: n_max + 1]
+
+
+def _rational(x: object) -> Fraction:
+    """x as a Fraction; x must be a non-``bool`` ``int`` or a ``Fraction``."""
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x):
+        return Fraction(x)
+    raise ValueError(f"x must be an int or a Fraction, got {x!r}")
+
+
 def euler_polynomial(n: int) -> EulerPolynomial:
     """E_n(x) as an exact coefficient vector."""
     if not is_int(n) or n < 0:
@@ -108,7 +130,7 @@ def euler_eval(n: int, x: RationalLike) -> Fraction:
     if not is_int(n) or n < 0:
         raise ValueError(f"n must be an int >= 0, got {n!r}")
     _ensure_numbers(n)
-    x = Fraction(x)
+    x = _rational(x)
     # With x = p/q: 2^n q^n E_n(x) = sum_j C(n, j) (2^{n-j} E_{n-j}) (2p)^j q^{n-j},
     # summed by homogeneous Horner in integers.
     p2, q = 2 * x.numerator, x.denominator
@@ -137,7 +159,7 @@ def euler_values(x: RationalLike, n_max: int) -> tuple[Fraction, ...]:
     """
     if not is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
-    x = Fraction(x)
+    x = _rational(x)
     vals = _VALUES.get(x)
     start = 0 if vals is None else len(vals)
     if start <= n_max:

@@ -13,6 +13,14 @@ rescaled factor vectors are folded by the integer binomial convolution of
 ``egf_series``, which the series oracles never run.  ``check_cases``
 checks all n of one (w, y) at once, as sweeps do.
 
+Factor vectors: E reads the per-argument ``euler.euler_values`` cache and
+T the alternating power sums.  A and D, alternating sums of E_k over a
+grid of shifted arguments, never reach that cache: ``_alt_vec`` puts every
+argument over one denominator and computes the whole signed sum as one
+integer binomial convolution of the scaled Euler numbers 2^k E_k with the
+signed power sums of the arguments' numerators, then builds one
+``Fraction`` per entry.
+
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
   same template drives the orbit audit and, at one permutation, the
@@ -39,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, sub
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from . import altsum, euler
@@ -62,9 +70,10 @@ CYCLIC_PERMS: tuple[Perm, ...] = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 # --------------------------------------------------------------------------
-# Building blocks.  _euler_vec and _tval are module-level seams, looked up
-# on each call, so that a deliberately perturbed stand-in can be injected to
-# prove the checks are not vacuous (see the negative-control tests).
+# Building blocks.  _euler_vec, _tval and _alt_vec are module-level seams,
+# looked up on each call, so that a deliberately perturbed stand-in can be
+# injected to prove the checks are not vacuous (see the negative-control
+# tests).
 
 
 def _euler_vec(x: RationalLike, n_max: int) -> Sequence[Fraction]:
@@ -83,15 +92,24 @@ def _t_vec(upper: int, n_max: int) -> tuple[Fraction, ...]:
 
 def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[Fraction]:
     """Entry k is sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_k(base + (m/c1) i + (m/c2) j)
-    for counts (c1, c2), or the single sum over i for counts (c1,)."""
+    for counts (c1, c2), or the single sum over i for counts (c1,).
+
+    Every argument is p_s/q over q = den(base) c1 c2, and by the Appell form
+    (2q)^k E_k(p/q) = sum_j C(k, j) g_{k-j} q^{k-j} (2p)^j with g_k = 2^k E_k,
+    so the signed sum is one integer ``_binomial_conv`` of (g_k q^k) with the
+    signed power sums (sum_s (-1)^{i+j} (2 p_s)^j), over (2q)^k."""
     c1, c2 = (*counts, 1)[:2]
-    total = [Fraction(0)] * (n_max + 1)
-    for i in range(c1):
-        start = base + Fraction(m * i, c1)
-        for j in range(c2):
-            vec = _euler_vec(start + Fraction(m * j, c2), n_max)
-            total = list(map(sub if (i + j) & 1 else add, total, vec))
-    return total
+    q = base.denominator * c1 * c2
+    p0, step = 2 * base.numerator * c1 * c2, 2 * m * base.denominator
+    points = [p0 + step * (c2 * i + c1 * j) for i in range(c1) for j in range(c2)]
+    terms = [-1 if (i + j) & 1 else 1 for i in range(c1) for j in range(c2)]
+    sums = []
+    for _ in range(n_max + 1):
+        sums.append(sum(terms))
+        terms = list(map(mul, terms, points))
+    q_pows = [q**k for k in range(n_max + 1)]
+    nums = _binomial_conv(list(map(mul, euler.scaled_numbers(n_max), q_pows)), sums)
+    return [Fraction(c, qk << k) for k, (c, qk) in enumerate(zip(nums, q_pows))]
 
 
 def _product_vec(vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]) -> list[Fraction]:

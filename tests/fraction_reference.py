@@ -1,5 +1,5 @@
 """Plain ``Fraction`` versions of the Euler table, EGF mul/div and the
-identity-term kernels.
+identity-term kernels, the alternating shifted sums included.
 
 These are the straightforward loops the integer kernels in ``eulersym.euler``,
 ``eulersym.egf_series`` and ``eulersym.identities`` replace: a fresh
@@ -91,4 +91,20 @@ def tri_sum(
             m = n - k - l
             coef = factorial(n) // (factorial(k) * factorial(l) * factorial(m))
             total += (coef * bk**k * bl**l * bm**m) * (fk[k] * fl[l] * fm[m])
+    return total
+
+
+def alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[Fraction]:
+    """Entry k is sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_k(base + (m/c1) i + (m/c2) j)
+    for counts (c1, c2), or the single sum over i for counts (c1,): every
+    argument and every E_k(x) is a fresh ``Fraction``."""
+    table = euler_table(n_max)
+    c1, c2 = (*counts, 1)[:2]
+    total = [Fraction(0)] * (n_max + 1)
+    for i in range(c1):
+        start = base + Fraction(m * i, c1)
+        for j in range(c2):
+            x = start + Fraction(m * j, c2)
+            sign = -1 if (i + j) & 1 else 1
+            total = [t + sign * horner(table[k], x) for k, t in enumerate(total)]
     return total

@@ -264,6 +264,26 @@ def test_failing_record_and_exit_code(monkeypatch, capsys):
     assert "cases=6 failures=5" in err
 
 
+def test_perturbed_alt_vec_fails_d_only_families(monkeypatch, capsys):
+    # T14 and C15's D variant read neither an Euler vector nor T_k, only the
+    # A/D kernel.  Perturb its top entry by the base, as the benchmark gate
+    # perturbs E_n(x): the sweep must notice and the process must exit 1.
+    argv = ("verify", "--family", "T14,C15", "--wset", "1,3,5", "--nmax", "2",
+            "--ys", "0,1/2")
+    assert run_cli(capsys, *argv)[0] == 0
+    alt_vec = identities._alt_vec
+
+    def perturbed(base, m, counts, n_max):
+        vals = alt_vec(base, m, counts, n_max)
+        return vals[:-1] + [vals[-1] + base]
+
+    monkeypatch.setattr(identities, "_alt_vec", perturbed)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert '"equal":false' in out
+    assert {r["family"] for r in json.loads(out) if not r["equal"]} == {"T14", "C15"}
+
+
 # ---------------------------------------------------------------- pinned outputs
 
 _SERIES_SHIFTS = ("1/2", "-1/3", "2/7")
@@ -293,6 +313,13 @@ PINNED = {
     "series": (
         list(_series_argvs()),
         17824, "90243a9d0c4f8ad679056ac45578ba4388427b19cd254b25ac95543c4fdd972e",
+    ),
+    # The shifted families at 6-digit-denominator shifts, recorded before the
+    # A/D kernel moved to integers over a common, non-minimal denominator.
+    "shifted": (
+        [["verify", "--family", "T5,T11,T14,C6,C12,C13,C15,INTRO_CHAIN", "--wset", "1,3,5,7",
+          "--nmax", "4", "--ys=123457/999983,-654321/100003,5/100019", "--format", "csv"]],
+        843112, "58c0f1b53a6df121831cb5da00fd5505372502dd968222c16fa7dfb8593f08ae",
     ),
     "euler": (
         [["euler", "--n", "80"]],

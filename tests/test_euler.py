@@ -138,6 +138,32 @@ def test_indices_reject_non_int(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_eval(1, 0.1),  # not the binary float's exact value
+        lambda: euler_eval(1, "1/2"),
+        lambda: euler_eval(1, True),  # not read as x = 1
+        lambda: euler_values(0.5, 1),
+        lambda: euler_values("1/2", 1),
+        lambda: euler_values(True, 1),
+    ],
+    ids=["eval x=0.1", "eval x='1/2'", "eval x=True", "values x=0.5", "values x='1/2'",
+         "values x=True"],
+)
+def test_arguments_reject_non_rational(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_scaled_numbers():
+    assert euler.scaled_numbers(6) == [1, -1, 0, 2, 0, -16, 0]
+    assert euler.scaled_numbers(0) == [1]
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            euler.scaled_numbers(bad)
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """Empty Euler tables for one test; the shared ones come back afterwards."""

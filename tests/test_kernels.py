@@ -1,9 +1,9 @@
 """The integer kernels agree exactly with plain ``Fraction`` loops.
 
 ``fraction_reference`` holds the straightforward ``Fraction`` versions of the
-Euler table, Horner evaluation, EGF mul/div and the two- and three-factor
-identity-term sums; every result here must be equal to them, not merely
-close.
+Euler table, Horner evaluation, EGF mul/div, the two- and three-factor
+identity-term sums and the alternating shifted sums of the A/D factors;
+every result here must be equal to them, not merely close.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from eulersym.egf_series import NonInvertibleSeriesError, egf_div, egf_from_coeffs, egf_mul
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
-from eulersym.identities import _product_vec
+from eulersym.identities import _alt_vec, _product_vec
 
 TABLE_MAX = 60
 
@@ -102,3 +102,25 @@ def test_product_vec_matches_reference(case):
     else:
         expected = [ref.tri_sum(k, *vecs, *bases) for k in range(len(out))]
     assert out == expected
+
+
+# A/D bases: 0, negative, and 6-digit denominators all occur.
+alt_bases = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=0, max_denominator=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+)
+
+
+@given(
+    alt_bases,
+    st.integers(min_value=1, max_value=81),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=2),
+    st.integers(min_value=0, max_value=12),
+)
+@example(Fraction(0), 1, [1], 0)
+@example(Fraction(-7, 3), 81, [9, 9], 12)
+@example(Fraction(123457, 999983), 15, [3, 5], 6)
+@example(Fraction(-654321, 100003), 7, [7], 12)
+def test_alt_vec_matches_reference(base, m, counts, n_max):
+    assert _alt_vec(base, m, counts, n_max) == ref.alt_vec(base, m, counts, n_max)
