@@ -136,6 +136,8 @@ def run_sweep(
     failures = 0
     orbit_checks = orbit_failures = 0
     oracle_checks = oracle_failures = 0
+    # Factor vectors shared by every case of this sweep; dropped on return.
+    table: dict = {}
 
     for family_id in sorted(set(config.families)):
         fam = catalog[family_id]
@@ -157,7 +159,7 @@ def run_sweep(
                 oracle_failures += 1
 
         by_case = [
-            identities.check_cases(family_id, config.n_max, wt, yt, families=catalog)
+            identities.check_cases(family_id, config.n_max, wt, yt, families=catalog, table=table)
             for wt in w_tuples
             for yt in y_tuples
         ]

@@ -47,7 +47,7 @@ from math import lcm
 from operator import add, mul
 from typing import Sequence
 
-from .exact_arith import RationalLike, int_weights, is_int, rational_shifts
+from .exact_arith import RationalLike, as_rational, int_weights, is_int, rational_shifts
 
 __all__ = [
     "TruncatedEGF",
@@ -86,7 +86,8 @@ class TruncatedEGF:
 
 
 def egf_from_coeffs(coeffs: Sequence[RationalLike]) -> TruncatedEGF:
-    return TruncatedEGF(tuple(Fraction(c) for c in coeffs))
+    """The series with these coefficients, each an ``int`` or a ``Fraction``."""
+    return TruncatedEGF(tuple(as_rational(c, "each coefficient") for c in coeffs))
 
 
 def egf_one(order: int) -> TruncatedEGF:
@@ -98,7 +99,7 @@ def egf_exp(a: RationalLike, order: int) -> TruncatedEGF:
     """e^{at}: coefficient vector (1, a, a^2, ..., a^order)."""
     if not is_int(order) or order < 0:
         raise ValueError("order must be >= 0")
-    a = Fraction(a)
+    a = as_rational(a, "a")
     coeffs = [Fraction(1)]
     for _ in range(order):
         coeffs.append(coeffs[-1] * a)
@@ -115,7 +116,7 @@ def egf_add(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
 
 
 def egf_scale(series: TruncatedEGF, factor: RationalLike) -> TruncatedEGF:
-    factor = Fraction(factor)
+    factor = as_rational(factor, "factor")
     return TruncatedEGF(tuple(c * factor for c in series.coeffs))
 
 

@@ -28,10 +28,12 @@ argument x must be an ``int`` or a ``Fraction``; floats, strings and
 series-division route lives in ``egf_series`` and is used only as an
 independent test oracle.
 
-The two tables (scaled numbers, per-argument value vectors) are
-module-level state, grown on first use.  Growth is serialised by one
-lock, and new entries are built off to the side and appended only when
-complete; readers whose entry already exists take no lock.
+The scaled numbers are the one module-level table, grown on first use.
+Growth is serialised by one lock, and new entries are built off to the
+side and appended only when complete; readers whose entry already exists
+take no lock.  ``euler_values`` keeps no per-argument cache: an identity
+sweep builds each argument's vector once, in a factor table that lives
+only as long as the sweep (see ``identities``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact_arith import RationalLike, is_int
+from .exact_arith import RationalLike, as_rational, is_int
 
 __all__ = [
     "EulerPolynomial",
@@ -69,12 +71,9 @@ class EulerPolynomial:
 # 2^k E_k for k = 0, 1, ...: the Euler numbers scaled to integers.
 _SCALED_NUMBERS: list[int] = [1]
 
-# Per-argument value vectors E_0(x), E_1(x), ...; grown on demand.
-_VALUES: dict[Fraction, list[Fraction]] = {}
-
-# Serialises growth of the two tables above.  Readers take no lock: a
-# list only grows, and only by whole entries that are complete before they
-# are appended.
+# Serialises growth of the table above.  Readers take no lock: the list
+# only grows, and only by whole entries that are complete before they are
+# appended.
 _LOCK = threading.Lock()
 
 
@@ -95,15 +94,6 @@ def scaled_numbers(n_max: int) -> list[int]:
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     _ensure_numbers(n_max)
     return _SCALED_NUMBERS[: n_max + 1]
-
-
-def _rational(x: object) -> Fraction:
-    """x as a Fraction; x must be a non-``bool`` ``int`` or a ``Fraction``."""
-    if isinstance(x, Fraction):
-        return x
-    if is_int(x):
-        return Fraction(x)
-    raise ValueError(f"x must be an int or a Fraction, got {x!r}")
 
 
 def euler_polynomial(n: int) -> EulerPolynomial:
@@ -130,7 +120,7 @@ def euler_eval(n: int, x: RationalLike) -> Fraction:
     if not is_int(n) or n < 0:
         raise ValueError(f"n must be an int >= 0, got {n!r}")
     _ensure_numbers(n)
-    x = _rational(x)
+    x = as_rational(x, "x")
     # With x = p/q: 2^n q^n E_n(x) = sum_j C(n, j) (2^{n-j} E_{n-j}) (2p)^j q^{n-j},
     # summed by homogeneous Horner in integers.
     p2, q = 2 * x.numerator, x.denominator
@@ -152,21 +142,9 @@ def euler_number(n: int) -> Fraction:
 
 
 def euler_values(x: RationalLike, n_max: int) -> tuple[Fraction, ...]:
-    """The vector (E_0(x), ..., E_{n_max}(x)), cached per argument.
-
-    Identity evaluators hit the same arguments thousands of times across a
-    sweep; the per-argument cache turns those into index lookups.
-    """
+    """The vector (E_0(x), ..., E_{n_max}(x)), computed afresh on each call;
+    a sweep builds each argument's vector once, in its factor table."""
     if not is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
-    x = _rational(x)
-    vals = _VALUES.get(x)
-    start = 0 if vals is None else len(vals)
-    if start <= n_max:
-        new = [euler_eval(k, x) for k in range(start, n_max + 1)]
-        with _LOCK:
-            vals = _VALUES.setdefault(x, [])
-            # Another thread may have grown the list meanwhile; values are
-            # deterministic, so append only what is still missing.
-            vals.extend(new[len(vals) - start :])
-    return tuple(vals[: n_max + 1])
+    x = as_rational(x, "x")
+    return tuple(euler_eval(k, x) for k in range(n_max + 1))

@@ -19,6 +19,7 @@ __all__ = [
     "is_int",
     "int_weights",
     "rational_shifts",
+    "as_rational",
 ]
 
 RationalLike = Union[Fraction, int]
@@ -33,13 +34,30 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Canonical string form: 'p/q', or just 'n' when the denominator is 1."""
-    return str(Fraction(value))
+    """Canonical string form: 'p/q', or just 'n' when the denominator is 1.
+
+    ``value`` must be an ``int`` or a ``Fraction``, both already canonical;
+    a float or a string raises ``ValueError`` instead of printing its
+    binary expansion or being parsed."""
+    return str(as_rational(value, "value"))
 
 
 def is_int(v: object) -> bool:
     """v is an ``int`` and not a ``bool``; ``2.0`` and ``True`` are not counts."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def as_rational(v: object, name: str) -> Fraction:
+    """v as a Fraction; v must be a non-``bool`` ``int`` or a ``Fraction``.
+
+    Nothing is coerced: ``0.1``, ``True`` and ``'1/2'`` raise ``ValueError``
+    naming ``name``, rather than being read as a binary float's exact value,
+    as 1, or parsed.  A ``Fraction`` is returned as it is."""
+    if isinstance(v, Fraction):
+        return v
+    if is_int(v):
+        return Fraction(v)
+    raise ValueError(f"{name} must be an int or a Fraction, got {v!r}")
 
 
 def int_weights(w: Sequence[object]) -> tuple[int, ...]:
@@ -61,7 +79,4 @@ def rational_shifts(y: Sequence[object]) -> tuple[Fraction, ...]:
     Nothing is coerced: ``0.1``, ``True`` and ``'1/2'`` raise ``ValueError``
     rather than being read as a binary float's exact value, as 1, or parsed.
     """
-    for v in y:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValueError(f"shift values must be ints or Fractions, got {tuple(y)!r}")
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in y)
+    return tuple(as_rational(v, "a shift value") for v in y)

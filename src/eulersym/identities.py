@@ -4,22 +4,30 @@ Each family bundles the finitely many expressions ("variants") that one
 theorem or corollary asserts equal.  Every variant is described once, as a
 term of the vocabulary in ``orbits``, and compiled at import into its own
 evaluator ``(n, w, y) -> Fraction`` whose ``.vector`` form gives the
-values at n = 0..n_max in one call; both compute the expression from
-scratch on each call, and no variant is derived from another's value,
-because independent computation of the allegedly equal expressions is the
+values at n = 0..n_max in one call; each call computes the expression
+from its own factor vectors, and no variant is derived from another's
+value, because independent computation of the allegedly equal expressions is the
 point.  Every term, of one to three factors, is [t^n] prod_b F_b(sigma
 beta_b t) for its scale monomial sigma and base monomials beta_b: the
-rescaled factor vectors are folded by the integer binomial convolution of
-``egf_series``, which the series oracles never run.  ``check_cases``
-checks all n of one (w, y) at once, as sweeps do.
+factor vectors, held as integer numerators over one denominator, are
+rescaled by powers of the bases and folded by the integer binomial
+convolution of ``egf_series``, which the series oracles never run; one
+``Fraction`` is built per value.  ``check_cases`` checks all n of one
+(w, y) at once, as sweeps do.
 
-Factor vectors: E reads the per-argument ``euler.euler_values`` cache and
-T the alternating power sums.  A and D, alternating sums of E_k over a
-grid of shifted arguments, never reach that cache: ``_alt_vec`` puts every
-argument over one denominator and computes the whole signed sum as one
-integer binomial convolution of the scaled Euler numbers 2^k E_k with the
-signed power sums of the arguments' numerators, then builds one
-``Fraction`` per entry.
+Factor vectors: E is ``euler.euler_values`` and T the alternating power
+sums.  A and D, alternating sums of E_k over a grid of shifted arguments,
+come from ``_alt_vec``: it puts every argument over one denominator and
+computes the whole signed sum as one integer binomial convolution of the
+scaled Euler numbers 2^k E_k with the signed power sums of the arguments'
+numerators.  Each factor depends on one or two of the weights, so a sweep
+over w meets the same factor vector many times.  A *factor table*, a plain
+dict, maps each distinct factor argument (kind, monomial value, shift,
+count weights, n_max, all as ints) to its vector as ``(nums, d)``; a miss
+builds the vector once and stores it.  ``cli.run_sweep`` passes one table
+to every ``check_cases`` call of a sweep and drops it when the sweep
+returns; every other entry point gives each call a fresh table, and
+nothing is cached at module level.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
@@ -65,15 +73,17 @@ __all__ = [
 ]
 
 Evaluator = Callable[[int, Sequence[int], Sequence[Fraction]], Fraction]
+# A coefficient vector as integer numerators over one denominator, (nums, d).
+Form = tuple[list[int], int]
 
 CYCLIC_PERMS: tuple[Perm, ...] = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 # --------------------------------------------------------------------------
 # Building blocks.  _euler_vec, _tval and _alt_vec are module-level seams,
-# looked up on each call, so that a deliberately perturbed stand-in can be
-# injected to prove the checks are not vacuous (see the negative-control
-# tests).
+# looked up on each factor-table miss, so that a deliberately perturbed
+# stand-in can be injected to prove the checks are not vacuous (see the
+# negative-control tests).
 
 
 def _euler_vec(x: RationalLike, n_max: int) -> Sequence[Fraction]:
@@ -112,11 +122,12 @@ def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[
     return [Fraction(c, qk << k) for k, (c, qk) in enumerate(zip(nums, q_pows))]
 
 
-def _product_vec(vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]) -> list[Fraction]:
-    """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, vecs[b] holding
-    coefficients 0..N of F_b (N + 1 the shortest length): each vector is
-    rescaled in integers over its common denominator and the vectors are
-    folded with ``_binomial_conv``.
+def _product_vec(forms: Sequence[Form], bases: Sequence[int]) -> list[Fraction]:
+    """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, forms[b] holding
+    coefficients 0..N of F_b as integer numerators over one denominator,
+    ``(nums, d)`` (N + 1 the shortest length): each numerator vector is
+    rescaled by base^k, the vectors are folded with ``_binomial_conv``, and
+    one ``Fraction`` is built per entry.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
@@ -124,9 +135,14 @@ def _product_vec(vecs: Sequence[Sequence[Fraction]], bases: Sequence[int]) -> li
     """
     rescaled = []
     den = 1
-    for vec, base in zip(vecs, bases):
-        nums, d = _over_common_denominator(vec)
-        rescaled.append([c * base**k for k, c in enumerate(nums)])
+    for (nums, d), base in zip(forms, bases):
+        if base != 1:
+            scaled, power = [], 1
+            for c in nums:
+                scaled.append(c * power)
+                power *= base
+            nums = scaled
+        rescaled.append(nums)
         den *= d
     return [Fraction(c, den) for c in reduce(_binomial_conv, rescaled)]
 
@@ -147,27 +163,55 @@ def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
     return lambda w: w[s] * w[t]
 
 
-def _factor(f: Factor) -> Callable[..., Sequence[Fraction]]:
-    """(n_max, w, y) -> the factor's values at indices 0..n_max."""
+# Factor kind -> (a, s, counts, n_max) -> the vector at monomial value a,
+# shift s and count weights counts, through the seams above.
+_BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
+    "T": lambda a, s, counts, n_max: _t_vec(a - 1, n_max),
+    "E": lambda a, s, counts, n_max: _euler_vec(a * s, n_max),
+    "A": lambda a, s, counts, n_max: _alt_vec(a * s, a, counts, n_max),
+    "D": lambda a, s, counts, n_max: _alt_vec(a * s, a, counts, n_max),
+}
+
+
+def _factor(f: Factor) -> Callable[..., Form]:
+    """(n_max, w, y, table) -> the factor's values at indices 0..n_max as
+    integer numerators over one denominator, ``(nums, d)``.  The table maps
+    a key holding everything the vector depends on, in ints (the kind, the
+    monomial value, the shift as numerator and denominator, the count
+    weights and n_max), to the vector; a miss builds it and stores it."""
     kind, m, j, counts = f
     arg = _mono(m)
-    if kind == "T":
-        return lambda n_max, w, y: _t_vec(arg(w) - 1, n_max)
-    if kind == "E":
-        return lambda n_max, w, y: _euler_vec(arg(w) * y[j], n_max)
-    return lambda n_max, w, y: _alt_vec(arg(w) * y[j], arg(w), [w[c] for c in counts], n_max)
+    build = _BUILD[kind]
+    shifted = kind != "T"
+
+    def factor(n_max: int, w: Sequence[int], y: Sequence[Fraction], table: dict) -> Form:
+        # T has no shift and keys as 0/1: only the kind tells it from E at y = 0.
+        a, s = arg(w), (y[j] if shifted else 0)
+        cs = [w[c] for c in counts]
+        key = (kind, a, s.numerator, s.denominator, n_max, *cs)
+        form = table.get(key)
+        if form is None:
+            form = table[key] = _over_common_denominator(build(a, s, cs, n_max))
+        return form
+
+    return factor
 
 
 def _compile(t: Term) -> Evaluator:
-    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y) -> the values
-    at 0..n_max; sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t)."""
+    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table=None)
+    -> the values at 0..n_max, its factor vectors read from and stored in
+    ``table`` (a fresh one when None);
+    sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t)."""
     scale, bundles = t
     sc = _mono(scale)
     factors = [_factor(f) for f, _ in bundles]
     bases = [_mono(m) for _, m in bundles]
 
-    def vector(n_max: int, w: Sequence[int], y: Sequence[Fraction]) -> list[Fraction]:
-        return _product_vec([f(n_max, w, y) for f in factors], [sc(w) * b(w) for b in bases])
+    def vector(n_max: int, w: Sequence[int], y: Sequence[Fraction],
+               table: dict | None = None) -> list[Fraction]:
+        table = {} if table is None else table
+        return _product_vec([f(n_max, w, y, table) for f in factors],
+                            [sc(w) * b(w) for b in bases])
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
         return vector(n, w, y)[n]
@@ -367,7 +411,8 @@ def variant_values(
 
 def _report(family_id: str, n: int, w: tuple[int, ...], y: tuple[Fraction, ...],
             values: tuple[Fraction, ...]) -> VerificationReport:
-    return VerificationReport(family_id, n, w, y, values, len(set(values)) == 1)
+    # Each value against the first: no Fraction is hashed.
+    return VerificationReport(family_id, n, w, y, values, values.count(values[0]) == len(values))
 
 
 def check_case(
@@ -380,15 +425,17 @@ def check_case(
 
 def check_cases(
     family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
-    families: Mapping[str, IdentityFamily] | None = None,
+    families: Mapping[str, IdentityFamily] | None = None, table: dict | None = None,
 ) -> list[VerificationReport]:
     """``check_case`` at n = 0..n_max, validated once.  A compiled variant
-    computes all n in one call of its ``.vector``; any other callable is
-    called once per n."""
+    computes all n in one call of its ``.vector``, reading its factor
+    vectors from ``table`` (a sweep passes one table to every call; None
+    gives this call a fresh one); any other callable is called once per n."""
     fam = _family(FAMILIES if families is None else families, family_id)
     wt, yt = _validate_case(n_max, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    table = {} if table is None else table
     columns = [
-        ev.vector(n_max, wt, yt) if hasattr(ev, "vector")
+        ev.vector(n_max, wt, yt, table) if hasattr(ev, "vector")
         else [ev(n, wt, yt) for n in range(n_max + 1)]
         for ev in fam.variants
     ]

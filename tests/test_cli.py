@@ -248,6 +248,45 @@ def test_sweep_runs_plain_variants_per_n():
     assert summary.failures == 9 * 2
 
 
+def test_shared_factor_table_matches_fresh_cases():
+    # One sweep shares one factor table across all 19 families; every record
+    # must equal check_case on that case alone, with tables of its own.  The
+    # grid would catch a key that dropped the shift's denominator (1/3 and
+    # 1/5, 1/3 and -1/3 share a numerator), the count weights (repeated and
+    # distinct weights share monomial values) or the kind (T_k(w - 1) and
+    # E_k(w * 0) share everything else).
+    config = SweepConfig(
+        families=identities.FAMILY_IDS, w_set=(1, 3, 5), n_max=4,
+        y_samples=(Fraction(0), Fraction(1, 3), Fraction(1, 5), Fraction(-1, 3),
+                   Fraction(123457, 999983)),
+    )
+    records, summary = run_sweep(config)
+    assert summary.failures == 0
+    assert {r.family_id for r in records} == set(identities.FAMILY_IDS)
+    for r in records:
+        assert r == identities.check_case(r.family_id, r.n, r.w, r.y)
+
+
+def test_perturbed_euler_vec_after_a_sweep_fails(monkeypatch, capsys):
+    # A sweep's factor table dies with the sweep.  After one clean sweep in
+    # this process, perturb E_n(x) at its top index, as the benchmark gate
+    # does: the same sweep again must notice and the process must exit 1.
+    argv = ("verify", "--family", "T5,C6", "--wset", "1,3,5", "--nmax", "2",
+            "--ys", "0,1/2")
+    assert run_cli(capsys, *argv)[0] == 0
+    euler_vec = identities._euler_vec
+
+    def perturbed(x, n_max):
+        vals = euler_vec(x, n_max)
+        return vals[:-1] + (vals[-1] + x,)
+
+    monkeypatch.setattr(identities, "_euler_vec", perturbed)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert '"equal":false' in out
+    assert {r["family"] for r in json.loads(out) if not r["equal"]} == {"T5", "C6"}
+
+
 def test_failing_record_and_exit_code(monkeypatch, capsys):
     # Shift every alternating power sum one slot: T_k(w) instead of
     # T_k(w-1).  The sweep must notice and the process must exit 1.

@@ -260,6 +260,35 @@ def test_exp_and_one_reject_non_int_order(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: egf_exp(0.1, 2),  # not the binary float's exact powers
+        lambda: egf_exp("1/2", 2),  # not parsed
+        lambda: egf_exp(True, 2),  # not read as e^t
+        lambda: egf_scale(egf_one(2), "1/3"),
+        lambda: egf_scale(egf_one(2), 0.5),
+        lambda: egf_scale(egf_one(2), True),
+        lambda: egf_from_coeffs([0.1]),
+        lambda: egf_from_coeffs(["1/2"]),
+        lambda: egf_from_coeffs([True]),
+        lambda: egf_from_coeffs([1, Fraction(1, 2), 0.25]),
+    ],
+    ids=["exp 0.1", "exp str", "exp True", "scale str", "scale 0.5", "scale True",
+         "coeffs 0.1", "coeffs str", "coeffs True", "coeffs mixed"],
+)
+def test_constructors_reject_inexact_values(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_constructors_keep_exact_values():
+    assert egf_exp(-2, 2).coeffs == (1, -2, 4)
+    assert egf_scale(egf_exp(Fraction(1, 2), 1), Fraction(2, 3)).coeffs == (
+        Fraction(2, 3), Fraction(1, 3))
+    assert egf_from_coeffs([1, Fraction(-1, 2)]).coeffs == (1, Fraction(-1, 2))
+
+
 def test_truncated_egf_validation():
     with pytest.raises(ValueError):
         TruncatedEGF(())

@@ -19,6 +19,15 @@ def test_parse_and_format():
             parse_rational(bad)
 
 
+def test_format_accepts_ints_and_fractions_only():
+    assert format_rational(-7) == "-7"
+    assert format_rational(Fraction(123457, 999983)) == "123457/999983"
+    # Neither the binary expansion of 0.1, nor "True", nor a parsed string.
+    for bad in (0.1, True, "1/2", 2.0):
+        with pytest.raises(ValueError):
+            format_rational(bad)
+
+
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
