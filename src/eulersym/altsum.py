@@ -3,9 +3,10 @@
 Base cases: T_0(n) is 1 for even n and 0 for odd n; T_k(0) is 1 for k = 0
 and 0 for k > 0.
 
-Direct summation, cached per (k, n), is the one production path, kept
-deliberately independent of the Euler-polynomial module so that a failure
-in either localizes.  The closed form in terms of Euler polynomials,
+Direct summation, cached per (k, n) in a bounded LRU cache, is the one
+production path, kept deliberately independent of the Euler-polynomial
+module so that a failure in either localizes.  The closed form in terms
+of Euler polynomials,
 
     T_k(n) = (E_k(0) + (-1)^n E_k(n+1)) / 2,
 
@@ -27,8 +28,10 @@ __all__ = [
 
 
 # typed: True and 2.0 are keys of their own, so they reach the check below
-# even after (1, k) or (2, k) is cached.
-@lru_cache(maxsize=None, typed=True)
+# even after (1, k) or (2, k) is cached.  The bound keeps a long-lived
+# process from holding every (k, n) it ever met; a sweep reads each T_k
+# vector once anyway, through its factor table.
+@lru_cache(maxsize=4096, typed=True)
 def alt_power_sum(k: int, n: int) -> Fraction:
     """T_k(n) by direct summation (values are integers, returned exactly)."""
     if not (is_int(k) and is_int(n)) or k < 0 or n < 0:

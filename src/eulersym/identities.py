@@ -4,30 +4,38 @@ Each family bundles the finitely many expressions ("variants") that one
 theorem or corollary asserts equal.  Every variant is described once, as a
 term of the vocabulary in ``orbits``, and compiled at import into its own
 evaluator ``(n, w, y) -> Fraction`` whose ``.vector`` form gives the
-values at n = 0..n_max in one call; each call computes the expression
-from its own factor vectors, and no variant is derived from another's
-value, because independent computation of the allegedly equal expressions is the
-point.  Every term, of one to three factors, is [t^n] prod_b F_b(sigma
-beta_b t) for its scale monomial sigma and base monomials beta_b: the
-factor vectors, held as integer numerators over one denominator, are
-rescaled by powers of the bases and folded by the integer binomial
-convolution of ``egf_series``, which the series oracles never run; one
-``Fraction`` is built per value.  ``check_cases`` checks all n of one
-(w, y) at once, as sweeps do.
+values at n = 0..n_max in one call.  No variant's value is derived from
+another's, because independent computation of the allegedly equal
+expressions is the point: two variants share a value only when they are
+the same expression at the same numbers (below).  Every term, of one to
+three factors, is [t^n] prod_b F_b(sigma beta_b t) for its scale monomial
+sigma and base monomials beta_b: the factor vectors, held as integer
+numerators over one denominator, are rescaled by powers of the bases and
+folded by the integer binomial convolution of ``egf_series``, which the
+series oracles never run; one ``Fraction`` is built per value.
+``check_cases`` checks all n of one (w, y) at once, as sweeps do.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
 sums.  A and D, alternating sums of E_k over a grid of shifted arguments,
 come from ``_alt_vec``: it puts every argument over one denominator and
 computes the whole signed sum as one integer binomial convolution of the
 scaled Euler numbers 2^k E_k with the signed power sums of the arguments'
-numerators.  Each factor depends on one or two of the weights, so a sweep
-over w meets the same factor vector many times.  A *factor table*, a plain
-dict, maps each distinct factor argument (kind, monomial value, shift,
-count weights, n_max, all as ints) to its vector as ``(nums, d)``; a miss
-builds the vector once and stores it.  ``cli.run_sweep`` passes one table
-to every ``check_cases`` call of a sweep and drops it when the sweep
-returns; every other entry point gives each call a fresh table, and
-nothing is cached at module level.
+numerators.
+
+One table per sweep.  Each factor depends on one or two of the weights,
+and a sweep's weight grid is closed under permutation, so a sweep meets
+the same factor vector, and the same resolved term (one template
+permutation at w is another at a permuted w), many times.  A *table*, a
+plain dict, holds both.  A factor's key is everything its vector depends
+on, in ints: kind, monomial value, n_max, shift as (numerator,
+denominator), count weights; it maps to the vector as ``(nums, d)``.  A
+term's key is its factor keys in order plus its combined bases sigma *
+beta_b, everything the fold reads; it maps to the term's values.  A miss
+builds and stores; a hit returns the stored values, so nothing is
+inferred through the substitution lemma or the orbit normal form.
+``cli.run_sweep`` passes one table to every ``check_cases`` call of a
+sweep and drops it when the sweep returns; every other entry point gives
+each call a fresh table, and nothing is cached at module level.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
@@ -75,6 +83,8 @@ __all__ = [
 Evaluator = Callable[[int, Sequence[int], Sequence[Fraction]], Fraction]
 # A coefficient vector as integer numerators over one denominator, (nums, d).
 Form = tuple[list[int], int]
+# A shift value as its (numerator, denominator).
+Shift = tuple[int, int]
 
 CYCLIC_PERMS: tuple[Perm, ...] = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -163,58 +173,73 @@ def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
     return lambda w: w[s] * w[t]
 
 
-# Factor kind -> (a, s, counts, n_max) -> the vector at monomial value a,
-# shift s and count weights counts, through the seams above.
+# Factor kind -> the key's fields after the kind -> the vector, through the
+# seams above; the shift comes as its (numerator, denominator).
 _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
-    "T": lambda a, s, counts, n_max: _t_vec(a - 1, n_max),
-    "E": lambda a, s, counts, n_max: _euler_vec(a * s, n_max),
-    "A": lambda a, s, counts, n_max: _alt_vec(a * s, a, counts, n_max),
-    "D": lambda a, s, counts, n_max: _alt_vec(a * s, a, counts, n_max),
+    "T": lambda a, n_max: _t_vec(a - 1, n_max),
+    "E": lambda a, n_max, s: _euler_vec(a * Fraction(*s), n_max),
+    "A": lambda a, n_max, s, *counts: _alt_vec(a * Fraction(*s), a, counts, n_max),
+    "D": lambda a, n_max, s, *counts: _alt_vec(a * Fraction(*s), a, counts, n_max),
 }
 
 
-def _factor(f: Factor) -> Callable[..., Form]:
-    """(n_max, w, y, table) -> the factor's values at indices 0..n_max as
-    integer numerators over one denominator, ``(nums, d)``.  The table maps
-    a key holding everything the vector depends on, in ints (the kind, the
-    monomial value, the shift as numerator and denominator, the count
-    weights and n_max), to the vector; a miss builds it and stores it."""
+def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]:
+    """(n_max, w, y) -> the factor's key: everything its vector depends on,
+    in ints (the kind, the monomial value, n_max, the shift as a
+    (numerator, denominator) pair of y, and the count weights)."""
     kind, m, j, counts = f
     arg = _mono(m)
-    build = _BUILD[kind]
-    shifted = kind != "T"
+    if kind == "T":  # T_k(a - 1) has no shift
+        return lambda n_max, w, y: (kind, arg(w), n_max)
+    if not counts:
+        return lambda n_max, w, y: (kind, arg(w), n_max, y[j])
+    if len(counts) == 1:
+        (c,) = counts
+        return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c])
+    c1, c2 = counts
+    return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c1], w[c2])
 
-    def factor(n_max: int, w: Sequence[int], y: Sequence[Fraction], table: dict) -> Form:
-        # T has no shift and keys as 0/1: only the kind tells it from E at y = 0.
-        a, s = arg(w), (y[j] if shifted else 0)
-        cs = [w[c] for c in counts]
-        key = (kind, a, s.numerator, s.denominator, n_max, *cs)
-        form = table.get(key)
-        if form is None:
-            form = table[key] = _over_common_denominator(build(a, s, cs, n_max))
-        return form
 
-    return factor
+def _form(key: tuple, table: dict) -> Form:
+    """The factor vector of ``key`` as integer numerators over one
+    denominator, ``(nums, d)``, from ``table``; a miss builds and stores it."""
+    form = table.get(key)
+    if form is None:
+        form = table[key] = _over_common_denominator(_BUILD[key[0]](*key[1:]))
+    return form
+
+
+def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
+    return tuple((s.numerator, s.denominator) for s in y)
 
 
 def _compile(t: Term) -> Evaluator:
-    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table=None)
-    -> the values at 0..n_max, its factor vectors read from and stored in
-    ``table`` (a fresh one when None);
-    sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t)."""
+    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table) ->
+    the values at 0..n_max for shifts y given by ``_shifts``;
+    sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t).
+
+    The term's key is its factor keys in order, then its combined bases
+    sigma * beta_b: everything the fold reads.  ``table`` maps it to the
+    values; a miss folds the factor vectors, read from and stored in the
+    same table, and stores the values.  The returned list is the table's
+    and is not to be mutated."""
     scale, bundles = t
     sc = _mono(scale)
-    factors = [_factor(f) for f, _ in bundles]
+    keys = [_factor(f) for f, _ in bundles]
     bases = [_mono(m) for _, m in bundles]
+    split = len(keys)
 
-    def vector(n_max: int, w: Sequence[int], y: Sequence[Fraction],
-               table: dict | None = None) -> list[Fraction]:
-        table = {} if table is None else table
-        return _product_vec([f(n_max, w, y, table) for f in factors],
-                            [sc(w) * b(w) for b in bases])
+    def vector(n_max: int, w: Sequence[int], y: Sequence[Shift], table: dict) -> list[Fraction]:
+        s = sc(w)
+        key = (*[k(n_max, w, y) for k in keys], *[s * b(w) for b in bases])
+        values = table.get(key)
+        if values is None:
+            forms = [_form(k, table) for k in key[:split]]
+            values = table[key] = _product_vec(forms, key[split:])
+        return values
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        return vector(n, w, y)[n]
+        return vector(n, w, _shifts(y), {})[n]
 
     evaluate.vector = vector  # type: ignore[attr-defined]
     return evaluate
@@ -373,19 +398,25 @@ FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one (family, parameters) case: all variant values, exact."""
+    """Outcome of one (family, parameters) case: all variant values, exact.
+    ``all_equal`` is worked out from the values when not given; a given
+    flag that contradicts them is an error."""
 
     family_id: str
     n: int
     w: tuple[int, ...]
     y: tuple[Fraction, ...]
     variant_values: tuple[Fraction, ...]
-    all_equal: bool
+    all_equal: bool | None = None
 
     def __post_init__(self) -> None:
-        first = self.variant_values[0]
-        actual = all(v == first for v in self.variant_values[1:])
-        if actual != self.all_equal:
+        values = self.variant_values
+        # Each value against the first: no Fraction is hashed, and a value
+        # shared with the first (one term table entry) compares by identity.
+        actual = values.count(values[0]) == len(values)
+        if self.all_equal is None:
+            object.__setattr__(self, "all_equal", actual)
+        elif self.all_equal != actual:
             raise ValueError("all_equal flag contradicts the variant values")
 
 
@@ -400,27 +431,28 @@ def _family(catalog: Mapping[str, IdentityFamily], family_id: str) -> IdentityFa
 # compiled evaluators validated tuples.
 
 
+def _case(
+    family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike],
+    families: Mapping[str, IdentityFamily] | None,
+) -> tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The validated weights and shifts of one case and its variant values."""
+    fam = _family(FAMILIES if families is None else families, family_id)
+    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    return wt, yt, tuple(ev(n, wt, yt) for ev in fam.variants)
+
+
 def variant_values(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> tuple[Fraction, ...]:
-    fam = _family(FAMILIES if families is None else families, family_id)
-    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return tuple(ev(n, wt, yt) for ev in fam.variants)
-
-
-def _report(family_id: str, n: int, w: tuple[int, ...], y: tuple[Fraction, ...],
-            values: tuple[Fraction, ...]) -> VerificationReport:
-    # Each value against the first: no Fraction is hashed.
-    return VerificationReport(family_id, n, w, y, values, values.count(values[0]) == len(values))
+    return _case(family_id, n, w, y, families)[2]
 
 
 def check_case(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> VerificationReport:
-    values = variant_values(family_id, n, w, y, families)
-    return _report(family_id, n, tuple(int(v) for v in w), tuple(Fraction(v) for v in y), values)
+    return VerificationReport(family_id, n, *_case(family_id, n, w, y, families))
 
 
 def check_cases(
@@ -428,18 +460,21 @@ def check_cases(
     families: Mapping[str, IdentityFamily] | None = None, table: dict | None = None,
 ) -> list[VerificationReport]:
     """``check_case`` at n = 0..n_max, validated once.  A compiled variant
-    computes all n in one call of its ``.vector``, reading its factor
-    vectors from ``table`` (a sweep passes one table to every call; None
-    gives this call a fresh one); any other callable is called once per n."""
+    computes all n in one call of its ``.vector``, reading its values, or
+    else its factor vectors, from ``table`` (a sweep passes one table to
+    every call; None gives this call a fresh one); any other callable is
+    called once per n."""
     fam = _family(FAMILIES if families is None else families, family_id)
     wt, yt = _validate_case(n_max, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
     table = {} if table is None else table
+    shifts = _shifts(yt)
     columns = [
-        ev.vector(n_max, wt, yt, table) if hasattr(ev, "vector")
+        ev.vector(n_max, wt, shifts, table) if hasattr(ev, "vector")
         else [ev(n, wt, yt) for n in range(n_max + 1)]
         for ev in fam.variants
     ]
-    return [_report(family_id, n, wt, yt, values) for n, values in enumerate(zip(*columns))]
+    return [VerificationReport(family_id, n, wt, yt, values)
+            for n, values in enumerate(zip(*columns))]
 
 
 def eval_variant(

@@ -78,3 +78,13 @@ def test_invalid_inputs_after_caching():
             alt_power_sum(k, n)
         with pytest.raises(ValueError):
             alt_power_sum_closed(k, n)
+
+
+def test_cache_is_bounded():
+    # More distinct (k, n) calls than the bound leave at most the bound cached.
+    params = alt_power_sum.cache_parameters()
+    bound = params["maxsize"]
+    assert bound is not None and params["typed"]
+    for k in range(bound + 10):
+        assert alt_power_sum(k, 1) == (0 if k == 0 else -1)  # 0^k - 1
+    assert alt_power_sum.cache_info().currsize <= bound

@@ -7,6 +7,7 @@ import pytest
 
 from eulersym import altsum, identities
 from eulersym.cli import SweepConfig, emit_report, main, run_sweep
+from eulersym.orbits import E, term
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +266,38 @@ def test_shared_factor_table_matches_fresh_cases():
     assert {r.family_id for r in records} == set(identities.FAMILY_IDS)
     for r in records:
         assert r == identities.check_case(r.family_id, r.n, r.w, r.y)
+
+
+def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
+    # A sweep folds each distinct term once and hands its values to every
+    # variant with the same key.  With every identity broken, a key that
+    # let two different expressions share values would show as a variant
+    # differing from its value computed alone, with a table of its own;
+    # with the identities intact the borrowed value would be right anyway.
+    # Repeated weights (3, 3, 5) make variants of one family coincide.  A
+    # single shift value gives every slot the same shift, so that T1's and
+    # T16's factor keys coincide while their bases differ.  Every scale in
+    # the catalog is the product of its term's count weights, which the
+    # factor keys hold, so SCALE adds two terms that differ in scale alone.
+    euler_vec, alt_vec, tval = identities._euler_vec, identities._alt_vec, identities._tval
+    monkeypatch.setattr(identities, "_euler_vec",
+                        lambda x, n_max: [v + x for v in euler_vec(x, n_max)])
+    monkeypatch.setattr(identities, "_alt_vec", lambda base, m, counts, n_max: [
+        v + base for v in alt_vec(base, m, counts, n_max)])
+    # T17 and C18 read only T_k.
+    monkeypatch.setattr(identities, "_tval", lambda k, upper: tval(k, upper) + upper)
+    scaled = (term((E((0,), 0), ())), term((E((0,), 0), ()), scale=(1,)))
+    catalog = {**identities.FAMILIES, "SCALE": identities.IdentityFamily(
+        "SCALE", 2, 1, True, tuple(map(identities._compile, scaled)))}
+    failing = set()
+    for ys in ((Fraction(1, 3), Fraction(-1, 2)), (Fraction(1, 3),)):
+        config = SweepConfig(families=tuple(catalog), w_set=(1, 3, 5), n_max=2, y_samples=ys)
+        records, _ = run_sweep(config, families=catalog)
+        failing |= {r.family_id for r in records if not r.all_equal}
+        for r in records:
+            alone = [ev(r.n, r.w, r.y) for ev in catalog[r.family_id].variants]
+            assert list(r.variant_values) == alone, r
+    assert failing == set(catalog)
 
 
 def test_perturbed_euler_vec_after_a_sweep_fails(monkeypatch, capsys):
