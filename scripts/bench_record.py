@@ -11,21 +11,29 @@ and keeps the run's provenance line and result line.  It then runs the
 three pinned report grids (criterion 1, the default ``verify`` grid and
 the shifted grid) through the CLI and keeps the SHA-256 of each report,
 so that two BENCH files show both the speed and whether the reports
-stayed byte-identical.
+stayed byte-identical.  Last, in its own process, it times the
+criterion-1 grid: the whole grid through ``run_sweep``, each of its
+families swept alone, and ``emit_report`` over the whole grid's records,
+each the median of three runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import platform
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 SECONDS = 40
+REPS = 3  # in-process runs per timing
 
 # The report grids whose digests tests/test_cli.py and CI pin.
 GRIDS = {
@@ -54,6 +62,40 @@ def grid_sha256(argv: list[str]) -> str:
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
+def median_s(work) -> float:
+    """Median wall time of REPS calls of ``work``, in seconds."""
+    times = []
+    for _ in range(REPS):
+        start = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def in_process(argv: list[str]) -> dict:
+    """Time the ``verify`` grid of ``argv`` in this process, with the
+    checkout's own ``src``: the whole grid through ``run_sweep``, each
+    family swept alone (a table of its own), and ``emit_report`` over the
+    whole grid's records in the grid's format."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from eulersym import cli
+
+    args = cli._build_parser().parse_args(argv)
+    config = cli._sweep_config(args)
+    records = cli.run_sweep(config)[0]
+    return {
+        "python": platform.python_version(),
+        "reps": REPS,
+        "cases": len(records),
+        "run_sweep_s": median_s(lambda: cli.run_sweep(config)),
+        "run_sweep_per_family_s": {
+            fid: median_s(lambda: cli.run_sweep(dataclasses.replace(config, families=(fid,))))
+            for fid in sorted(set(config.families))
+        },
+        "emit_report_s": median_s(lambda: cli.emit_report(records, args.format)),
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0]:
         print("usage: python3 scripts/bench_record.py LABEL", file=sys.stderr)
@@ -64,6 +106,7 @@ def main(argv: list[str]) -> int:
         "label": label,
         "workloads": {w["name"]: run_workload(w["name"]) for w in spec["workloads"]},
         "grid_sha256": {name: grid_sha256(grid) for name, grid in GRIDS.items()},
+        "criterion_1_in_process": in_process(GRIDS["criterion_1"]),
     }
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 from . import identities
 from .egf_series import LAMBDA_FAMILIES, egf_coeff, lambda_series
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import format_rational, int_weights, is_int, parse_rational, rational_shifts
 from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
 from .orbits import orbit_audit
 
@@ -48,6 +48,13 @@ DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid, checked when it is made: ``n_max`` and ``order`` must
+    be non-``bool`` ints >= 0, ``w_set`` positive ints and ``y_samples``
+    ints or Fractions.  Nothing is coerced; a bad field raises
+    ``ValueError`` naming it.  ``w_set`` and ``y_samples`` are stored as
+    ``int_weights`` and ``rational_shifts`` return them, so every case the
+    sweep builds from them is valid as it stands."""
+
     families: tuple[str, ...]
     w_set: tuple[int, ...]
     n_max: int
@@ -56,12 +63,15 @@ class SweepConfig:
     include_even_w: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if any(v < 1 for v in self.w_set):
-            raise ValueError("w values must be positive integers")
+        for name in ("n_max", "order"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+        for name, exact in (("w_set", int_weights), ("y_samples", rational_shifts)):
+            try:
+                object.__setattr__(self, name, exact(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,8 @@ def run_sweep(
     failures = 0
     orbit_checks = orbit_failures = 0
     oracle_checks = oracle_failures = 0
-    # Factor vectors shared by every case of this sweep; dropped on return.
+    # Factor vectors, term values and value objects shared by every case of
+    # this sweep; dropped on return.
     table: dict = {}
 
     for family_id in sorted(set(config.families)):
@@ -158,8 +169,10 @@ def run_sweep(
             ):
                 oracle_failures += 1
 
+        # The config is validated and the grid admissible for fam, so each
+        # (w, y) goes straight to the step check_cases runs after validating.
         by_case = [
-            identities.check_cases(family_id, config.n_max, wt, yt, families=catalog, table=table)
+            identities._check_cases(family_id, fam, config.n_max, wt, yt, table)
             for wt in w_tuples
             for yt in y_tuples
         ]
@@ -179,41 +192,41 @@ def run_sweep(
     return records, summary
 
 
-def _record_dict(record: VerificationReport) -> dict:
-    return {
-        "family": record.family_id,
-        "n": record.n,
-        "w": list(record.w),
-        "y": [format_rational(v) for v in record.y],
-        "values": [format_rational(v) for v in record.variant_values],
-        "equal": record.all_equal,
-    }
+# One JSON record, from text made beforehand.
+_JSON_RECORD = '{"family":%s,"n":%s,"w":[%s],"y":[%s],"values":[%s],"equal":%s}'
 
 
 def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
-    """Serialize records; byte-stable for a fixed record order."""
+    """Serialize records; byte-stable for a fixed record order.
+
+    The records of a sweep share their value objects, one per distinct
+    value (see ``identities``), so each distinct object, keyed by ``id``,
+    goes through ``format_rational`` once; the records keep every object
+    alive while this runs, so no id is reused.  A JSON record is one
+    ``%``-formatted string of those texts, with each family id through
+    ``json.dumps`` once; the bytes are those of ``json.dumps`` over one
+    dict per record with ``separators=(",", ":")``.  CSV rows go through
+    ``csv.writer``."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    objects = {id(v): v for r in records for v in r.y + r.variant_values}
+    quote = '"%s"' if format == "json" else "%s"
+    text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
     if format == "json":
-        payload = json.dumps(
-            [_record_dict(r) for r in records], separators=(",", ":")
-        )
-        return payload.encode("utf-8")
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["family", "n", "w", "y", "values", "equal"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.family_id,
-                    r.n,
-                    "|".join(str(v) for v in r.w),
-                    "|".join(format_rational(v) for v in r.y),
-                    "|".join(format_rational(v) for v in r.variant_values),
-                    "true" if r.all_equal else "false",
-                ]
-            )
-        return buffer.getvalue().encode("utf-8")
-    raise ValueError(f"unknown report format {format!r}")
+        family = {fid: json.dumps(fid) for fid in {r.family_id for r in records}}
+        return ("[" + ",".join([_JSON_RECORD % (
+            family[r.family_id], r.n, ",".join(map(str, r.w)), ",".join(map(text, map(id, r.y))),
+            ",".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false",
+        ) for r in records]) + "]").encode("utf-8")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["family", "n", "w", "y", "values", "equal"])
+    writer.writerows(
+        [r.family_id, r.n, "|".join(map(str, r.w)), "|".join(map(text, map(id, r.y))),
+         "|".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false"]
+        for r in records
+    )
+    return buffer.getvalue().encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +340,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = SweepConfig(
+def _sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """The sweep of parsed ``verify`` arguments."""
+    return SweepConfig(
         families=_resolve_families(args.family),
         w_set=_parse_int_list(args.wset),
         n_max=args.nmax,
@@ -336,7 +350,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         order=args.order,
         include_even_w=args.include_even_w,
     )
-    records, summary = run_sweep(config)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    records, summary = run_sweep(_sweep_config(args))
     payload = emit_report(records, args.format)
     if args.output is None:
         sys.stdout.buffer.write(payload)

@@ -12,7 +12,8 @@ three factors, is [t^n] prod_b F_b(sigma beta_b t) for its scale monomial
 sigma and base monomials beta_b: the factor vectors, held as integer
 numerators over one denominator, are rescaled by powers of the bases and
 folded by the integer binomial convolution of ``egf_series``, which the
-series oracles never run; one ``Fraction`` is built per value.
+series oracles never run; each distinct value is one ``Fraction`` per
+table (below).
 ``check_cases`` checks all n of one (w, y) at once, as sweeps do.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
@@ -26,13 +27,19 @@ One table per sweep.  Each factor depends on one or two of the weights,
 and a sweep's weight grid is closed under permutation, so a sweep meets
 the same factor vector, and the same resolved term (one template
 permutation at w is another at a permuted w), many times.  A *table*, a
-plain dict, holds both.  A factor's key is everything its vector depends
-on, in ints: kind, monomial value, n_max, shift as (numerator,
-denominator), count weights; it maps to the vector as ``(nums, d)``.  A
-term's key is its factor keys in order plus its combined bases sigma *
-beta_b, everything the fold reads; it maps to the term's values.  A miss
-builds and stores; a hit returns the stored values, so nothing is
-inferred through the substitution lemma or the orbit normal form.
+plain dict, holds both, and the values.  A factor's key is everything its
+vector depends on, in ints: kind, monomial value, n_max, shift as
+(numerator, denominator), count weights; it maps to the vector as
+``(nums, d)``.  A term's key is its factor keys in order plus its
+combined bases sigma * beta_b, everything the fold reads; it maps to the
+term's values.  A miss builds and stores; a hit returns the stored
+values, so nothing is inferred through the substitution lemma or the
+orbit normal form.  Every variant is still folded on its own, but the
+theorems make almost every value recur, so the table also maps each
+value's reduced (numerator, denominator) pair to one ``Fraction``: a
+fold's entry with the same exact integers as one already built is that
+object.  The three kinds of key cannot meet: a factor key starts with a
+``str``, a term key with a ``tuple`` and a value key with an ``int``.
 ``cli.run_sweep`` passes one table to every ``check_cases`` call of a
 sweep and drops it when the sweep returns; every other entry point gives
 each call a fresh table, and nothing is cached at module level.
@@ -63,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from math import gcd
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -132,12 +140,13 @@ def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[
     return [Fraction(c, qk << k) for k, (c, qk) in enumerate(zip(nums, q_pows))]
 
 
-def _product_vec(forms: Sequence[Form], bases: Sequence[int]) -> list[Fraction]:
+def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> list[Fraction]:
     """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, forms[b] holding
     coefficients 0..N of F_b as integer numerators over one denominator,
     ``(nums, d)`` (N + 1 the shortest length): each numerator vector is
-    rescaled by base^k, the vectors are folded with ``_binomial_conv``, and
-    one ``Fraction`` is built per entry.
+    rescaled by base^k and the vectors are folded with ``_binomial_conv``.
+    Each entry is reduced to its (numerator, denominator) pair, which
+    ``table`` maps to the one ``Fraction`` of that value; a miss builds it.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
@@ -154,7 +163,15 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int]) -> list[Fraction]:
             nums = scaled
         rescaled.append(nums)
         den *= d
-    return [Fraction(c, den) for c in reduce(_binomial_conv, rescaled)]
+    values = []
+    for c in reduce(_binomial_conv, rescaled):
+        g = gcd(c, den)
+        key = (c // g, den // g)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = Fraction(c, den)
+        values.append(value)
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +252,7 @@ def _compile(t: Term) -> Evaluator:
         values = table.get(key)
         if values is None:
             forms = [_form(k, table) for k in key[:split]]
-            values = table[key] = _product_vec(forms, key[split:])
+            values = table[key] = _product_vec(forms, key[split:], table)
         return values
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
@@ -411,8 +428,9 @@ class VerificationReport:
 
     def __post_init__(self) -> None:
         values = self.variant_values
-        # Each value against the first: no Fraction is hashed, and a value
-        # shared with the first (one term table entry) compares by identity.
+        # Each value against the first: no Fraction is hashed.  Equal values
+        # folded through one table are one object and compare by identity,
+        # so Fraction.__eq__ runs only on a value that differs.
         actual = values.count(values[0]) == len(values)
         if self.all_equal is None:
             object.__setattr__(self, "all_equal", actual)
@@ -466,7 +484,16 @@ def check_cases(
     called once per n."""
     fam = _family(FAMILIES if families is None else families, family_id)
     wt, yt = _validate_case(n_max, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    table = {} if table is None else table
+    return _check_cases(family_id, fam, n_max, wt, yt, {} if table is None else table)
+
+
+def _check_cases(
+    family_id: str, fam: IdentityFamily, n_max: int, wt: tuple[int, ...],
+    yt: tuple[Fraction, ...], table: dict,
+) -> list[VerificationReport]:
+    """``check_cases`` for a case already validated against ``fam``: wt and
+    yt as ``_validate_case`` returns them.  A sweep whose whole grid is
+    valid by construction calls this directly."""
     shifts = _shifts(yt)
     columns = [
         ev.vector(n_max, wt, shifts, table) if hasattr(ev, "vector")

@@ -268,6 +268,31 @@ def test_shared_factor_table_matches_fresh_cases():
         assert r == identities.check_case(r.family_id, r.n, r.w, r.y)
 
 
+def test_sweep_holds_one_object_per_distinct_value():
+    # A sweep's table maps each reduced (numerator, denominator) to one
+    # Fraction, so equal values are one object and unequal ones are not.
+    config = SweepConfig(
+        families=identities.FAMILY_IDS, w_set=(1, 3, 5), n_max=3,
+        y_samples=(Fraction(0), Fraction(1, 2), Fraction(-1, 3)),
+    )
+    records, summary = run_sweep(config)
+    assert summary.failures == 0
+    values = [v for r in records for v in r.variant_values]
+    pairs = {(v.numerator, v.denominator) for v in values}
+    assert len({id(v) for v in values}) == len(pairs) < len(values)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("w_set", (1.5, 3)), ("order", 2.5), ("n_max", 1.5), ("y_samples", (0.5,)),
+])
+def test_sweep_config_rejects_non_exact_fields(field, value):
+    # Nothing is coerced or dropped: a float weight is not filtered out as
+    # even, and a float n_max or order is not taken as a bound.
+    fields = dict(families=("T8",), w_set=(1, 3), n_max=2, y_samples=(Fraction(0),))
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(**{**fields, field: value})
+
+
 def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     # A sweep folds each distinct term once and hands its values to every
     # variant with the same key.  With every identity broken, a key that

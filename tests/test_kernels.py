@@ -95,7 +95,7 @@ def test_div_rejects_zero_constant_term(f, g_tail):
 @example((12, [[Fraction(-1, 3)] * 13, [Fraction(5, 7)] * 13, [Fraction(2)] * 13], [63, 1, 35]))
 def test_product_vec_matches_reference(case):
     n, vecs, bases = case
-    out = _product_vec([_over_common_denominator(vec) for vec in vecs], bases)
+    out = _product_vec([_over_common_denominator(vec) for vec in vecs], bases, {})
     assert len(out) == min(map(len, vecs)) >= n + 1
     if len(vecs) == 1:
         expected = [vecs[0][k] * bases[0] ** k for k in range(len(out))]

@@ -1,0 +1,76 @@
+"""``emit_report`` writes the bytes of the plain emitters in
+``report_reference``, in both formats, and formats each distinct value
+object once."""
+
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import report_reference as ref
+from eulersym import cli
+from eulersym.cli import SweepConfig, emit_report, run_sweep
+from eulersym.identities import FAMILY_IDS, VerificationReport
+
+FORMATS = ("json", "csv")
+
+# Zero, negative, small, integral and 20-digit numerators and denominators.
+numerators = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-(10**20) + 1, 10**20 - 1),
+)
+denominators = st.one_of(
+    st.just(1), st.integers(-9, 9), st.integers(-(10**20) + 1, 10**20 - 1),
+).filter(bool)
+
+
+@st.composite
+def reports(draw):
+    """A list of records whose values come from a small pool, so that
+    values repeat: some as the pool's own object, shared between records,
+    and some as an equal value in an object of its own."""
+    pool = draw(st.lists(st.builds(Fraction, numerators, denominators), min_size=1, max_size=5))
+
+    def values(min_size, max_size):
+        out = []
+        for _ in range(draw(st.integers(min_size, max_size))):
+            v = draw(st.sampled_from(pool))
+            out.append(Fraction(v.numerator, v.denominator) if draw(st.booleans()) else v)
+        return tuple(out)
+
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=3)))
+        records.append(VerificationReport(
+            draw(st.sampled_from(FAMILY_IDS)), draw(st.integers(0, 40)), w,
+            values(0, 3), values(1, 8),
+        ))
+    return records
+
+
+EVERY_FAMILY = [
+    VerificationReport(fid, 2, (3, 5, 1), (Fraction(-1, 3),), (Fraction(7, 4), Fraction(7, 4)))
+    for fid in FAMILY_IDS
+]
+
+
+@given(reports())
+@example([])
+@example(EVERY_FAMILY)
+def test_emit_report_matches_reference(records):
+    for fmt in FORMATS:
+        assert emit_report(records, fmt) == ref.emit_report(records, fmt)
+
+
+def test_sweep_report_formats_each_value_object_once(monkeypatch):
+    config = SweepConfig(families=("T2", "C3", "T14", "INTRO_CHAIN"), w_set=(1, 3, 5), n_max=2,
+                         y_samples=(Fraction(0), Fraction(1, 2), Fraction(-1, 3)))
+    records, summary = run_sweep(config)
+    assert summary.failures == 0
+    objects = {id(v) for r in records for v in r.y + r.variant_values}
+    calls = []
+    format_rational = cli.format_rational
+    monkeypatch.setattr(cli, "format_rational", lambda v: calls.append(v) or format_rational(v))
+    for fmt in FORMATS:
+        calls.clear()
+        assert emit_report(records, fmt) == ref.emit_report(records, fmt)
+        assert len(calls) == len(objects) < sum(len(r.y + r.variant_values) for r in records)
