@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import euler
-from .exact_arith import is_int
+from .exact_arith import count
 
 __all__ = [
     "alt_power_sum",
@@ -34,8 +34,7 @@ __all__ = [
 @lru_cache(maxsize=4096, typed=True)
 def alt_power_sum(k: int, n: int) -> Fraction:
     """T_k(n) by direct summation (values are integers, returned exactly)."""
-    if not (is_int(k) and is_int(n)) or k < 0 or n < 0:
-        raise ValueError(f"alt_power_sum requires nonnegative ints, got {(k, n)!r}")
+    k, n = count(k, "k"), count(n, "n")
     total = 0
     for i in range(n + 1):
         p = i**k  # 0**0 == 1, as required by the k = 0 column
@@ -45,7 +44,6 @@ def alt_power_sum(k: int, n: int) -> Fraction:
 
 def alt_power_sum_closed(k: int, n: int) -> Fraction:
     """T_k(n) via the Euler-polynomial closed form (independent oracle)."""
-    if not (is_int(k) and is_int(n)) or k < 0 or n < 0:
-        raise ValueError(f"alt_power_sum_closed requires nonnegative ints, got {(k, n)!r}")
+    k, n = count(k, "k"), count(n, "n")
     sign = -1 if n & 1 else 1
     return (euler.euler_number(k) + sign * euler.euler_eval(k, n + 1)) / 2

@@ -36,24 +36,24 @@ from typing import Mapping, Sequence
 
 from . import identities
 from .egf_series import LAMBDA_FAMILIES, egf_coeff, lambda_series
-from .exact_arith import format_rational, int_weights, is_int, parse_rational, rational_shifts
+from .exact_arith import count, format_rational, int_weights, parse_rational, rational_shifts
 from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
 from .orbits import orbit_audit
 
 __all__ = ["SweepConfig", "SweepSummary", "run_sweep", "emit_report", "main"]
 
-DEFAULT_W_SET = (1, 3, 5, 7)
 DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's grid, checked when it is made: ``n_max`` and ``order`` must
-    be non-``bool`` ints >= 0, ``w_set`` positive ints and ``y_samples``
-    ints or Fractions.  Nothing is coerced; a bad field raises
-    ``ValueError`` naming it.  ``w_set`` and ``y_samples`` are stored as
-    ``int_weights`` and ``rational_shifts`` return them, so every case the
-    sweep builds from them is valid as it stands."""
+    """A sweep's grid, checked when it is made: ``families`` a sequence of
+    ids (not one bare string), ``n_max`` and ``order`` counts, ``w_set``
+    positive ints and ``y_samples`` ints or Fractions.  Nothing is coerced;
+    a bad field raises ``ValueError`` naming it.  ``w_set`` and
+    ``y_samples`` are stored as ``int_weights`` and ``rational_shifts``
+    return them, so every case the sweep builds from them is valid as it
+    stands."""
 
     families: tuple[str, ...]
     w_set: tuple[int, ...]
@@ -63,15 +63,12 @@ class SweepConfig:
     include_even_w: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n_max", "order"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 0:
-                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-        for name, exact in (("w_set", int_weights), ("y_samples", rational_shifts)):
-            try:
-                object.__setattr__(self, name, exact(getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+        if isinstance(self.families, str):
+            raise ValueError(f"families must be a sequence of family ids, got {self.families!r}")
+        count(self.n_max, "n_max")
+        count(self.order, "order")
+        object.__setattr__(self, "w_set", int_weights(self.w_set, "w_set"))
+        object.__setattr__(self, "y_samples", rational_shifts(self.y_samples, "each of y_samples"))
 
 
 @dataclass(frozen=True)
@@ -311,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
     from . import euler
 
     if args.x is None:

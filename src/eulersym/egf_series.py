@@ -47,7 +47,7 @@ from math import lcm
 from operator import add, mul
 from typing import Sequence
 
-from .exact_arith import RationalLike, as_rational, int_weights, is_int, rational_shifts
+from .exact_arith import RationalLike, as_rational, case_args, count, is_int
 
 __all__ = [
     "TruncatedEGF",
@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 LAMBDA_FAMILIES = ("L23", "L13", "L12_0", "L12_1")
+# The two families that are one fixed member, by sub-index.
+_FIXED_I = {"L12_0": 0, "L12_1": 1}
 
 
 class NonInvertibleSeriesError(ZeroDivisionError):
@@ -97,8 +99,7 @@ def egf_one(order: int) -> TruncatedEGF:
 
 def egf_exp(a: RationalLike, order: int) -> TruncatedEGF:
     """e^{at}: coefficient vector (1, a, a^2, ..., a^order)."""
-    if not is_int(order) or order < 0:
-        raise ValueError("order must be >= 0")
+    count(order, "order")
     a = as_rational(a, "a")
     coeffs = [Fraction(1)]
     for _ in range(order):
@@ -181,9 +182,10 @@ def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
 
 
 def egf_coeff(series: TruncatedEGF, k: int) -> Fraction:
-    if not 0 <= k <= series.order:
+    """Coefficient k; an ``int`` k outside 0..order raises ``IndexError``."""
+    if is_int(k) and not 0 <= k <= series.order:
         raise IndexError(f"coefficient index {k} outside truncation order {series.order}")
-    return series.coeffs[k]
+    return series.coeffs[count(k, "k")]
 
 
 def _exp_sum(scale: int, rate: RationalLike, parts: Sequence[int], order: int) -> TruncatedEGF:
@@ -205,8 +207,7 @@ def _quotient(
     scale: int, rate: RationalLike, ups: Sequence[int], downs: Sequence[int], order: int
 ) -> TruncatedEGF:
     """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1)."""
-    if not is_int(order) or order < 0:
-        raise ValueError("order must be >= 0")
+    count(order, "order")
     return egf_div(_exp_sum(scale, rate, ups, order), _exp_sum(1, 0, downs, order))
 
 
@@ -216,8 +217,7 @@ def quotient_alternating(w: int, order: int) -> TruncatedEGF:
     Coefficient k equals the alternating power sum T_k(w-1), because the
     quotient telescopes to sum_{i=0}^{w-1} (-1)^i e^{it} when w is odd.
     """
-    if not is_int(w) or w < 1 or w % 2 == 0:
-        raise ValueError(f"quotient_alternating requires odd positive w, got {w}")
+    case_args((w,), (), 1, 0, True)
     return _quotient(1, 0, (w,), (1,), order)
 
 
@@ -229,34 +229,20 @@ def _validate_lambda_args(
 ) -> tuple[int, tuple[int, int, int], tuple[Fraction, ...]]:
     if family not in LAMBDA_FAMILIES:
         raise ValueError(f"unknown series family {family!r}; expected one of {LAMBDA_FAMILIES}")
-    if len(w) != 3:
-        raise ValueError("w must be a triple of positive integers")
-    w3 = int_weights(w)
-
-    if family == "L12_0":
-        i = 0 if i is None else i
-        if not is_int(i) or i != 0:
-            raise ValueError("family L12_0 is the i = 0 member; pass i=0 or omit it")
-    elif family == "L12_1":
-        i = 1 if i is None else i
-        if not is_int(i) or i != 1:
-            raise ValueError("family L12_1 is the i = 1 member; pass i=1 or omit it")
-    else:
-        if i is None:
-            raise ValueError(f"family {family} requires a sub-index i in 0..3")
-        if not is_int(i) or not 0 <= i <= 3:
-            raise ValueError(f"sub-index i must be in 0..3, got {i}")
-
+    fixed = _FIXED_I.get(family)
+    if fixed is not None:
+        i = fixed if i is None else i
+        if not is_int(i) or i != fixed:
+            raise ValueError(f"family {family} is the i = {fixed} member; "
+                             f"pass i={fixed} or omit it")
+    elif i is None:
+        raise ValueError(f"family {family} requires a sub-index i in 0..3")
+    elif not is_int(i) or not 0 <= i <= 3:
+        raise ValueError(f"sub-index i must be in 0..3, got {i}")
+    y_arity = {"L23": 3 - i, "L13": 3 - i, "L12_0": 1, "L12_1": 0}[family]
     # Odd weights wherever an (e^{..t}+1) factor has to telescope into an
-    # alternating sum: the quotient members of L23/L13, and all of L12_1.
-    needs_odd = (family in ("L23", "L13") and i >= 1) or family == "L12_1"
-    if needs_odd and any(v % 2 == 0 for v in w3):
-        raise ValueError(f"family {family} with i={i} requires odd w components, got {w3}")
-
-    expected_y = {"L23": 3 - i, "L13": 3 - i, "L12_0": 1, "L12_1": 0}[family]
-    if len(y) != expected_y:
-        raise ValueError(f"family {family} with i={i} takes {expected_y} shift value(s), got {len(y)}")
-    return i, w3, rational_shifts(y)
+    # alternating sum: the members with i >= 1, L12_1 among them.
+    return i, *case_args(w, y, 3, y_arity, i >= 1)
 
 
 def lambda_series(
@@ -285,8 +271,6 @@ def lambda_series(
     Division is always well-defined here: every denominator has constant
     term a power of 2.
     """
-    if not is_int(order) or order < 0:
-        raise ValueError("order must be >= 0")
     i, (w1, w2, w3), ys = _validate_lambda_args(family, i, w, y)
     pairs, singles = (w2 * w3, w1 * w3, w1 * w2), (w1, w2, w3)
     if family == "L12_1":

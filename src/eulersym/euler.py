@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact_arith import RationalLike, as_rational, is_int
+from .exact_arith import RationalLike, as_rational, count
 
 __all__ = [
     "EulerPolynomial",
@@ -90,17 +90,13 @@ def _ensure_numbers(n: int) -> None:
 
 def scaled_numbers(n_max: int) -> list[int]:
     """The integers g_0, ..., g_{n_max}, where g_k = 2^k E_k."""
-    if not is_int(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
-    _ensure_numbers(n_max)
+    _ensure_numbers(count(n_max, "n_max"))
     return _SCALED_NUMBERS[: n_max + 1]
 
 
 def euler_polynomial(n: int) -> EulerPolynomial:
     """E_n(x) as an exact coefficient vector."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
-    _ensure_numbers(n)
+    _ensure_numbers(count(n, "n"))
     g = _SCALED_NUMBERS
     # Appell: coefficient j of E_n(x) is C(n, j) E_{n-j}.
     return EulerPolynomial(
@@ -110,16 +106,12 @@ def euler_polynomial(n: int) -> EulerPolynomial:
 
 def euler_polynomials_up_to(n_max: int) -> list[EulerPolynomial]:
     """E_0(x) .. E_{n_max}(x)."""
-    if not is_int(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
-    return list(map(euler_polynomial, range(n_max + 1)))
+    return list(map(euler_polynomial, range(count(n_max, "n_max") + 1)))
 
 
 def euler_eval(n: int, x: RationalLike) -> Fraction:
     """Exact value E_n(x)."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
-    _ensure_numbers(n)
+    _ensure_numbers(count(n, "n"))
     x = as_rational(x, "x")
     # With x = p/q: 2^n q^n E_n(x) = sum_j C(n, j) (2^{n-j} E_{n-j}) (2p)^j q^{n-j},
     # summed by homogeneous Horner in integers.
@@ -135,16 +127,13 @@ def euler_eval(n: int, x: RationalLike) -> Fraction:
 
 def euler_number(n: int) -> Fraction:
     """Euler number E_n = E_n(0), i.e. the constant coefficient of E_n(x)."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
-    _ensure_numbers(n)
+    _ensure_numbers(count(n, "n"))
     return Fraction(_SCALED_NUMBERS[n], 1 << n)
 
 
 def euler_values(x: RationalLike, n_max: int) -> tuple[Fraction, ...]:
     """The vector (E_0(x), ..., E_{n_max}(x)), computed afresh on each call;
     a sweep builds each argument's vector once, in its factor table."""
-    if not is_int(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+    count(n_max, "n_max")
     x = as_rational(x, "x")
     return tuple(euler_eval(k, x) for k in range(n_max + 1))

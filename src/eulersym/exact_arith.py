@@ -5,6 +5,14 @@ rationals that are always stored in canonical form (positive denominator,
 gcd-reduced, zero as 0/1), so structural equality is value equality.
 Everything downstream (polynomial coefficients, power sums, series
 coefficients) is built on this type.
+
+The input rules live here, and each public entry point applies them once:
+a degree, index or order is a ``count`` (a non-``bool`` ``int`` >= 0); a
+weight a positive non-``bool`` ``int`` (``int_weights``), odd wherever a
+T_k factor appears; a shift, point or series value an ``int`` or a
+``Fraction`` (``as_rational``); a case has fixed weight and shift arities
+(``case_args``).  Nothing is coerced: ``2.0``, ``True``, ``0.1`` and
+``'1/2'`` raise ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -17,9 +25,11 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "is_int",
+    "count",
     "int_weights",
     "rational_shifts",
     "as_rational",
+    "case_args",
 ]
 
 RationalLike = Union[Fraction, int]
@@ -47,6 +57,14 @@ def is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def count(v: object, name: str) -> int:
+    """v, which must be a non-``bool`` ``int`` >= 0; else ``ValueError``
+    naming ``name``."""
+    if not is_int(v) or v < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {v!r}")
+    return v
+
+
 def as_rational(v: object, name: str) -> Fraction:
     """v as a Fraction; v must be a non-``bool`` ``int`` or a ``Fraction``.
 
@@ -60,23 +78,35 @@ def as_rational(v: object, name: str) -> Fraction:
     raise ValueError(f"{name} must be an int or a Fraction, got {v!r}")
 
 
-def int_weights(w: Sequence[object]) -> tuple[int, ...]:
+def int_weights(w: Sequence[object], name: str = "weights") -> tuple[int, ...]:
     """The weights w as a tuple of ints; each must be a positive ``int``.
 
     Nothing is coerced: ``Fraction(5, 2)``, ``2.9`` and ``True`` raise
-    ``ValueError`` rather than being truncated or read as the weight 1.
+    ``ValueError`` naming ``name`` rather than being truncated or read as 1.
     """
     for v in w:
         if not is_int(v) or v < 1:
-            raise ValueError(f"weights must be positive integers, got {tuple(w)!r}")
+            raise ValueError(f"{name} must be positive integers, got {tuple(w)!r}")
     return tuple(int(v) for v in w)
 
 
-def rational_shifts(y: Sequence[object]) -> tuple[Fraction, ...]:
+def rational_shifts(y: Sequence[object], name: str = "a shift value") -> tuple[Fraction, ...]:
     """The shift values y as a tuple of Fractions; each must be an ``int``
-    or a ``Fraction``.
+    or a ``Fraction`` (``as_rational``, with ``name`` for each value)."""
+    return tuple(as_rational(v, name) for v in y)
 
-    Nothing is coerced: ``0.1``, ``True`` and ``'1/2'`` raise ``ValueError``
-    rather than being read as a binary float's exact value, as 1, or parsed.
-    """
-    return tuple(as_rational(v, "a shift value") for v in y)
+
+def case_args(
+    w: Sequence[object], y: Sequence[object], w_arity: int, y_arity: int, odd: bool
+) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The weights and shifts of one case, checked in this order: w_arity
+    weights, each a positive ``int`` and, if ``odd``, odd; y_arity shift
+    values, each an ``int`` or a ``Fraction``."""
+    if len(w) != w_arity:
+        raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
+    wt = int_weights(w)
+    if odd and any(v % 2 == 0 for v in wt):
+        raise ValueError(f"weights must be odd, got {wt}")
+    if len(y) != y_arity:
+        raise ValueError(f"expected {y_arity} shift value(s), got {len(y)}")
+    return wt, rational_shifts(y)

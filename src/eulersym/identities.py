@@ -40,8 +40,8 @@ value's reduced (numerator, denominator) pair to one ``Fraction``: a
 fold's entry with the same exact integers as one already built is that
 object.  The three kinds of key cannot meet: a factor key starts with a
 ``str``, a term key with a ``tuple`` and a value key with an ``int``.
-``cli.run_sweep`` passes one table to every ``check_cases`` call of a
-sweep and drops it when the sweep returns; every other entry point gives
+``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
+and drops it when the sweep returns; every public entry point here gives
 each call a fresh table, and nothing is cached at module level.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
@@ -72,11 +72,11 @@ from fractions import Fraction
 from functools import partial, reduce
 from math import gcd
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import altsum, euler
 from .egf_series import _binomial_conv, _over_common_denominator
-from .exact_arith import RationalLike, int_weights, is_int, rational_shifts
+from .exact_arith import RationalLike, case_args, count
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
     Term, orbit_audit, substitute, term,
@@ -190,20 +190,20 @@ def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
     return lambda w: w[s] * w[t]
 
 
-# Factor kind -> the key's fields after the kind -> the vector, through the
+# Key kind -> the key's fields after the kind -> the vector, through the
 # seams above; the shift comes as its (numerator, denominator).
 _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
     "T": lambda a, n_max: _t_vec(a - 1, n_max),
     "E": lambda a, n_max, s: _euler_vec(a * Fraction(*s), n_max),
     "A": lambda a, n_max, s, *counts: _alt_vec(a * Fraction(*s), a, counts, n_max),
-    "D": lambda a, n_max, s, *counts: _alt_vec(a * Fraction(*s), a, counts, n_max),
 }
 
 
 def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]:
     """(n_max, w, y) -> the factor's key: everything its vector depends on,
     in ints (the kind, the monomial value, n_max, the shift as a
-    (numerator, denominator) pair of y, and the count weights)."""
+    (numerator, denominator) pair of y, and the count weights).  A and D
+    are one kind, "A", of one or two counts: ``_alt_vec`` of the counts."""
     kind, m, j, counts = f
     arg = _mono(m)
     if kind == "T":  # T_k(a - 1) has no shift
@@ -212,9 +212,9 @@ def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]
         return lambda n_max, w, y: (kind, arg(w), n_max, y[j])
     if len(counts) == 1:
         (c,) = counts
-        return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c])
+        return lambda n_max, w, y: ("A", arg(w), n_max, y[j], w[c])
     c1, c2 = counts
-    return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c1], w[c2])
+    return lambda n_max, w, y: ("A", arg(w), n_max, y[j], w[c1], w[c2])
 
 
 def _form(key: tuple, table: dict) -> Form:
@@ -260,22 +260,6 @@ def _compile(t: Term) -> Evaluator:
 
     evaluate.vector = vector  # type: ignore[attr-defined]
     return evaluate
-
-
-def _validate_case(
-    n: int, w: Sequence[int], y: Sequence[RationalLike], w_arity: int, y_arity: int,
-    odd_only: bool,
-) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    if not is_int(n) or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
-    if len(w) != w_arity:
-        raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
-    wt = int_weights(w)
-    if odd_only and any(v % 2 == 0 for v in wt):
-        raise ValueError(f"this family requires odd weights, got {wt}")
-    if len(y) != y_arity:
-        raise ValueError(f"expected {y_arity} shift value(s), got {len(y)}")
-    return wt, rational_shifts(y)
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +412,8 @@ class VerificationReport:
 
     def __post_init__(self) -> None:
         values = self.variant_values
+        if not values:
+            raise ValueError("a report needs at least one variant value")
         # Each value against the first: no Fraction is hashed.  Equal values
         # folded through one table are one object and compare by identity,
         # so Fraction.__eq__ runs only on a value that differs.
@@ -438,9 +424,9 @@ class VerificationReport:
             raise ValueError("all_equal flag contradicts the variant values")
 
 
-def _family(catalog: Mapping[str, IdentityFamily], family_id: str) -> IdentityFamily:
+def _family(family_id: str) -> IdentityFamily:
     try:
-        return catalog[family_id]
+        return FAMILIES[family_id]
     except KeyError:
         raise ValueError(f"unknown family {family_id!r}") from None
 
@@ -451,40 +437,37 @@ def _family(catalog: Mapping[str, IdentityFamily], family_id: str) -> IdentityFa
 
 def _case(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike],
-    families: Mapping[str, IdentityFamily] | None,
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The validated weights and shifts of one case and its variant values."""
-    fam = _family(FAMILIES if families is None else families, family_id)
-    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    fam = _family(family_id)
+    count(n, "n")
+    wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
     return wt, yt, tuple(ev(n, wt, yt) for ev in fam.variants)
 
 
 def variant_values(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
-    families: Mapping[str, IdentityFamily] | None = None,
 ) -> tuple[Fraction, ...]:
-    return _case(family_id, n, w, y, families)[2]
+    return _case(family_id, n, w, y)[2]
 
 
 def check_case(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
-    families: Mapping[str, IdentityFamily] | None = None,
 ) -> VerificationReport:
-    return VerificationReport(family_id, n, *_case(family_id, n, w, y, families))
+    return VerificationReport(family_id, n, *_case(family_id, n, w, y))
 
 
 def check_cases(
     family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
-    families: Mapping[str, IdentityFamily] | None = None, table: dict | None = None,
 ) -> list[VerificationReport]:
     """``check_case`` at n = 0..n_max, validated once.  A compiled variant
     computes all n in one call of its ``.vector``, reading its values, or
-    else its factor vectors, from ``table`` (a sweep passes one table to
-    every call; None gives this call a fresh one); any other callable is
-    called once per n."""
-    fam = _family(FAMILIES if families is None else families, family_id)
-    wt, yt = _validate_case(n_max, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return _check_cases(family_id, fam, n_max, wt, yt, {} if table is None else table)
+    else its factor vectors, from a table of this call's own; any other
+    callable is called once per n."""
+    fam = _family(family_id)
+    count(n_max, "n_max")
+    wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+    return _check_cases(family_id, fam, n_max, wt, yt, {})
 
 
 def _check_cases(
@@ -492,8 +475,9 @@ def _check_cases(
     yt: tuple[Fraction, ...], table: dict,
 ) -> list[VerificationReport]:
     """``check_cases`` for a case already validated against ``fam``: wt and
-    yt as ``_validate_case`` returns them.  A sweep whose whole grid is
-    valid by construction calls this directly."""
+    yt as ``case_args`` returns them, and ``table`` the table to read and
+    fill.  A sweep whose whole grid is valid by construction calls this
+    directly, with one table for the whole sweep."""
     shifts = _shifts(yt)
     columns = [
         ev.vector(n_max, wt, shifts, table) if hasattr(ev, "vector")
@@ -512,7 +496,7 @@ def eval_variant(
     family's equality chain or, for a theorem family, by any of the six
     weight permutations of its template (the unlisted ones are the forms
     that collapse onto listed ones under bound-index renaming)."""
-    fam = _family(FAMILIES, family_id)
+    fam = _family(family_id)
     choice = index_or_perm
     if type(choice) is int and 0 <= choice < len(fam.variants):
         ev = fam.variants[choice]
@@ -521,8 +505,8 @@ def eval_variant(
     else:
         raise ValueError(f"{family_id} has no variant {choice!r}; it takes an index "
                          f"below {len(fam.variants)} or, for a theorem, a permutation")
-    wt, yt = _validate_case(n, w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return ev(n, wt, yt)
+    count(n, "n")
+    return ev(n, *case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only))
 
 
 # For each theorem, the generating-function series whose coefficient vector
@@ -548,4 +532,4 @@ _TRIPLE_ALTSUM = _compile(ORBIT_TEMPLATES["ttt"])
 def eval_triple_altsum(n: int, w: Sequence[int]) -> Fraction:
     """The fully symmetric three-factor alternating-power-sum expression
     (orbit size 1, hence no symmetry identities; used as a series oracle)."""
-    return _TRIPLE_ALTSUM(n, *_validate_case(n, w, (), 3, 0, True))
+    return _TRIPLE_ALTSUM(count(n, "n"), *case_args(w, (), 3, 0, True))

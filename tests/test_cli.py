@@ -284,10 +284,12 @@ def test_sweep_holds_one_object_per_distinct_value():
 
 @pytest.mark.parametrize("field, value", [
     ("w_set", (1.5, 3)), ("order", 2.5), ("n_max", 1.5), ("y_samples", (0.5,)),
+    ("families", "T8"),
 ])
 def test_sweep_config_rejects_non_exact_fields(field, value):
     # Nothing is coerced or dropped: a float weight is not filtered out as
-    # even, and a float n_max or order is not taken as a bound.
+    # even, a float n_max or order is not taken as a bound, and one id is
+    # not swept as its characters.
     fields = dict(families=("T8",), w_set=(1, 3), n_max=2, y_samples=(Fraction(0),))
     with pytest.raises(ValueError, match=field):
         SweepConfig(**{**fields, field: value})

@@ -103,6 +103,13 @@ def test_coeff_access():
         egf_coeff(egf_exp(1, 3), -1)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, Fraction(1)], ids=["True", "1.0", "Fraction"])
+def test_coeff_rejects_non_int_index(k):
+    # Not read as index 1, and never a TypeError from the tuple index.
+    with pytest.raises(ValueError, match="^k must"):
+        egf_coeff(egf_exp(2, 3), k)
+
+
 def test_quotient_alternating_examples():
     unit = quotient_alternating(1, 6)
     assert unit.coeffs == (1, 0, 0, 0, 0, 0, 0)

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eulersym.altsum import alt_power_sum, alt_power_sum_closed
+from eulersym.cli import SweepConfig
+from eulersym.egf_series import (
+    egf_coeff, egf_exp, egf_one, lambda_series, quotient_alternating,
+)
+from eulersym.euler import (
+    euler_eval, euler_number, euler_polynomial, euler_polynomials_up_to, euler_values,
+    scaled_numbers,
+)
 from eulersym.exact_arith import format_rational, parse_rational
+from eulersym.identities import check_case, eval_variant, variant_values
 
 
 def test_parse_and_format():
@@ -53,3 +63,43 @@ def test_canonical_form_is_stable(q, scale):
 @given(rationals)
 def test_serialization_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+# Every public boundary that takes a degree, index or order: the function
+# of the bad value, and the parameter's name in the error.
+COUNT_BOUNDARIES = {
+    "euler_eval": (lambda v: euler_eval(v, 0), "n"),
+    "euler_number": (euler_number, "n"),
+    "euler_polynomial": (euler_polynomial, "n"),
+    "euler_polynomials_up_to": (euler_polynomials_up_to, "n_max"),
+    "euler_values": (lambda v: euler_values(0, v), "n_max"),
+    "scaled_numbers": (scaled_numbers, "n_max"),
+    "alt_power_sum k": (lambda v: alt_power_sum(v, 3), "k"),
+    "alt_power_sum n": (lambda v: alt_power_sum(2, v), "n"),
+    "alt_power_sum_closed k": (lambda v: alt_power_sum_closed(v, 3), "k"),
+    "alt_power_sum_closed n": (lambda v: alt_power_sum_closed(2, v), "n"),
+    "egf_exp": (lambda v: egf_exp(1, v), "order"),
+    "egf_one": (egf_one, "order"),
+    "quotient_alternating": (lambda v: quotient_alternating(3, v), "order"),
+    "lambda_series": (lambda v: lambda_series("L23", 2, (1, 3, 5), (0,), order=v), "order"),
+    "egf_coeff": (lambda v: egf_coeff(egf_exp(1, 3), v), "k"),
+    "variant_values": (lambda v: variant_values("T8", v, (3, 5, 7), (0,)), "n"),
+    "check_case": (lambda v: check_case("T8", v, (3, 5, 7), (0,)), "n"),
+    "eval_variant": (lambda v: eval_variant("T8", 0, v, (3, 5, 7), (0,)), "n"),
+    "SweepConfig n_max": (lambda v: SweepConfig(("T8",), (1, 3), v, (0,)), "n_max"),
+    "SweepConfig order": (lambda v: SweepConfig(("T8",), (1, 3), 2, (0,), order=v), "order"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -1, "3"], ids=["True", "2.0", "-1", "str"])
+@pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
+def test_count_rule_at_every_boundary(boundary, bad):
+    # One rule, one message: a non-bool int >= 0, else a ValueError naming
+    # the parameter.  A negative coefficient index is out of range instead.
+    call, name = COUNT_BOUNDARIES[boundary]
+    if boundary == "egf_coeff" and bad == -1:
+        with pytest.raises(IndexError):
+            call(bad)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(bad)

@@ -417,6 +417,11 @@ def test_check_case_and_report():
         )
 
 
+def test_report_needs_a_value():
+    with pytest.raises(ValueError, match="at least one"):
+        VerificationReport("C10", 1, (3,), (Fraction(0),), variant_values=())
+
+
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
 def test_check_cases_match_check_case(family_id):
     # The sweep path (each compiled variant's vector over n = 0..4, one call)
