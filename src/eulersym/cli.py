@@ -47,13 +47,13 @@ DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's grid, checked when it is made: ``families`` a sequence of
-    ids (not one bare string), ``n_max`` and ``order`` counts, ``w_set``
-    positive ints and ``y_samples`` ints or Fractions.  Nothing is coerced;
-    a bad field raises ``ValueError`` naming it.  ``w_set`` and
-    ``y_samples`` are stored as ``int_weights`` and ``rational_shifts``
-    return them, so every case the sweep builds from them is valid as it
-    stands."""
+    """A sweep's grid, checked when it is made: ``families`` a tuple or
+    list of ``str`` ids, ``n_max`` and ``order`` counts, ``w_set``
+    positive ints and ``y_samples`` ints or Fractions.  Nothing is
+    coerced; a bad field raises ``ValueError`` naming it.  Each sequence
+    is stored as a tuple, ``w_set`` and ``y_samples`` as ``int_weights``
+    and ``rational_shifts`` return them, so every case the sweep builds
+    from them is valid as it stands; ``run_sweep`` checks the ids."""
 
     families: tuple[str, ...]
     w_set: tuple[int, ...]
@@ -63,8 +63,10 @@ class SweepConfig:
     include_even_w: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.families, str):
-            raise ValueError(f"families must be a sequence of family ids, got {self.families!r}")
+        ids = self.families
+        if not isinstance(ids, (tuple, list)) or not all(isinstance(f, str) for f in ids):
+            raise ValueError(f"families must be a tuple or list of family ids, got {ids!r}")
+        object.__setattr__(self, "families", tuple(ids))
         count(self.n_max, "n_max")
         count(self.order, "order")
         object.__setattr__(self, "w_set", int_weights(self.w_set, "w_set"))
@@ -99,13 +101,10 @@ def _y_tuples(samples: Sequence[Fraction], arity: int) -> tuple[tuple[Fraction, 
     if arity == 0:
         return ((),)
     pool = tuple(dict.fromkeys(samples))
-    if not pool:
-        return ()
-    windows = [
+    return tuple(
         tuple(pool[(start + offset) % len(pool)] for offset in range(arity))
         for start in range(len(pool))
-    ]
-    return tuple(dict.fromkeys(windows))
+    )
 
 
 def _series_spot_check(
@@ -130,14 +129,18 @@ def run_sweep(
     """Evaluate every admissible (family, n, w, y) case of the grid, each
     (family, w, y) once for all n, and list the records in that order.
 
-    Besides the variant-equality checks, each theorem family gets a one-off
-    orbit-size audit of its expression template and, where applicable, a
+    Every id must be in the catalog (``FAMILIES`` unless ``families`` is
+    given), checked here alone, before any evaluation.  Besides the
+    variant-equality checks, each theorem family gets a one-off orbit-size
+    audit of its expression template and, where applicable, a
     series-coefficient spot check at its first admissible parameter tuple.
     """
     catalog = FAMILIES if families is None else families
-    unknown = [f for f in config.families if f not in catalog]
+    unknown = sorted(set(config.families).difference(catalog))
     if unknown:
-        raise ValueError(f"unknown families: {', '.join(sorted(unknown))}")
+        raise ValueError(
+            f"unknown families: {', '.join(unknown)} (choose from {', '.join(catalog)})"
+        )
 
     records: list[VerificationReport] = []
     failures = 0
@@ -169,7 +172,7 @@ def run_sweep(
         # The config is validated and the grid admissible for fam, so each
         # (w, y) goes straight to the step check_cases runs after validating.
         by_case = [
-            identities._check_cases(family_id, fam, config.n_max, wt, yt, table)
+            identities._check_cases(fam, config.n_max, wt, yt, table)
             for wt in w_tuples
             for yt in y_tuples
         ]
@@ -246,14 +249,7 @@ def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
 def _resolve_families(text: str) -> tuple[str, ...]:
     if text == "all":
         return FAMILY_IDS
-    requested = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [f for f in requested if f not in FAMILIES]
-    if unknown:
-        raise ValueError(
-            f"unknown families: {', '.join(unknown)} "
-            f"(choose from {', '.join(FAMILY_IDS)} or 'all')"
-        )
-    return requested
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:

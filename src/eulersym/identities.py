@@ -13,8 +13,8 @@ sigma and base monomials beta_b: the factor vectors, held as integer
 numerators over one denominator, are rescaled by powers of the bases and
 folded by the integer binomial convolution of ``egf_series``, which the
 series oracles never run; each distinct value is one ``Fraction`` per
-table (below).
-``check_cases`` checks all n of one (w, y) at once, as sweeps do.
+table (below).  ``check_cases`` checks all n of one (w, y) at once, as
+sweeps do; ``check_case`` and ``variant_values`` read its row n.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
 sums.  A and D, alternating sums of E_k over a grid of shifted arguments,
@@ -41,8 +41,9 @@ fold's entry with the same exact integers as one already built is that
 object.  The three kinds of key cannot meet: a factor key starts with a
 ``str``, a term key with a ``tuple`` and a value key with an ``int``.
 ``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
-and drops it when the sweep returns; every public entry point here gives
-each call a fresh table, and nothing is cached at module level.
+and drops it when the sweep returns; a call of ``check_cases`` has one
+table, shared by its variants, and ``eval_variant`` and the series
+oracles give each call a fresh one.  Nothing is cached at module level.
 
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
@@ -79,13 +80,13 @@ from .egf_series import _binomial_conv, _over_common_denominator
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
-    Term, orbit_audit, substitute, term,
+    Term, substitute, term,
 )
 
 __all__ = [
     "IdentityFamily", "VerificationReport", "FAMILIES", "FAMILY_IDS", "SERIES_ORACLES",
     "PARENT_SPECIALIZATIONS", "variant_values", "check_case", "check_cases", "eval_variant",
-    "eval_triple_altsum", "orbit_audit",
+    "eval_triple_altsum",
 ]
 
 Evaluator = Callable[[int, Sequence[int], Sequence[Fraction]], Fraction]
@@ -435,44 +436,33 @@ def _family(family_id: str) -> IdentityFamily:
 # compiled evaluators validated tuples.
 
 
-def _case(
-    family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike],
-) -> tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The validated weights and shifts of one case and its variant values."""
-    fam = _family(family_id)
-    count(n, "n")
-    wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return wt, yt, tuple(ev(n, wt, yt) for ev in fam.variants)
-
-
 def variant_values(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
 ) -> tuple[Fraction, ...]:
-    return _case(family_id, n, w, y)[2]
+    return check_cases(family_id, count(n, "n"), w, y)[n].variant_values
 
 
 def check_case(
     family_id: str, n: int, w: Sequence[int], y: Sequence[RationalLike] = (),
 ) -> VerificationReport:
-    return VerificationReport(family_id, n, *_case(family_id, n, w, y))
+    return check_cases(family_id, count(n, "n"), w, y)[n]
 
 
 def check_cases(
     family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
 ) -> list[VerificationReport]:
-    """``check_case`` at n = 0..n_max, validated once.  A compiled variant
+    """The reports at n = 0..n_max, validated once.  A compiled variant
     computes all n in one call of its ``.vector``, reading its values, or
-    else its factor vectors, from a table of this call's own; any other
-    callable is called once per n."""
+    else its factor vectors, from a table of this call's own, which the
+    family's variants share; any other callable is called once per n."""
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return _check_cases(family_id, fam, n_max, wt, yt, {})
+    return _check_cases(fam, n_max, wt, yt, {})
 
 
 def _check_cases(
-    family_id: str, fam: IdentityFamily, n_max: int, wt: tuple[int, ...],
-    yt: tuple[Fraction, ...], table: dict,
+    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...], table: dict,
 ) -> list[VerificationReport]:
     """``check_cases`` for a case already validated against ``fam``: wt and
     yt as ``case_args`` returns them, and ``table`` the table to read and
@@ -484,7 +474,7 @@ def _check_cases(
         else [ev(n, wt, yt) for n in range(n_max + 1)]
         for ev in fam.variants
     ]
-    return [VerificationReport(family_id, n, wt, yt, values)
+    return [VerificationReport(fam.family_id, n, wt, yt, values)
             for n, values in enumerate(zip(*columns))]
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from eulersym import altsum, identities
-from eulersym.cli import SweepConfig, emit_report, main, run_sweep
+from eulersym import cli
+from eulersym.cli import SweepConfig, _y_tuples, emit_report, main, run_sweep
 from eulersym.orbits import E, term
 
 
@@ -156,6 +157,17 @@ def test_verify_output_file(tmp_path, capsys):
     assert records[0]["equal"] is True
 
 
+def test_verify_output_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "C10", "--wset", "3", "--nmax", "0",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert err.startswith("i/o error:")
+    assert not target.exists()
+
+
 def test_verify_parity_filter_yields_zero_cases(capsys):
     # odd-only families drop even weights even when the flag is set
     code, out, err = run_cli(
@@ -171,6 +183,19 @@ def test_empty_family_list_runs_zero_cases():
     config = SweepConfig(families=(), w_set=(3,), n_max=2, y_samples=(Fraction(0),))
     records, summary = run_sweep(config)
     assert records == [] and summary.cases_run == 0 and summary.ok
+
+
+def test_verify_without_shift_samples_sweeps_shift_free_families(capsys):
+    # No samples give no shift tuple of arity >= 1, so T8 (one shift) has
+    # no case, while T17 (no shift) is swept as usual.
+    assert _y_tuples((), 2) == ()
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "T8,T17", "--wset", "1,3", "--nmax", "1", "--ys=",
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert records and {r["family"] for r in records} == {"T17"}
+    assert "families=2 " in err
 
 
 def test_emit_report_empty():
@@ -207,6 +232,16 @@ def test_verify_rejects_unknown_family(capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "T99")
     assert code == 2
     assert "unknown famil" in err
+
+
+def test_run_sweep_rejects_unknown_family_before_evaluating(monkeypatch):
+    # run_sweep is the one check of family ids, for the CLI and for callers
+    # alike; no family is evaluated when any id is unknown.
+    monkeypatch.setattr(identities, "_check_cases", None)
+    config = SweepConfig(families=("T8", "T99", "C0"), w_set=(1, 3), n_max=1,
+                         y_samples=(Fraction(0),))
+    with pytest.raises(ValueError, match=r"^unknown families: C0, T99 \(choose from T1, T2, "):
+        run_sweep(config)
 
 
 def test_verify_rejects_bad_weight(capsys):
@@ -284,7 +319,7 @@ def test_sweep_holds_one_object_per_distinct_value():
 
 @pytest.mark.parametrize("field, value", [
     ("w_set", (1.5, 3)), ("order", 2.5), ("n_max", 1.5), ("y_samples", (0.5,)),
-    ("families", "T8"),
+    ("families", "T8"), ("families", (1,)), ("families", ("T8", 3)), ("families", None),
 ])
 def test_sweep_config_rejects_non_exact_fields(field, value):
     # Nothing is coerced or dropped: a float weight is not filtered out as
@@ -361,6 +396,22 @@ def test_failing_record_and_exit_code(monkeypatch, capsys):
     records = json.loads(out)
     assert any(not r["equal"] for r in records)
     assert "cases=6 failures=5" in err
+
+
+def test_wrong_orbit_size_fails_the_sweep(monkeypatch, capsys):
+    # An orbit audit that disagrees with a theorem's expected orbit size
+    # fails that family's audit; corollaries have no template to audit.
+    monkeypatch.setattr(cli, "orbit_audit", lambda template: 0)
+    config = SweepConfig(families=identities.FAMILY_IDS, w_set=(1, 3), n_max=0,
+                         y_samples=(Fraction(0),))
+    _, summary = run_sweep(config)
+    theorems = [f for f in identities.FAMILIES.values() if f.orbit_template is not None]
+    assert summary.failures == 0
+    assert summary.orbit_checks == summary.orbit_failures == len(theorems) == 8
+    assert not summary.ok
+    code, _, err = run_cli(capsys, "verify", "--family", "T8", "--wset", "3", "--nmax", "1")
+    assert code == 1
+    assert "failures=0 orbit_failures=1 " in err
 
 
 def test_perturbed_alt_vec_fails_d_only_families(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -360,6 +361,16 @@ def test_catalog_structure():
             assert fam.expected_orbit_size == len(fam.variants)
         # only the two all-Euler theorem families admit even weights
         assert fam.odd_only == (fid not in ("T1", "T16"))
+
+
+def test_family_rejects_a_wrong_orbit():
+    # A theorem family must list one variant per orbit class of a template
+    # whose audited size it declares.
+    t8 = FAMILIES["T8"]
+    with pytest.raises(ValueError, match="expected orbit size"):
+        replace(t8, variants=t8.variants[:2])
+    with pytest.raises(ValueError, match="template/orbit size mismatch"):
+        replace(t8, orbit_template="eet")
 
 
 def test_specializations_small_grid():
