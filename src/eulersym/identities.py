@@ -432,8 +432,8 @@ def _family(family_id: str) -> IdentityFamily:
         raise ValueError(f"unknown family {family_id!r}") from None
 
 
-# Each public entry point below validates a case once and hands the
-# compiled evaluators validated tuples.
+# check_cases validates a case once and hands the evaluators validated
+# tuples; check_case and variant_values only check n, to index its row.
 
 
 def variant_values(

@@ -286,11 +286,13 @@ def test_sweep_runs_plain_variants_per_n():
 
 def test_shared_factor_table_matches_fresh_cases():
     # One sweep shares one factor table across all 19 families; every record
-    # must equal check_case on that case alone, with tables of its own.  The
-    # grid would catch a key that dropped the shift's denominator (1/3 and
-    # 1/5, 1/3 and -1/3 share a numerator), the count weights (repeated and
-    # distinct weights share monomial values) or the kind (T_k(w - 1) and
-    # E_k(w * 0) share everything else).
+    # must equal check_case on that case alone, whose variants share one
+    # table of that call's own, and its values must equal each variant
+    # evaluated alone, with a fresh table (eval_variant).  The grid would
+    # catch a key that dropped the shift's denominator (1/3 and 1/5, 1/3 and
+    # -1/3 share a numerator), the count weights (repeated and distinct
+    # weights share monomial values) or the kind (T_k(w - 1) and E_k(w * 0)
+    # share everything else).
     config = SweepConfig(
         families=identities.FAMILY_IDS, w_set=(1, 3, 5), n_max=4,
         y_samples=(Fraction(0), Fraction(1, 3), Fraction(1, 5), Fraction(-1, 3),
@@ -301,6 +303,11 @@ def test_shared_factor_table_matches_fresh_cases():
     assert {r.family_id for r in records} == set(identities.FAMILY_IDS)
     for r in records:
         assert r == identities.check_case(r.family_id, r.n, r.w, r.y)
+        fam = identities.FAMILIES[r.family_id]
+        assert r.variant_values == tuple(
+            identities.eval_variant(r.family_id, i, r.n, r.w, r.y)
+            for i in range(len(fam.variants))
+        )
 
 
 def test_sweep_holds_one_object_per_distinct_value():

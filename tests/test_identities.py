@@ -435,14 +435,19 @@ def test_report_needs_a_value():
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
 def test_check_cases_match_check_case(family_id):
-    # The sweep path (each compiled variant's vector over n = 0..4, one call)
-    # gives the per-n path's reports, record for record.
+    # One call over n = 0..4 gives, row for row, the reports of check_case
+    # at each n alone, and its values are each variant's value computed
+    # alone, with a fresh table (eval_variant), not shared with the family's
+    # other variants.
     fam = FAMILIES[family_id]
     y = (Fraction(123457, 999983), -THIRD, 2)[: fam.y_arity]
     for w in ((1, 3, 5), (7, 5, 3)):
         w = w[: fam.w_arity]
-        assert check_cases(family_id, 4, w, y) == [
-            check_case(family_id, n, w, y) for n in range(5)
+        reports = check_cases(family_id, 4, w, y)
+        assert reports == [check_case(family_id, n, w, y) for n in range(5)]
+        assert [r.variant_values for r in reports] == [
+            tuple(eval_variant(family_id, i, n, w, y) for i in range(len(fam.variants)))
+            for n in range(5)
         ]
 
 
