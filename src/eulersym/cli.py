@@ -6,7 +6,8 @@ Subcommands:
 * ``altsum`` -- print the alternating power sum T_k(n)
 * ``series`` -- print the coefficients of one of the quotient series
 * ``verify`` -- sweep identity families over a parameter grid and emit one
-  report record per (family, n, w, y) case
+  report record per (family, n, w, y) case; each theorem's series spot
+  check runs at its first admissible (w, y), for every n <= ``--nmax``
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
 fails, 2 on usage or configuration errors (including malformed rationals,
@@ -29,13 +30,14 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
 from . import identities
-from .egf_series import LAMBDA_FAMILIES, egf_coeff, lambda_series
+from .egf_series import LAMBDA_FAMILIES, lambda_series
 from .exact_arith import count, format_rational, int_weights, parse_rational, rational_shifts
 from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
 from .orbits import orbit_audit
@@ -47,19 +49,18 @@ DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's grid, checked when it is made: ``families`` a tuple or
-    list of ``str`` ids, ``n_max`` and ``order`` counts, ``w_set``
-    positive ints and ``y_samples`` ints or Fractions.  Nothing is
-    coerced; a bad field raises ``ValueError`` naming it.  Each sequence
-    is stored as a tuple, ``w_set`` and ``y_samples`` as ``int_weights``
-    and ``rational_shifts`` return them, so every case the sweep builds
-    from them is valid as it stands; ``run_sweep`` checks the ids."""
+    """A sweep's grid, checked when it is made: ``families`` a tuple or list
+    of ``str`` ids, ``n_max`` a count, ``w_set`` positive ints, ``y_samples``
+    ints or Fractions and ``include_even_w`` a ``bool``.  Nothing is coerced;
+    a bad field raises ``ValueError`` naming it.  Each sequence is stored as
+    a tuple, ``w_set`` and ``y_samples`` as ``int_weights`` and
+    ``rational_shifts`` return them, so every case the sweep builds from them
+    is valid as it stands; ``run_sweep`` checks the ids."""
 
     families: tuple[str, ...]
     w_set: tuple[int, ...]
     n_max: int
     y_samples: tuple[Fraction, ...]
-    order: int = 24
     include_even_w: bool = False
 
     def __post_init__(self) -> None:
@@ -67,8 +68,9 @@ class SweepConfig:
         if not isinstance(ids, (tuple, list)) or not all(isinstance(f, str) for f in ids):
             raise ValueError(f"families must be a tuple or list of family ids, got {ids!r}")
         object.__setattr__(self, "families", tuple(ids))
+        if not isinstance(self.include_even_w, bool):
+            raise ValueError(f"include_even_w must be a bool, got {self.include_even_w!r}")
         count(self.n_max, "n_max")
-        count(self.order, "order")
         object.__setattr__(self, "w_set", int_weights(self.w_set, "w_set"))
         object.__setattr__(self, "y_samples", rational_shifts(self.y_samples, "each of y_samples"))
 
@@ -107,21 +109,6 @@ def _y_tuples(samples: Sequence[Fraction], arity: int) -> tuple[tuple[Fraction, 
     )
 
 
-def _series_spot_check(
-    family_id: str,
-    w: tuple[int, ...],
-    y: tuple[Fraction, ...],
-    n_max: int,
-    order: int,
-) -> bool:
-    series_family, sub_index, evaluator = identities.SERIES_ORACLES[family_id]
-    top = min(n_max, order)
-    series = lambda_series(series_family, sub_index, w, y, order=top)
-    return all(
-        evaluator(n, w, y) == egf_coeff(series, n) for n in range(top + 1)
-    )
-
-
 def run_sweep(
     config: SweepConfig,
     families: Mapping[str, IdentityFamily] | None = None,
@@ -133,7 +120,8 @@ def run_sweep(
     given), checked here alone, before any evaluation.  Besides the
     variant-equality checks, each theorem family gets a one-off orbit-size
     audit of its expression template and, where applicable, a
-    series-coefficient spot check at its first admissible parameter tuple.
+    series-coefficient spot check at its first admissible parameter tuple,
+    for every n <= ``n_max`` (``identities._oracle_holds``).
     """
     catalog = FAMILIES if families is None else families
     unknown = sorted(set(config.families).difference(catalog))
@@ -164,9 +152,7 @@ def run_sweep(
 
         if w_tuples and y_tuples and family_id in identities.SERIES_ORACLES:
             oracle_checks += 1
-            if not _series_spot_check(
-                family_id, w_tuples[0], y_tuples[0], config.n_max, config.order
-            ):
+            if not identities._oracle_holds(family_id, config.n_max, w_tuples[0], y_tuples[0]):
                 oracle_failures += 1
 
         # The config is validated and the grid admissible for fam, so each
@@ -297,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let any-parity families (T1, T16) use even weights from --wset",
     )
-    p_verify.add_argument("--order", type=int, default=24)
     p_verify.add_argument("--output", default=None, help="write report here")
     p_verify.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
@@ -338,22 +323,20 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         w_set=_parse_int_list(args.wset),
         n_max=args.nmax,
         y_samples=_parse_rational_list(args.ys),
-        order=args.order,
         include_even_w=args.include_even_w,
     )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    records, summary = run_sweep(_sweep_config(args))
-    payload = emit_report(records, args.format)
-    if args.output is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.write(b"\n")
-        sys.stdout.flush()
-    else:
-        with open(args.output, "wb") as handle:
-            handle.write(payload)
-            handle.write(b"\n")
+    config = _sweep_config(args)
+    # A file is opened before the sweep, so that an unwritable path fails at
+    # once; sys.stdout is read only to write, as a caller may redirect it.
+    with nullcontext() if args.output is None else open(args.output, "wb") as handle:
+        records, summary = run_sweep(config)
+        out = sys.stdout.buffer if handle is None else handle
+        out.write(emit_report(records, args.format))
+        out.write(b"\n")
+        out.flush()
 
     note = "" if summary.cases_run else " (0 admissible parameter tuples)"
     print(

@@ -48,7 +48,8 @@ oracles give each call a fresh one.  Nothing is cached at module level.
 * A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
   weight permutations it lists in chain order, one per orbit class.  The
   same template drives the orbit audit and, at one permutation, the
-  series oracle of ``SERIES_ORACLES``.
+  series oracle: ``SERIES_ORACLES`` gives that form per n, and
+  ``_oracle_holds`` folds it as one column to n_max for the sweep.
 * A corollary family is a row of terms written at the pinned weights (slot
   0 is w1, slot 1 is w2), never the parent theorem evaluated at pinned
   weights, so the specialization checks compare two different
@@ -68,7 +69,7 @@ equality chain in two weights that the corollaries C9/C12/C15 combine into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd
@@ -76,7 +77,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import altsum, euler
-from .egf_series import _binomial_conv, _over_common_denominator
+from .egf_series import _binomial_conv, _over_common_denominator, lambda_series
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
@@ -401,15 +402,14 @@ FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
-    ``all_equal`` is worked out from the values when not given; a given
-    flag that contradicts them is an error."""
+    ``all_equal`` is always worked out from the values."""
 
     family_id: str
     n: int
     w: tuple[int, ...]
     y: tuple[Fraction, ...]
     variant_values: tuple[Fraction, ...]
-    all_equal: bool | None = None
+    all_equal: bool = field(init=False)
 
     def __post_init__(self) -> None:
         values = self.variant_values
@@ -418,11 +418,7 @@ class VerificationReport:
         # Each value against the first: no Fraction is hashed.  Equal values
         # folded through one table are one object and compare by identity,
         # so Fraction.__eq__ runs only on a value that differs.
-        actual = values.count(values[0]) == len(values)
-        if self.all_equal is None:
-            object.__setattr__(self, "all_equal", actual)
-        elif self.all_equal != actual:
-            raise ValueError("all_equal flag contradicts the variant values")
+        object.__setattr__(self, "all_equal", values.count(values[0]) == len(values))
 
 
 def _family(family_id: str) -> IdentityFamily:
@@ -500,21 +496,34 @@ def eval_variant(
 
 
 # For each theorem, the generating-function series whose coefficient vector
-# the family expands, together with the variant form that matches the
-# series expansion literally: (series family, sub-index, evaluator).
+# the family expands, together with the template permutation that matches
+# the series expansion literally: (series family, sub-index, perm).
+_ORACLES: dict[str, tuple[str, int | None, Perm]] = {
+    "T1": ("L23", 0, (0, 1, 2)),
+    "T2": ("L23", 1, (0, 1, 2)),
+    "T5": ("L23", 1, (0, 1, 2)),
+    "T8": ("L23", 2, (0, 1, 2)),
+    "T11": ("L23", 2, (1, 0, 2)),
+    "T14": ("L23", 2, (1, 2, 0)),
+    "T16": ("L12_0", None, (1, 2, 0)),
+    "T17": ("L12_1", None, (1, 2, 0)),
+}
+
+# The same pairing with the form as a per-n evaluator that validates its case.
 SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
     fid: (series, sub_index, partial(eval_variant, fid, perm))
-    for fid, series, sub_index, perm in (
-        ("T1", "L23", 0, (0, 1, 2)),
-        ("T2", "L23", 1, (0, 1, 2)),
-        ("T5", "L23", 1, (0, 1, 2)),
-        ("T8", "L23", 2, (0, 1, 2)),
-        ("T11", "L23", 2, (1, 0, 2)),
-        ("T14", "L23", 2, (1, 2, 0)),
-        ("T16", "L12_0", None, (1, 2, 0)),
-        ("T17", "L12_1", None, (1, 2, 0)),
-    )
+    for fid, (series, sub_index, perm) in _ORACLES.items()
 }
+
+
+def _oracle_holds(fid: str, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...]) -> bool:
+    """Whether the oracle form of theorem ``fid``, folded as one column
+    with a fresh table, equals ``lambda_series`` at n = 0..n_max; wt and
+    yt as ``case_args`` returns them for the family."""
+    series, sub_index, perm = _ORACLES[fid]
+    column = _PERMUTED[fid][perm].vector(n_max, wt, _shifts(yt), {})
+    return tuple(column) == lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
+
 
 _TRIPLE_ALTSUM = _compile(ORBIT_TEMPLATES["ttt"])
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulersym import altsum, identities
+from eulersym import altsum, egf_series, identities
 from eulersym import cli
 from eulersym.cli import SweepConfig, _y_tuples, emit_report, main, run_sweep
 from eulersym.orbits import E, term
@@ -157,7 +157,10 @@ def test_verify_output_file(tmp_path, capsys):
     assert records[0]["equal"] is True
 
 
-def test_verify_output_to_missing_directory(tmp_path, capsys):
+def test_verify_output_to_missing_directory(monkeypatch, tmp_path, capsys):
+    # The output is opened before the sweep: a sweep that ran would fail
+    # with a TypeError, not the i/o error.
+    monkeypatch.setattr(identities, "_check_cases", None)
     target = tmp_path / "missing" / "r.json"
     code, out, err = run_cli(
         capsys, "verify", "--family", "C10", "--wset", "3", "--nmax", "0",
@@ -234,6 +237,16 @@ def test_verify_rejects_unknown_family(capsys):
     assert "unknown famil" in err
 
 
+def test_verify_unknown_family_leaves_an_empty_output(tmp_path, capsys):
+    # The output is opened before run_sweep checks the ids, as a shell's
+    # "> file" is opened before its command runs, so the file stays empty.
+    target = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "verify", "--family", "T99", "--output", str(target))
+    assert code == 2
+    assert "unknown famil" in err
+    assert target.read_bytes() == b""
+
+
 def test_run_sweep_rejects_unknown_family_before_evaluating(monkeypatch):
     # run_sweep is the one check of family ids, for the CLI and for callers
     # alike; no family is evaluated when any id is unknown.
@@ -250,9 +263,11 @@ def test_verify_rejects_bad_weight(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--format", "yaml"])
-    assert excinfo.value.code == 2
+    # verify has no --order: its series spot check reads every n <= --nmax.
+    for argv in (["verify", "--format", "yaml"], ["verify", "--order", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_sweep_order_is_lexicographic():
@@ -325,13 +340,14 @@ def test_sweep_holds_one_object_per_distinct_value():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("w_set", (1.5, 3)), ("order", 2.5), ("n_max", 1.5), ("y_samples", (0.5,)),
+    ("w_set", (1.5, 3)), ("include_even_w", "no"), ("n_max", 1.5), ("y_samples", (0.5,)),
     ("families", "T8"), ("families", (1,)), ("families", ("T8", 3)), ("families", None),
+    ("include_even_w", 1),
 ])
 def test_sweep_config_rejects_non_exact_fields(field, value):
     # Nothing is coerced or dropped: a float weight is not filtered out as
-    # even, a float n_max or order is not taken as a bound, and one id is
-    # not swept as its characters.
+    # even, a float n_max is not taken as a bound, one id is not swept as
+    # its characters and a truthy value is not taken as True.
     fields = dict(families=("T8",), w_set=(1, 3), n_max=2, y_samples=(Fraction(0),))
     with pytest.raises(ValueError, match=field):
         SweepConfig(**{**fields, field: value})
@@ -419,6 +435,28 @@ def test_wrong_orbit_size_fails_the_sweep(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "T8", "--wset", "3", "--nmax", "1")
     assert code == 1
     assert "failures=0 orbit_failures=1 " in err
+
+
+@pytest.mark.parametrize("k, argv, oracle_failures", [
+    (3, ("--family", "T8,T17,C9", "--wset", "1,3", "--nmax", "3", "--ys", "0"), 2),
+    # Past n = 24, where the spot check used to stop.
+    (30, ("--family", "T8", "--nmax", "30"), 1),
+], ids=["coefficient 3", "coefficient 30"])
+def test_perturbed_series_fails_the_oracle(monkeypatch, capsys, k, argv, oracle_failures):
+    # Coefficient k of every quotient series off by 1: the identities still
+    # hold, and the series spot check of each theorem swept must notice.
+    quotient = egf_series._quotient
+
+    def perturbed(*args):
+        coeffs = list(quotient(*args).coeffs)
+        if len(coeffs) > k:
+            coeffs[k] += 1
+        return egf_series.TruncatedEGF(tuple(coeffs))
+
+    monkeypatch.setattr(egf_series, "_quotient", perturbed)
+    code, _, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert f"failures=0 orbit_failures=0 oracle_failures={oracle_failures}" in err
 
 
 def test_perturbed_alt_vec_fails_d_only_families(monkeypatch, capsys):

@@ -87,7 +87,6 @@ COUNT_BOUNDARIES = {
     "check_case": (lambda v: check_case("T8", v, (3, 5, 7), (0,)), "n"),
     "eval_variant": (lambda v: eval_variant("T8", 0, v, (3, 5, 7), (0,)), "n"),
     "SweepConfig n_max": (lambda v: SweepConfig(("T8",), (1, 3), v, (0,)), "n_max"),
-    "SweepConfig order": (lambda v: SweepConfig(("T8",), (1, 3), 2, (0,), order=v), "order"),
 }
 
 

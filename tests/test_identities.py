@@ -417,7 +417,8 @@ def test_check_case_and_report():
     assert report.variant_values == (Fraction(-1, 2), Fraction(-1, 2))
     assert report.w == (3,) and report.y == (Fraction(0),)
 
-    with pytest.raises(ValueError):
+    # The flag is worked out from the values, never given.
+    with pytest.raises(TypeError):
         VerificationReport(
             family_id="C10",
             n=1,
