@@ -14,7 +14,10 @@ so that two BENCH files show both the speed and whether the reports
 stayed byte-identical.  Last, in its own process, it times the
 criterion-1 grid: the whole grid through ``run_sweep``, each of its
 families swept alone, and ``emit_report`` over the whole grid's records,
-each the median of three runs.
+each the median of three runs.  It also runs the default grid at
+``--nmax 80`` (about 135 MB of report, written to a temporary file) in a
+fresh interpreter that prints its own peak RSS after ``main`` returns, and
+keeps it as ``deep_peak_rss_mb``: the memory ``verify`` needs at depth.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -45,6 +49,13 @@ GRIDS = {
                 "--ys=123457/999983,-654321/100003,5/100019", "--format", "csv"],
 }
 
+# The deep grid: the default grid at n <= 80, 278,640 cases.
+DEEP = ["verify", "--nmax", "80"]
+# Run in a fresh interpreter, which reports its own peak RSS, in kB on Linux,
+# not that of the processes a harness may have run before.
+_PEAK_RSS = ("import resource, sys; from eulersym.cli import main; rc = main(sys.argv[1:]); "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+
 
 def run_workload(workload: str) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -60,6 +71,16 @@ def grid_sha256(argv: list[str]) -> str:
     proc = subprocess.run([sys.executable, "-m", "eulersym.cli", *argv], cwd=ROOT,
                           capture_output=True, env=env, check=True)
     return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def deep_peak_rss_mb() -> float:
+    """Peak RSS of a process that runs the DEEP grid to a file, in MB."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*DEEP, "--output", os.path.join(tmp, "deep.json")]
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], cwd=ROOT,
+                              capture_output=True, text=True, env=env, check=True)
+    return round(int(proc.stdout) / 1024, 1)
 
 
 def median_s(work) -> float:
@@ -107,6 +128,7 @@ def main(argv: list[str]) -> int:
         "workloads": {w["name"]: run_workload(w["name"]) for w in spec["workloads"]},
         "grid_sha256": {name: grid_sha256(grid) for name, grid in GRIDS.items()},
         "criterion_1_in_process": in_process(GRIDS["criterion_1"]),
+        "deep_peak_rss_mb": deep_peak_rss_mb(),
     }
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,9 @@ Subcommands:
 * ``series`` -- print the coefficients of one of the quotient series
 * ``verify`` -- sweep identity families over a parameter grid and emit one
   report record per (family, n, w, y) case; each theorem's series spot
-  check runs at its first admissible (w, y), for every n <= ``--nmax``
+  check runs at its first admissible (w, y), for every n <= ``--nmax``.
+  Each family's records are written as soon as that family is swept and
+  then dropped, so memory holds one family's records, not the report.
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
 fails, 2 on usage or configuration errors (including malformed rationals,
@@ -31,10 +33,10 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
@@ -109,6 +111,71 @@ def _y_tuples(samples: Sequence[Fraction], arity: int) -> tuple[tuple[Fraction, 
     )
 
 
+def _family_sweeps(
+    config: SweepConfig,
+    families: Mapping[str, IdentityFamily] | None = None,
+) -> Iterator[tuple[list[VerificationReport], SweepSummary]]:
+    """Check every id against the catalog now, before anything is evaluated,
+    and return a generator that sweeps one family per step, in id order,
+    yielding its records in report order and its own summary."""
+    catalog = FAMILIES if families is None else families
+    unknown = sorted(set(config.families).difference(catalog))
+    if unknown:
+        raise ValueError(
+            f"unknown families: {', '.join(unknown)} (choose from {', '.join(catalog)})"
+        )
+    # Factor vectors, term values and value objects shared by every family
+    # of this sweep, so that families share their factors; dropped with the
+    # generator.
+    table: dict = {}
+    return (
+        _sweep_family(family_id, catalog[family_id], config, table)
+        for family_id in sorted(set(config.families))
+    )
+
+
+def _sweep_family(
+    family_id: str, fam: IdentityFamily, config: SweepConfig, table: dict,
+) -> tuple[list[VerificationReport], SweepSummary]:
+    audited = fam.orbit_template is not None
+    orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
+
+    w_values = _admissible_w_values(fam, config)
+    w_tuples = tuple(product(w_values, repeat=fam.w_arity))
+    y_tuples = _y_tuples(config.y_samples, fam.y_arity)
+
+    oracle = bool(w_tuples and y_tuples) and family_id in identities.SERIES_ORACLES
+    oracle_failed = oracle and not identities._oracle_holds(
+        family_id, config.n_max, w_tuples[0], y_tuples[0])
+
+    # The config is validated and the grid admissible for fam, so each
+    # (w, y) goes straight to the step check_cases runs after validating.
+    by_case = [
+        identities._check_cases(fam, config.n_max, wt, yt, table)
+        for wt in w_tuples
+        for yt in y_tuples
+    ]
+    # One (w, y) tuple of reports per n.
+    records = [r for reports in zip(*by_case) for r in reports]
+    return records, SweepSummary(
+        families_run=1,
+        cases_run=len(records),
+        failures=sum(not r.all_equal for r in records),
+        orbit_checks=int(audited),
+        orbit_failures=int(orbit_failed),
+        oracle_checks=int(oracle),
+        oracle_failures=int(oracle_failed),
+    )
+
+
+def _total(parts: Iterable[SweepSummary]) -> SweepSummary:
+    """The field-wise sum of per-family summaries."""
+    columns = [0] * len(fields(SweepSummary))
+    for part in parts:
+        columns = [a + b for a, b in zip(columns, astuple(part))]
+    return SweepSummary(*columns)
+
+
 def run_sweep(
     config: SweepConfig,
     families: Mapping[str, IdentityFamily] | None = None,
@@ -117,102 +184,83 @@ def run_sweep(
     (family, w, y) once for all n, and list the records in that order.
 
     Every id must be in the catalog (``FAMILIES`` unless ``families`` is
-    given), checked here alone, before any evaluation.  Besides the
-    variant-equality checks, each theorem family gets a one-off orbit-size
-    audit of its expression template and, where applicable, a
-    series-coefficient spot check at its first admissible parameter tuple,
-    for every n <= ``n_max`` (``identities._oracle_holds``).
+    given), checked before any evaluation.  Besides the variant-equality
+    checks, each theorem family gets a one-off orbit-size audit of its
+    expression template and, where applicable, a series-coefficient spot
+    check at its first admissible parameter tuple, for every n <= ``n_max``
+    (``identities._oracle_holds``).
+
+    This is the list of the family-by-family sweep that ``verify`` writes
+    as it goes, so it holds every record at once; ``verify`` holds one
+    family's.
     """
-    catalog = FAMILIES if families is None else families
-    unknown = sorted(set(config.families).difference(catalog))
-    if unknown:
-        raise ValueError(
-            f"unknown families: {', '.join(unknown)} (choose from {', '.join(catalog)})"
-        )
-
-    records: list[VerificationReport] = []
-    failures = 0
-    orbit_checks = orbit_failures = 0
-    oracle_checks = oracle_failures = 0
-    # Factor vectors, term values and value objects shared by every case of
-    # this sweep; dropped on return.
-    table: dict = {}
-
-    for family_id in sorted(set(config.families)):
-        fam = catalog[family_id]
-
-        if fam.orbit_template is not None:
-            orbit_checks += 1
-            if orbit_audit(fam.orbit_template) != fam.expected_orbit_size:
-                orbit_failures += 1
-
-        w_values = _admissible_w_values(fam, config)
-        w_tuples = tuple(product(w_values, repeat=fam.w_arity))
-        y_tuples = _y_tuples(config.y_samples, fam.y_arity)
-
-        if w_tuples and y_tuples and family_id in identities.SERIES_ORACLES:
-            oracle_checks += 1
-            if not identities._oracle_holds(family_id, config.n_max, w_tuples[0], y_tuples[0]):
-                oracle_failures += 1
-
-        # The config is validated and the grid admissible for fam, so each
-        # (w, y) goes straight to the step check_cases runs after validating.
-        by_case = [
-            identities._check_cases(fam, config.n_max, wt, yt, table)
-            for wt in w_tuples
-            for yt in y_tuples
-        ]
-        for reports in zip(*by_case):  # one (w, y) tuple of reports per n
-            records.extend(reports)
-            failures += sum(not r.all_equal for r in reports)
-
-    summary = SweepSummary(
-        families_run=len(set(config.families)),
-        cases_run=len(records),
-        failures=failures,
-        orbit_checks=orbit_checks,
-        orbit_failures=orbit_failures,
-        oracle_checks=oracle_checks,
-        oracle_failures=oracle_failures,
-    )
-    return records, summary
+    swept = list(_family_sweeps(config, families))
+    records = [r for family_records, _ in swept for r in family_records]
+    return records, _total(part for _, part in swept)
 
 
 # One JSON record, from text made beforehand.
 _JSON_RECORD = '{"family":%s,"n":%s,"w":[%s],"y":[%s],"values":[%s],"equal":%s}'
+_CSV_HEADER = b"family,n,w,y,values,equal\n"
 
 
-def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
-    """Serialize records; byte-stable for a fixed record order.
+def _chunk_text(records: Sequence[VerificationReport], format: str) -> str:
+    """The report text of a run of records: JSON records joined by commas,
+    or CSV rows.
 
     The records of a sweep share their value objects, one per distinct
     value (see ``identities``), so each distinct object, keyed by ``id``,
-    goes through ``format_rational`` once; the records keep every object
-    alive while this runs, so no id is reused.  A JSON record is one
+    goes through ``format_rational`` once per chunk; the records keep every
+    object alive while this runs, so no id is reused.  A JSON record is one
     ``%``-formatted string of those texts, with each family id through
     ``json.dumps`` once; the bytes are those of ``json.dumps`` over one
     dict per record with ``separators=(",", ":")``.  CSV rows go through
     ``csv.writer``."""
-    if format not in ("json", "csv"):
-        raise ValueError(f"unknown report format {format!r}")
     objects = {id(v): v for r in records for v in r.y + r.variant_values}
     quote = '"%s"' if format == "json" else "%s"
     text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
     if format == "json":
         family = {fid: json.dumps(fid) for fid in {r.family_id for r in records}}
-        return ("[" + ",".join([_JSON_RECORD % (
+        return ",".join([_JSON_RECORD % (
             family[r.family_id], r.n, ",".join(map(str, r.w)), ",".join(map(text, map(id, r.y))),
             ",".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false",
-        ) for r in records]) + "]").encode("utf-8")
+        ) for r in records])
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["family", "n", "w", "y", "values", "equal"])
-    writer.writerows(
+    csv.writer(buffer, lineterminator="\n").writerows(
         [r.family_id, r.n, "|".join(map(str, r.w)), "|".join(map(text, map(id, r.y))),
          "|".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false"]
         for r in records
     )
-    return buffer.getvalue().encode("utf-8")
+    return buffer.getvalue()
+
+
+def _write_report(
+    write: Callable[[bytes], object],
+    chunks: Iterable[Sequence[VerificationReport]],
+    format: str,
+) -> None:
+    """Write the report of the records of ``chunks``, in order, one chunk
+    at a time: ``[`` and the non-empty chunks joined by ``,`` and ``]`` for
+    JSON, or the header and the rows for CSV."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    head, comma, tail = (b"[", b",", b"]") if format == "json" else (_CSV_HEADER, b"", b"")
+    write(head)
+    sep = b""
+    for records in chunks:
+        if records:
+            write(sep)
+            write(_chunk_text(records, format).encode("utf-8"))
+            sep = comma
+    write(tail)
+
+
+def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
+    """Serialize records; byte-stable for a fixed record order.  These are
+    the bytes ``verify`` writes, family by family, for the same records."""
+    buffer = io.BytesIO()
+    _write_report(buffer.write, [records], format)
+    return buffer.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -330,13 +378,28 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _sweep_config(args)
     # A file is opened before the sweep, so that an unwritable path fails at
-    # once; sys.stdout is read only to write, as a caller may redirect it.
+    # once; sys.stdout is read only to write, as a caller may redirect it,
+    # and a stream without a binary buffer (io.StringIO) is written text.
     with nullcontext() if args.output is None else open(args.output, "wb") as handle:
-        records, summary = run_sweep(config)
-        out = sys.stdout.buffer if handle is None else handle
-        out.write(emit_report(records, args.format))
-        out.write(b"\n")
+        sweeps = _family_sweeps(config)  # ids checked before the first byte
+        out = handle if handle is not None else getattr(sys.stdout, "buffer", sys.stdout)
+        text = isinstance(out, io.TextIOBase)
+
+        def write(data: bytes) -> None:
+            out.write(data.decode("utf-8") if text else data)
+
+        parts: list[SweepSummary] = []
+
+        def chunks() -> Iterator[list[VerificationReport]]:
+            # Each family's records are written, then dropped.
+            for records, part in sweeps:
+                parts.append(part)
+                yield records
+
+        _write_report(write, chunks(), args.format)
+        write(b"\n")
         out.flush()
+    summary = _total(parts)
 
     note = "" if summary.cases_run else " (0 admissible parameter tuples)"
     print(

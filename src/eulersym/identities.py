@@ -399,10 +399,11 @@ FAMILIES["INTRO_CHAIN"] = IdentityFamily(
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
-    ``all_equal`` is always worked out from the values."""
+    ``all_equal`` is always worked out from the values.  A sweep makes one
+    per case, so the class has slots and no ``__dict__``."""
 
     family_id: str
     n: int

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -245,6 +247,66 @@ def test_verify_unknown_family_leaves_an_empty_output(tmp_path, capsys):
     assert code == 2
     assert "unknown famil" in err
     assert target.read_bytes() == b""
+
+
+STREAMED_GRIDS = [
+    ("--family", "T2,T1,T5", "--wset", "2,3", "--include-even-w", "--nmax", "1"),
+    ("--family", "T2", "--wset", "2", "--nmax", "1"),  # no admissible case: []
+    ("--family", "T2,T1", "--wset", "2", "--nmax", "1", "--format", "csv"),
+    ("--family", "T8,T17", "--ys=", "--nmax", "2"),  # T8 has no case
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid", STREAMED_GRIDS)
+def test_streamed_report_equals_emit_report(tmp_path, capsysbinary, grid, fmt):
+    # verify writes family by family; the bytes on stdout and in --output
+    # are those of emit_report over the whole sweep's records.
+    argv = ["verify", *grid, "--format", fmt]
+    config = cli._sweep_config(cli._build_parser().parse_args(argv))
+    expected = emit_report(run_sweep(config)[0], fmt) + b"\n"
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    target = tmp_path / "r"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert target.read_bytes() == expected
+
+
+def test_verify_writes_each_family_before_sweeping_the_next(monkeypatch):
+    # Each (family, w, y) is checked by one _check_cases call.  When T2's
+    # first call runs, T1's records are already in the output, and nothing
+    # of T2's.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    check_cases = identities._check_cases
+    seen = []
+
+    def logged(fam, *args):
+        seen.append((fam.family_id, len(stdout.buffer.getvalue())))
+        return check_cases(fam, *args)
+
+    monkeypatch.setattr(identities, "_check_cases", logged)
+    grid = dict(w_set=(1, 3), n_max=1, y_samples=(Fraction(0),))
+    t1 = emit_report(run_sweep(SweepConfig(families=("T1",), **grid))[0])
+    seen.clear()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["verify", "--family", "T2,T1", "--wset", "1,3", "--nmax", "1", "--ys", "0"])
+    assert code == 0
+    first_t2 = next(length for fid, length in seen if fid == "T2")
+    assert {length for fid, length in seen if fid == "T1"} == {len("[")}
+    assert first_t2 == len(t1) - len("]")
+    assert stdout.buffer.getvalue().startswith(t1[:-1] + b",")
+
+
+def test_verify_to_a_text_stdout_without_buffer(tmp_path):
+    # A caller may redirect sys.stdout to an io.StringIO, which has no
+    # binary buffer: the report is written to it as text.
+    argv = ["verify", "--family", "T17", "--nmax", "1"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    target = tmp_path / "r.json"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert stdout.getvalue() == target.read_text()
 
 
 def test_run_sweep_rejects_unknown_family_before_evaluating(monkeypatch):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import comb
 
@@ -432,6 +432,16 @@ def test_check_case_and_report():
 def test_report_needs_a_value():
     with pytest.raises(ValueError, match="at least one"):
         VerificationReport("C10", 1, (3,), (Fraction(0),), variant_values=())
+
+
+def test_report_has_slots_and_stays_frozen():
+    # A sweep holds one report per case, so a report carries no __dict__;
+    # its fields, the worked-out flag too, still cannot be assigned.
+    report = check_case("C10", 1, (3,), (0,))
+    assert not hasattr(report, "__dict__")
+    for name, value in (("n", 2), ("all_equal", False)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, value)
 
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
