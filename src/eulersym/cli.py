@@ -12,8 +12,9 @@ Subcommands:
   then dropped, so memory holds one family's records, not the report.
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
-fails, 2 on usage or configuration errors (including malformed rationals,
-which are rejected before any computation starts).
+fails, 2 on usage or configuration errors (including malformed numbers in
+a weight list, shift list or point, which are rejected before any
+computation starts; ``exact_arith`` gives the grammar).
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -40,7 +41,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
-from .exact_arith import count, format_rational, int_weights, parse_rational, rational_shifts
+from .exact_arith import (
+    count, format_rational, int_weights, parse_int, parse_rational, rational_shifts,
+)
 from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
 from .orbits import orbit_audit
 
@@ -269,7 +272,7 @@ def emit_report(records: Sequence[VerificationReport], format: str = "json") -> 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(parse_int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ValueError(f"malformed integer list: {text!r}") from exc
 

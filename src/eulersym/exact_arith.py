@@ -13,15 +13,23 @@ T_k factor appears; a shift, point or series value an ``int`` or a
 ``Fraction`` (``as_rational``); a case has fixed weight and shift arities
 (``case_args``).  Nothing is coerced: ``2.0``, ``True``, ``0.1`` and
 ``'1/2'`` raise ``ValueError`` naming the argument.
+
+Text is parsed by one grammar, in ASCII only: an integer is
+``[+-]?[0-9]+`` (``parse_int``) and a rational ``[+-]?[0-9]+(/[0-9]+)?``
+with a non-zero denominator (``parse_rational``), either with ASCII
+whitespace around it.  Anything else (``0.5``, ``1e-1``, ``1_0``, ``1 / 2``, a
+non-ASCII digit) raises ``ValueError`` starting ``malformed``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence, Union
 
 __all__ = [
     "RationalLike",
+    "parse_int",
     "parse_rational",
     "format_rational",
     "is_int",
@@ -34,13 +42,24 @@ __all__ = [
 
 RationalLike = Union[Fraction, int]
 
+_INT = re.compile(r"\s*([+-]?[0-9]+)\s*", re.ASCII)
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """Parse 'n' into an int; reject anything else."""
+    match = _INT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed integer: {text!r}")
+    return int(match[1])
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'n' into a canonical Fraction; reject anything else."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise ValueError(f"malformed rational: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_rational(value: RationalLike) -> str:

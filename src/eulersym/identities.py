@@ -8,20 +8,21 @@ values at n = 0..n_max in one call.  No variant's value is derived from
 another's, because independent computation of the allegedly equal
 expressions is the point: two variants share a value only when they are
 the same expression at the same numbers (below).  Every term, of one to
-three factors, is [t^n] prod_b F_b(sigma beta_b t) for its scale monomial
-sigma and base monomials beta_b: the factor vectors, held as integer
-numerators over one denominator, are rescaled by powers of the bases and
-folded by the integer binomial convolution of ``egf_series``, which the
-series oracles never run; each distinct value is one ``Fraction`` per
-table (below).  ``check_cases`` checks all n of one (w, y) at once, as
-sweeps do; ``check_case`` and ``variant_values`` read its row n.
+three factors, is [t^n] prod_b F_b(beta_b t) for its base monomials
+beta_b, into which ``orbits.term`` has folded the paper's scale: the
+factor vectors, held as integer numerators over one denominator, are
+rescaled by powers of the bases and folded by the integer binomial
+convolution of ``egf_series``, which the series oracles never run; each
+distinct value is one ``Fraction`` per table (below).  ``check_cases``
+checks all n of one (w, y) at once, as sweeps do; ``check_case`` and
+``variant_values`` read its row n.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
-sums.  A and D, alternating sums of E_k over a grid of shifted arguments,
-come from ``_alt_vec``: it puts every argument over one denominator and
-computes the whole signed sum as one integer binomial convolution of the
-scaled Euler numbers 2^k E_k with the signed power sums of the arguments'
-numerators.
+sums.  A, an alternating sum of E_k over a grid of shifted arguments of
+one or two counts, comes from ``_alt_vec``: it puts every argument over
+one denominator and computes the whole signed sum as one integer binomial
+convolution of the scaled Euler numbers 2^k E_k with the signed power sums
+of the arguments' numerators.
 
 One table per sweep.  Each factor depends on one or two of the weights,
 and a sweep's weight grid is closed under permutation, so a sweep meets
@@ -30,16 +31,16 @@ permutation at w is another at a permuted w), many times.  A *table*, a
 plain dict, holds both, and the values.  A factor's key is everything its
 vector depends on, in ints: kind, monomial value, n_max, shift as
 (numerator, denominator), count weights; it maps to the vector as
-``(nums, d)``.  A term's key is its factor keys in order plus its
-combined bases sigma * beta_b, everything the fold reads; it maps to the
-term's values.  A miss builds and stores; a hit returns the stored
-values, so nothing is inferred through the substitution lemma or the
-orbit normal form.  Every variant is still folded on its own, but the
-theorems make almost every value recur, so the table also maps each
-value's reduced (numerator, denominator) pair to one ``Fraction``: a
-fold's entry with the same exact integers as one already built is that
-object.  The three kinds of key cannot meet: a factor key starts with a
-``str``, a term key with a ``tuple`` and a value key with an ``int``.
+``(nums, d)``.  A term's key is its factor keys in order plus its bases'
+values, everything the fold reads; it maps to the term's values.  A miss
+builds and stores; a hit returns the stored values, so nothing is
+inferred through the substitution lemma or the orbit normal form.
+Every variant is still folded on its own, but the theorems make almost
+every value recur, so the table also maps each value's reduced
+(numerator, denominator) pair to one ``Fraction``: a fold's entry with
+the same exact integers as one already built is that object.  The three
+kinds of key cannot meet: a factor key starts with a ``str``, a term key
+with a ``tuple`` and a value key with an ``int``.
 ``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
 and drops it when the sweep returns; a call of ``check_cases`` has one
 table, shared by its variants, and ``eval_variant`` and the series
@@ -80,8 +81,8 @@ from . import altsum, euler
 from .egf_series import _binomial_conv, _over_common_denominator, lambda_series
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
-    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, D, E, Factor, Mono, Perm, T,
-    Term, substitute, term,
+    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Factor, Mono, Perm, T, Term,
+    substitute, term,
 )
 
 __all__ = [
@@ -204,8 +205,9 @@ _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
 def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]:
     """(n_max, w, y) -> the factor's key: everything its vector depends on,
     in ints (the kind, the monomial value, n_max, the shift as a
-    (numerator, denominator) pair of y, and the count weights).  A and D
-    are one kind, "A", of one or two counts: ``_alt_vec`` of the counts."""
+    (numerator, denominator) pair of y, and the count weights of an A,
+    one or two: ``_alt_vec`` of the counts).  Each count arity has its own
+    closure, as the key is built on every ``vector`` call."""
     kind, m, j, counts = f
     arg = _mono(m)
     if kind == "T":  # T_k(a - 1) has no shift
@@ -214,9 +216,9 @@ def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]
         return lambda n_max, w, y: (kind, arg(w), n_max, y[j])
     if len(counts) == 1:
         (c,) = counts
-        return lambda n_max, w, y: ("A", arg(w), n_max, y[j], w[c])
+        return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c])
     c1, c2 = counts
-    return lambda n_max, w, y: ("A", arg(w), n_max, y[j], w[c1], w[c2])
+    return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c1], w[c2])
 
 
 def _form(key: tuple, table: dict) -> Form:
@@ -234,23 +236,20 @@ def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
 
 def _compile(t: Term) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table) ->
-    the values at 0..n_max for shifts y given by ``_shifts``;
-    sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t).
+    the values at 0..n_max for shifts y given by ``_shifts``, the term's
+    [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
 
-    The term's key is its factor keys in order, then its combined bases
-    sigma * beta_b: everything the fold reads.  ``table`` maps it to the
-    values; a miss folds the factor vectors, read from and stored in the
-    same table, and stores the values.  The returned list is the table's
-    and is not to be mutated."""
-    scale, bundles = t
-    sc = _mono(scale)
-    keys = [_factor(f) for f, _ in bundles]
-    bases = [_mono(m) for _, m in bundles]
+    The term's key is its factor keys in order, then its bases' values:
+    everything the fold reads.  ``table`` maps it to the values; a miss
+    folds the factor vectors, read from and stored in the same table, and
+    stores the values.  The returned list is the table's and is not to be
+    mutated."""
+    keys = [_factor(f) for f, _ in t]
+    bases = [_mono(m) for _, m in t]
     split = len(keys)
 
     def vector(n_max: int, w: Sequence[int], y: Sequence[Shift], table: dict) -> list[Fraction]:
-        s = sc(w)
-        key = (*[k(n_max, w, y) for k in keys], *[s * b(w) for b in bases])
+        key = (*[k(n_max, w, y) for k in keys], *[b(w) for b in bases])
         values = table.get(key)
         if values is None:
             forms = [_form(k, table) for k in key[:split]]
@@ -309,7 +308,7 @@ _C13 = (
     term((E((), 0), (0,)), (T(0), ())),
 )
 _C10 = (_C13[0], _C13[2])
-_C15 = _C12[:2] + (term((D((), 0, 0, 1), ()), scale=(0, 1)),)
+_C15 = _C12[:2] + (term((A((), 0, 0, 1), ()), scale=(0, 1)),)
 _C18 = (term((T(1), (0,)), (T(0), ())), term((T(0), (1,)), (T(1), ())))
 # The eight expressions of the two-weight chain, in chain order.
 _INTRO_CHAIN = (_C9[0], _C9[1], _C12[0], _C12[1], _C9[2], _C12[4], _C12[5], _C15[2])
@@ -335,7 +334,10 @@ class IdentityFamily:
             raise ValueError(
                 f"{self.family_id}: {len(self.variants)} variants but expected orbit size {size}"
             )
-        if self.orbit_template is not None and EXPECTED_ORBIT_SIZES[self.orbit_template] != size:
+        template = self.orbit_template
+        if template is not None and template not in EXPECTED_ORBIT_SIZES:
+            raise ValueError(f"{self.family_id}: unknown orbit template {template!r}")
+        if template is not None and EXPECTED_ORBIT_SIZES[template] != size:
             raise ValueError(f"{self.family_id}: template/orbit size mismatch")
 
 

@@ -1,13 +1,15 @@
 """Expression terms, the nine three-weight templates, and their orbit sizes.
 
-A *term* is a scale monomial to the n-th power times a sum over 1-3
-*bundles*, each a factor paired with a base monomial; a monomial is a tuple
-of weight slots standing for the product of those weights.  Three bundles
-mean sum_{k+l+m=n} C(n;k,l,m) f1[k] f2[l] f3[m] b1^k b2^l b3^m, two mean
-sum_k C(n,k) f1[k] f2[n-k] b1^k b2^{n-k}, one means entry n of its factor.
-Factors: ``E(m, j)`` is E_k(m y_j); ``T(s)`` is T_k(w_s - 1); ``A(m, j, c)``
-is sum_{i<w_c} (-1)^i E_k(m y_j + (m/w_c) i); ``D(m, j, c1, c2)`` is the
-double alternating sum of E_n(m y_j + (m/w_c1) i + (m/w_c2) i').
+A *term* is a sum over 1-3 *bundles*, each a factor paired with a base
+monomial; a monomial is a tuple of weight slots standing for the product of
+those weights.  Three bundles mean sum_{k+l+m=n} C(n;k,l,m) f1[k] f2[l]
+f3[m] b1^k b2^l b3^m, two mean sum_k C(n,k) f1[k] f2[n-k] b1^k b2^{n-k},
+one means f1[n] b1^n.  ``term(..., scale=s)`` folds the paper's scale
+monomial s into every base, as s^n [t^n] prod F_b(beta_b t) =
+[t^n] prod F_b(s beta_b t).  Factors: ``E(m, j)`` is E_k(m y_j); ``T(s)``
+is T_k(w_s - 1); ``A(m, j, c)`` is sum_{i<w_c} (-1)^i E_k(m y_j + (m/w_c) i)
+and ``A(m, j, c1, c2)`` the double alternating sum of
+E_k(m y_j + (m/w_c1) i + (m/w_c2) i').
 
 Templates are written in the roles a, b, c = 0, 1, 2; the permutation p
 puts role r on weight slot p[r].  Renaming bound summation indices maps
@@ -27,7 +29,7 @@ __all__ = ["ORBIT_TEMPLATES", "EXPECTED_ORBIT_SIZES", "orbit_audit", "orbit_form
 Perm = tuple[int, int, int]
 Mono = tuple[int, ...]
 Factor = tuple[str, Mono, int, Mono]
-Term = tuple[Mono, tuple[tuple[Factor, Mono], ...]]
+Term = tuple[tuple[Factor, Mono], ...]
 
 ALL_PERMS: tuple[Perm, ...] = tuple(permutations((0, 1, 2)))
 a, b, c = 0, 1, 2  # template roles
@@ -35,9 +37,16 @@ a, b, c = 0, 1, 2  # template roles
 
 def E(m: Mono, j: int) -> Factor: return ("E", m, j, ())
 def T(s: int) -> Factor: return ("T", (s,), 0, ())
-def A(m: Mono, j: int, c: int) -> Factor: return ("A", m, j, (c,))
-def D(m: Mono, j: int, c1: int, c2: int) -> Factor: return ("D", m, j, (c1, c2))
-def term(*bundles: tuple[Factor, Mono], scale: Mono = ()) -> Term: return (scale, bundles)
+
+
+def A(m: Mono, j: int, *counts: int) -> Factor:
+    if not 1 <= len(counts) <= 2:
+        raise ValueError(f"A takes one or two counts, got {counts!r}")
+    return ("A", m, j, counts)
+
+
+def term(*bundles: tuple[Factor, Mono], scale: Mono = ()) -> Term:
+    return tuple((f, base + scale) for f, base in bundles)
 
 
 def _sym(fa: Factor, fb: Factor, fc: Factor) -> Term:  # w_a^{l+m} w_b^{k+m} w_c^{k+l}
@@ -54,7 +63,7 @@ ORBIT_TEMPLATES: dict[str, Term] = {
     "e-shift": term((E((a,), 0), (b,)), (A((b,), 1, c), (a,)), scale=(c,)),
     "ett": _sym(E((a,), 0), T(b), T(c)),
     "shift-t": term((A((b,), 0, a), (c,)), (T(c), (b,)), scale=(a,)),
-    "double-shift": term((D((c,), 0, a, b), ()), scale=(a, b)),
+    "double-shift": term((A((c,), 0, a, b), ()), scale=(a, b)),
     "ttt": _sym(T(a), T(b), T(c)),
     "eee-cyclic": _cyc(E((a,), 0), E((b,), 0), E((c,), 0)),
     "ttt-cyclic": _cyc(T(a), T(b), T(c)),
@@ -67,10 +76,7 @@ EXPECTED_ORBIT_SIZES: dict[str, int] = {
 
 
 def _map_monos(t: Term, f: Callable[[Mono], Mono]) -> Term:
-    scale, bundles = t
-    return f(scale), tuple(
-        ((kind, f(m), j, f(cs)), f(base)) for (kind, m, j, cs), base in bundles
-    )
+    return tuple(((kind, f(m), j, f(cs)), f(base)) for (kind, m, j, cs), base in t)
 
 
 def substitute(t: Term, perm: Perm) -> Term:
@@ -80,8 +86,7 @@ def substitute(t: Term, perm: Perm) -> Term:
 
 def normal_form(t: Term, perm: Perm) -> Term:
     """The permuted term modulo renaming of its bound summation indices."""
-    scale, bundles = _map_monos(t, lambda m: tuple(sorted(perm[s] for s in m)))
-    return scale, tuple(sorted(bundles))
+    return tuple(sorted(_map_monos(t, lambda m: tuple(sorted(perm[s] for s in m)))))
 
 
 def orbit_forms(template: str) -> dict[Term, list[Perm]]:

@@ -233,6 +233,17 @@ def test_verify_rejects_malformed_rational(capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--wset", "1_1", "--family", "C13", "--nmax", "0"),
+    ("euler", "--n", "2", "--x", "0.5"),
+], ids=["wset 1_1", "x 0.5"])
+def test_only_plain_integers_and_fractions_parse(capsys, argv):
+    # Neither read as weight 11 nor as the float's value: both are usage errors.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "malformed" in err
+
+
 def test_verify_rejects_unknown_family(capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "T99")
     assert code == 2
@@ -425,7 +436,8 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     # single shift value gives every slot the same shift, so that T1's and
     # T16's factor keys coincide while their bases differ.  Every scale in
     # the catalog is the product of its term's count weights, which the
-    # factor keys hold, so SCALE adds two terms that differ in scale alone.
+    # factor keys hold; SCALE adds two terms whose one factor is the same
+    # and whose bases differ, () against the folded scale (1,).
     euler_vec, alt_vec, tval = identities._euler_vec, identities._alt_vec, identities._tval
     monkeypatch.setattr(identities, "_euler_vec",
                         lambda x, n_max: [v + x for v in euler_vec(x, n_max)])

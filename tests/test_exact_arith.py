@@ -24,7 +24,7 @@ def test_parse_and_format():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(6, 3)) == "2"
     assert format_rational(Fraction(0)) == "0"
-    for bad in ("", "1/0", "one", "1/2/3"):
+    for bad in ("", "1/0", "one", "1/2/3", "0.5", "1e-1", "1_0", "\u0663", "1 / 2"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

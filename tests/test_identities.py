@@ -371,6 +371,8 @@ def test_family_rejects_a_wrong_orbit():
         replace(t8, variants=t8.variants[:2])
     with pytest.raises(ValueError, match="template/orbit size mismatch"):
         replace(t8, orbit_template="eet")
+    with pytest.raises(ValueError, match="unknown orbit template 'zzz'"):
+        replace(t8, orbit_template="zzz")
 
 
 def test_specializations_small_grid():

@@ -1,13 +1,21 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
+from eulersym import identities
 from eulersym.identities import FAMILIES
 from eulersym.orbits import (
     ALL_PERMS,
     EXPECTED_ORBIT_SIZES,
     ORBIT_TEMPLATES,
+    A,
+    E,
+    T,
     normal_form,
     orbit_audit,
     orbit_forms,
+    term,
 )
 
 
@@ -82,3 +90,35 @@ def test_family_perms_hit_each_orbit_class_once():
         classes = {normal_form(template, p) for p in family.perms}
         assert len(family.perms) == len(family.variants) == len(classes)
         assert len(classes) == orbit_audit(family.orbit_template)
+
+
+# Each term written with a scale, and the same term with the scale written
+# into every base by hand, in the roles a, b, c = 0, 1, 2.
+FOLDS = [
+    (term((E((0,), 0), (1,)), (A((1,), 1, 2), (0,)), scale=(2,)),
+     term((E((0,), 0), (1, 2)), (A((1,), 1, 2), (0, 2)))),
+    (term((A((1,), 0, 0), (2,)), (T(2), (1,)), scale=(0,)),
+     term((A((1,), 0, 0), (2, 0)), (T(2), (1, 0)))),
+    (term((A((2,), 0, 0, 1), ()), scale=(0, 1)),
+     term((A((2,), 0, 0, 1), (0, 1)),)),
+    (term((A((), 0, 0), ()), scale=(0,)),
+     term((A((), 0, 0), (0,)),)),
+]
+
+
+@pytest.mark.parametrize("scaled, folded", FOLDS)
+def test_scale_folds_into_the_bases(scaled, folded):
+    # sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t).
+    for p in ALL_PERMS:
+        assert normal_form(scaled, p) == normal_form(folded, p)
+    ev, by_hand = identities._compile(scaled), identities._compile(folded)
+    y = (Fraction(1, 3), Fraction(-1, 2))
+    for w in product((1, 3, 5), repeat=3):
+        for n in range(5):
+            assert ev(n, w, y) == by_hand(n, w, y), (w, n)
+
+
+@pytest.mark.parametrize("counts", [(), (0, 1, 2)])
+def test_alternating_sum_takes_one_or_two_counts(counts):
+    with pytest.raises(ValueError, match="one or two counts"):
+        A((0,), 0, *counts)
