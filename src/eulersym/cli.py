@@ -12,9 +12,9 @@ Subcommands:
   then dropped, so memory holds one family's records, not the report.
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
-fails, 2 on usage or configuration errors (including malformed numbers in
-a weight list, shift list or point, which are rejected before any
-computation starts; ``exact_arith`` gives the grammar).
+fails, 2 on usage or configuration errors (including a malformed number
+in any option, which is rejected before any computation starts;
+``exact_arith`` gives the grammar).
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -302,32 +302,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_euler = sub.add_parser(
         "euler", help="Euler polynomial coefficients or a point value"
     )
-    p_euler.add_argument("--n", type=int, required=True, help="polynomial index")
+    p_euler.add_argument("--n", required=True, help="polynomial index")
     p_euler.add_argument(
         "--x", default=None, help="evaluation point as 'p/q'; omit for coefficients"
     )
 
     p_altsum = sub.add_parser("altsum", help="alternating power sum T_k(n)")
-    p_altsum.add_argument("--k", type=int, required=True)
-    p_altsum.add_argument("--n", type=int, required=True)
+    p_altsum.add_argument("--k", required=True)
+    p_altsum.add_argument("--n", required=True)
 
     p_series = sub.add_parser(
         "series", help="coefficients of a quotient generating function"
     )
     p_series.add_argument("--family", required=True, choices=LAMBDA_FAMILIES)
     p_series.add_argument(
-        "--i", type=int, default=None, help="sub-index 0..3 (L23/L13 only)"
+        "--i", default=None, help="sub-index 0..3 (L23/L13 only)"
     )
     p_series.add_argument("--w", required=True, help="weights, e.g. 1,3,5")
     p_series.add_argument("--y", default="", help="shift values, e.g. 0,1/2")
-    p_series.add_argument("--order", type=int, default=24)
+    p_series.add_argument("--order", default="24")
 
     p_verify = sub.add_parser("verify", help="sweep identity families")
     p_verify.add_argument(
         "--family", default="all", help="family id, comma list, or 'all'"
     )
     p_verify.add_argument("--wset", default="1,3,5,7", help="weight values")
-    p_verify.add_argument("--nmax", type=int, default=10)
+    p_verify.add_argument("--nmax", default="10")
     p_verify.add_argument("--ys", default=DEFAULT_Y_SAMPLES, help="shift samples")
     p_verify.add_argument(
         "--include-even-w",
@@ -342,26 +342,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_euler(args: argparse.Namespace) -> int:
     from . import euler
 
+    n = parse_int(args.n)
     if args.x is None:
-        poly = euler.euler_polynomial(args.n)
+        poly = euler.euler_polynomial(n)
         for coeff in poly.coeffs:
             print(format_rational(coeff))
     else:
-        print(format_rational(euler.euler_eval(args.n, parse_rational(args.x))))
+        print(format_rational(euler.euler_eval(n, parse_rational(args.x))))
     return 0
 
 
 def _cmd_altsum(args: argparse.Namespace) -> int:
     from .altsum import alt_power_sum
 
-    print(format_rational(alt_power_sum(args.k, args.n)))
+    print(format_rational(alt_power_sum(parse_int(args.k), parse_int(args.n))))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     w = _parse_int_list(args.w)
     y = _parse_rational_list(args.y)
-    series = lambda_series(args.family, args.i, w, y, order=args.order)
+    i = None if args.i is None else parse_int(args.i)
+    series = lambda_series(args.family, i, w, y, order=parse_int(args.order))
     for coeff in series.coeffs:
         print(format_rational(coeff))
     return 0
@@ -372,7 +374,7 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(
         families=_resolve_families(args.family),
         w_set=_parse_int_list(args.wset),
-        n_max=args.nmax,
+        n_max=parse_int(args.nmax),
         y_samples=_parse_rational_list(args.ys),
         include_even_w=args.include_even_w,
     )

@@ -31,16 +31,21 @@ permutation at w is another at a permuted w), many times.  A *table*, a
 plain dict, holds both, and the values.  A factor's key is everything its
 vector depends on, in ints: kind, monomial value, n_max, shift as
 (numerator, denominator), count weights; it maps to the vector as
-``(nums, d)``.  A term's key is its factor keys in order plus its bases'
-values, everything the fold reads; it maps to the term's values.  A miss
-builds and stores; a hit returns the stored values, so nothing is
+``(nums, d)``.  A term's key is (shape, n_max, the weights and the shifts
+it reads), for any number of slots: the shape holds each bundle's kind
+and the lengths of its monomial, counts and base, which group the weights
+read at those slots, and each E and A reads its shift.  Equal term keys
+are the same expression at the same numbers.  A term key maps to the
+term's values; only a miss on it builds the factor keys and bases.  Each
+miss builds and stores; a hit returns the stored values, so nothing is
 inferred through the substitution lemma or the orbit normal form.
 Every variant is still folded on its own, but the theorems make almost
 every value recur, so the table also maps each value's reduced
 (numerator, denominator) pair to one ``Fraction``: a fold's entry with
 the same exact integers as one already built is that object.  The three
-kinds of key cannot meet: a factor key starts with a ``str``, a term key
-with a ``tuple`` and a value key with an ``int``.
+kinds of key cannot meet: a factor key starts with its one-letter kind, a
+term key with its shape, which goes on past a kind, and a value key with
+an ``int``.
 ``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
 and drops it when the sweep returns; a call of ``check_cases`` has one
 table, shared by its variants, and ``eval_variant`` and the series
@@ -73,15 +78,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from math import gcd
-from operator import mul
+from math import gcd, prod
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from . import altsum, euler
 from .egf_series import _binomial_conv, _over_common_denominator, lambda_series
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
-    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Factor, Mono, Perm, T, Term,
+    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Factor, Perm, T, Term,
     substitute, term,
 )
 
@@ -178,19 +183,8 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> li
 
 
 # --------------------------------------------------------------------------
-# The compiler from terms to evaluators.  Each monomial, factor and term
-# becomes a closure once; a call walks no spec.
-
-
-def _mono(m: Mono) -> Callable[[Sequence[int]], int]:
-    """w -> the product of the weights in slots m (at most two slots)."""
-    if not m:
-        return lambda w: 1
-    if len(m) == 1:
-        (s,) = m
-        return lambda w: w[s]
-    s, t = m
-    return lambda w: w[s] * w[t]
+# The compiler from terms to evaluators.  A term's key is read by item
+# getters; its factor keys and bases are built only when that key misses.
 
 
 # Key kind -> the key's fields after the kind -> the vector, through the
@@ -202,23 +196,16 @@ _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
 }
 
 
-def _factor(f: Factor) -> Callable[[int, Sequence[int], Sequence[Shift]], tuple]:
-    """(n_max, w, y) -> the factor's key: everything its vector depends on,
-    in ints (the kind, the monomial value, n_max, the shift as a
-    (numerator, denominator) pair of y, and the count weights of an A,
-    one or two: ``_alt_vec`` of the counts).  Each count arity has its own
-    closure, as the key is built on every ``vector`` call."""
+def _factor_key(f: Factor, n_max: int, w: Sequence[int], y: Sequence[Shift]) -> tuple:
+    """The factor's key: everything its vector depends on, in ints (the
+    kind, the product of the weights in its monomial's slots, n_max, the
+    shift as a (numerator, denominator) pair of y, and the count weights of
+    an A, one or two: ``_alt_vec`` of the counts)."""
     kind, m, j, counts = f
-    arg = _mono(m)
+    a = prod([w[s] for s in m])
     if kind == "T":  # T_k(a - 1) has no shift
-        return lambda n_max, w, y: (kind, arg(w), n_max)
-    if not counts:
-        return lambda n_max, w, y: (kind, arg(w), n_max, y[j])
-    if len(counts) == 1:
-        (c,) = counts
-        return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c])
-    c1, c2 = counts
-    return lambda n_max, w, y: (kind, arg(w), n_max, y[j], w[c1], w[c2])
+        return kind, a, n_max
+    return (kind, a, n_max, y[j], *[w[c] for c in counts])
 
 
 def _form(key: tuple, table: dict) -> Form:
@@ -239,21 +226,24 @@ def _compile(t: Term) -> Evaluator:
     the values at 0..n_max for shifts y given by ``_shifts``, the term's
     [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
 
-    The term's key is its factor keys in order, then its bases' values:
-    everything the fold reads.  ``table`` maps it to the values; a miss
-    folds the factor vectors, read from and stored in the same table, and
-    stores the values.  The returned list is the table's and is not to be
-    mutated."""
-    keys = [_factor(f) for f, _ in t]
-    bases = [_mono(m) for _, m in t]
-    split = len(keys)
+    ``table`` maps the term's key (shape, n_max, read_w(w), read_y(y)), as
+    the module docstring gives it, to the values; a miss folds the vectors
+    of the ``_factor_key``s, read from and stored in the same table.  The
+    returned list is the table's and is not to be mutated."""
+    shape = " ".join(f"{kind}{len(m)}.{len(counts)}.{len(base)}"
+                     for (kind, m, _, counts), base in t)
+    w_slots = [s for (_, m, _, counts), base in t for s in (*m, *counts, *base)]
+    y_slots = [j for (kind, _, j, _), _ in t if kind != "T"]
+    # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count).
+    read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
 
     def vector(n_max: int, w: Sequence[int], y: Sequence[Shift], table: dict) -> list[Fraction]:
-        key = (*[k(n_max, w, y) for k in keys], *[b(w) for b in bases])
+        key = (shape, n_max, read_w(w), read_y(y))
         values = table.get(key)
         if values is None:
-            forms = [_form(k, table) for k in key[:split]]
-            values = table[key] = _product_vec(forms, key[split:], table)
+            forms = [_form(_factor_key(f, n_max, w, y), table) for f, _ in t]
+            bases = [prod([w[s] for s in base]) for _, base in t]
+            values = table[key] = _product_vec(forms, bases, table)
         return values
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:

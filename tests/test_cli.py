@@ -10,7 +10,7 @@ import pytest
 from eulersym import altsum, egf_series, identities
 from eulersym import cli
 from eulersym.cli import SweepConfig, _y_tuples, emit_report, main, run_sweep
-from eulersym.orbits import E, term
+from eulersym.orbits import A, E, T, term
 
 
 def run_cli(capsys, *argv):
@@ -236,9 +236,15 @@ def test_verify_rejects_malformed_rational(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--wset", "1_1", "--family", "C13", "--nmax", "0"),
     ("euler", "--n", "2", "--x", "0.5"),
-], ids=["wset 1_1", "x 0.5"])
+    ("euler", "--n", "1_0"),
+    ("altsum", "--k", "\u0662", "--n", "3"),
+    ("verify", "--family", "T17", "--nmax", "1_0"),
+    ("series", "--family", "L12_1", "--w", "1,3,5", "--order", "1_0"),
+    ("series", "--family", "L23", "--i", "\u0661", "--w", "1,3,5", "--y=0,0"),
+], ids=["wset 1_1", "x 0.5", "n 1_0", "k arabic 2", "nmax 1_0", "order 1_0", "i arabic 1"])
 def test_only_plain_integers_and_fractions_parse(capsys, argv):
-    # Neither read as weight 11 nor as the float's value: both are usage errors.
+    # Not read as 11 or 10, as the float's value or as a non-ASCII digit's
+    # value: each is a usage error.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "malformed" in err
@@ -437,7 +443,12 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     # T16's factor keys coincide while their bases differ.  Every scale in
     # the catalog is the product of its term's count weights, which the
     # factor keys hold; SCALE adds two terms whose one factor is the same
-    # and whose bases differ, () against the folded scale (1,).
+    # and whose bases differ, () against the folded scale (1,).  KIND adds
+    # two terms with the same slot counts and the same reads, (w1, w2, w3)
+    # and y1, whose bundles differ only in kind.  SLOTS adds pairs of terms
+    # whose reads agree, at w2 = w3 or at any w, and whose bundles differ
+    # only in how those reads group: a slot moves from one bundle's
+    # monomial, counts or base to the other's.
     euler_vec, alt_vec, tval = identities._euler_vec, identities._alt_vec, identities._tval
     monkeypatch.setattr(identities, "_euler_vec",
                         lambda x, n_max: [v + x for v in euler_vec(x, n_max)])
@@ -446,8 +457,19 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     # T17 and C18 read only T_k.
     monkeypatch.setattr(identities, "_tval", lambda k, upper: tval(k, upper) + upper)
     scaled = (term((E((0,), 0), ())), term((E((0,), 0), ()), scale=(1,)))
-    catalog = {**identities.FAMILIES, "SCALE": identities.IdentityFamily(
-        "SCALE", 2, 1, True, tuple(map(identities._compile, scaled)))}
+    kinds = (term((T(0), (1,)), (E((2,), 0), ())), term((E((0,), 0), (1,)), (T(2), ())))
+    slots = (
+        term((E((0,), 0), (1,)), (E((1, 2), 0), (0,))),
+        term((E((0, 1), 0), (2,)), (E((2,), 0), (0,))),
+        term((A((), 0, 0), (1,)), (A((), 0, 1, 2), (0,))),
+        term((A((), 0, 0, 1), (2,)), (A((), 0, 2), (0,))),
+        term((E((0,), 0), (1,)), (E((2,), 0), ())),
+        term((E((0,), 0), ()), (E((1,), 0), (2,))),
+    )
+    catalog = {**identities.FAMILIES, **{
+        fid: identities.IdentityFamily(fid, w_arity, 1, True, tuple(map(identities._compile, row)))
+        for fid, w_arity, row in (("SCALE", 2, scaled), ("KIND", 3, kinds), ("SLOTS", 3, slots))
+    }}
     failing = set()
     for ys in ((Fraction(1, 3), Fraction(-1, 2)), (Fraction(1, 3),)):
         config = SweepConfig(families=tuple(catalog), w_set=(1, 3, 5), n_max=2, y_samples=ys)

@@ -16,9 +16,10 @@ from eulersym.identities import (
     check_cases,
     eval_triple_altsum,
     eval_variant,
+    _compile,
     variant_values,
 )
-from eulersym.orbits import ALL_PERMS
+from eulersym.orbits import ALL_PERMS, E, term
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -408,6 +409,18 @@ def test_triple_altsum_series_oracle():
         assert eval_triple_altsum(n, w) == egf_coeff(series, n)
     with pytest.raises(ValueError):
         eval_triple_altsum(2, (2, 3, 5))
+
+
+def test_three_slot_monomials_compile():
+    # No catalog term has a monomial or a base of three slots, but the
+    # compiler reads any number: with W = w1 w2 w3, the one bundle E_k(W y1)
+    # at base W is W^n E_n(W y1).
+    ev = _compile(term((E((0, 1, 2), 0), (0, 1, 2))))
+    for w in ((1, 3, 5), (3, 3, 7), (5, 7, 9), (1, 1, 1)):
+        big_w = w[0] * w[1] * w[2]
+        for y1 in (Fraction(0), THIRD, Fraction(-2, 5)):
+            for n in range(5):
+                assert ev(n, w, (y1,)) == big_w**n * euler_eval(n, big_w * y1), (w, y1, n)
 
 
 # ---------------------------------------------------------------- reports
