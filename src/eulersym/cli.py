@@ -12,9 +12,10 @@ Subcommands:
   then dropped, so memory holds one family's records, not the report.
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
-fails, 2 on usage or configuration errors (including a malformed number
-in any option, which is rejected before any computation starts;
-``exact_arith`` gives the grammar).
+fails, 2 on usage or configuration errors, before any computation starts.
+A malformed number in any option, or an empty item in a number list, is
+such an error, and its message names the option (``exact_arith`` gives
+the grammar; a wholly empty list has no items).
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -37,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
@@ -270,17 +271,17 @@ def emit_report(records: Sequence[VerificationReport], format: str = "json") -> 
 # Argument parsing helpers.
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _number(args: argparse.Namespace, option: str, parse: Callable[[str], Any] = parse_int,
+            items: bool = False) -> Any:
+    """``parse`` of the text of ``option``, or with ``items`` of each of its
+    comma-separated items (blank text has none); errors name ``option``."""
+    text = getattr(args, option[2:])
+    parts = text.split(",") if text.strip() or not items else []
     try:
-        return tuple(parse_int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"malformed integer list: {text!r}") from exc
-
-
-def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(
-        parse_rational(part) for part in text.split(",") if part.strip() != ""
-    )
+        values = tuple(map(parse, parts))
+    except ValueError as exc:  # "malformed integer: '1_0'"
+        raise ValueError(str(exc).replace(":", f" for {option}:", 1)) from None
+    return values if items else values[0]
 
 
 def _resolve_families(text: str) -> tuple[str, ...]:
@@ -342,28 +343,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_euler(args: argparse.Namespace) -> int:
     from . import euler
 
-    n = parse_int(args.n)
+    n = _number(args, "--n")
     if args.x is None:
-        poly = euler.euler_polynomial(n)
-        for coeff in poly.coeffs:
+        for coeff in euler.euler_polynomial(n).coeffs:
             print(format_rational(coeff))
     else:
-        print(format_rational(euler.euler_eval(n, parse_rational(args.x))))
+        print(format_rational(euler.euler_eval(n, _number(args, "--x", parse_rational))))
     return 0
 
 
 def _cmd_altsum(args: argparse.Namespace) -> int:
     from .altsum import alt_power_sum
 
-    print(format_rational(alt_power_sum(parse_int(args.k), parse_int(args.n))))
+    print(format_rational(alt_power_sum(_number(args, "--k"), _number(args, "--n"))))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    w = _parse_int_list(args.w)
-    y = _parse_rational_list(args.y)
-    i = None if args.i is None else parse_int(args.i)
-    series = lambda_series(args.family, i, w, y, order=parse_int(args.order))
+    w = _number(args, "--w", items=True)
+    y = _number(args, "--y", parse_rational, items=True)
+    i = None if args.i is None else _number(args, "--i")
+    series = lambda_series(args.family, i, w, y, order=_number(args, "--order"))
     for coeff in series.coeffs:
         print(format_rational(coeff))
     return 0
@@ -373,9 +373,9 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The sweep of parsed ``verify`` arguments."""
     return SweepConfig(
         families=_resolve_families(args.family),
-        w_set=_parse_int_list(args.wset),
-        n_max=parse_int(args.nmax),
-        y_samples=_parse_rational_list(args.ys),
+        w_set=_number(args, "--wset", items=True),
+        n_max=_number(args, "--nmax"),
+        y_samples=_number(args, "--ys", parse_rational, items=True),
         include_even_w=args.include_even_w,
     )
 

@@ -51,21 +51,24 @@ and drops it when the sweep returns; a call of ``check_cases`` has one
 table, shared by its variants, and ``eval_variant`` and the series
 oracles give each call a fresh one.  Nothing is cached at module level.
 
-* A theorem family is a template of ``orbits.ORBIT_TEMPLATES`` and the
-  weight permutations it lists in chain order, one per orbit class.  The
-  same template drives the orbit audit and, at one permutation, the
-  series oracle: ``SERIES_ORACLES`` gives that form per n, and
-  ``_oracle_holds`` folds it as one column to n_max for the sweep.
-* A corollary family is a row of terms written at the pinned weights (slot
-  0 is w1, slot 1 is w2), never the parent theorem evaluated at pinned
-  weights, so the specialization checks compare two different
-  computations.  A row repeating another row's expression names its term.
+Every family is a row of terms, built by ``IdentityFamily.from_terms``:
+its weight and shift arities are the slots and shifts the terms read.
+* A theorem's row is its ``orbits.ORBIT_TEMPLATES`` template at the
+  permutations it lists in chain order, one per orbit class, and its orbit
+  size is the template's.  The template drives the orbit audit and,
+  compiled per call at one permutation, the series oracle: ``SERIES_ORACLES``
+  gives that form per n, ``_oracle_holds`` folds it as one column to n_max.
+* A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
+  is w2), never as the parent at pinned weights, so the specialization
+  checks compare two computations.  It takes its parent's parity rule, and
+  the parent's weights past its own are pinned to 1.  A row repeating
+  another row's expression names its term.
 
 ``w`` is a tuple of positive integer weights and ``y`` a tuple of exact
-shift values (``int`` or ``Fraction``), their arities fixed per family.  A
-permutation is a tuple of 0-based slots: (1, 0, 2) reads the roles (a, b,
-c) as (w2, w1, w3).  Families built on T_k (the alternating power sum)
-require odd weights; the all-Euler families T1 and T16 accept any.
+shift values (``int`` or ``Fraction``).  A permutation is a tuple of
+0-based slots: (1, 0, 2) reads the roles (a, b, c) as (w2, w1, w3).
+Families built on T_k (the alternating power sum) require odd weights;
+the all-Euler families T1 and T16 accept any.
 
 Family ids: T1, T2, T5, T8, T11, T14, T16, T17 are the three-weight
 theorems; C3, C4, C6, C7, C9, C10, C12, C13, C15, C18 the corollaries
@@ -101,9 +104,6 @@ Evaluator = Callable[[int, Sequence[int], Sequence[Fraction]], Fraction]
 Form = tuple[list[int], int]
 # A shift value as its (numerator, denominator).
 Shift = tuple[int, int]
-
-CYCLIC_PERMS: tuple[Perm, ...] = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
 
 # --------------------------------------------------------------------------
 # Building blocks.  _euler_vec, _tval and _alt_vec are module-level seams,
@@ -221,6 +221,13 @@ def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
     return tuple((s.numerator, s.denominator) for s in y)
 
 
+def _reads(t: Term) -> tuple[list[int], list[int]]:
+    """The weight slots of each bundle's monomial, counts and base, in order,
+    and the shift index of each E and A (a T's index 0 is a placeholder)."""
+    return ([s for (_, m, _, counts), base in t for s in (*m, *counts, *base)],
+            [j for (kind, _, j, _), _ in t if kind != "T"])
+
+
 def _compile(t: Term) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table) ->
     the values at 0..n_max for shifts y given by ``_shifts``, the term's
@@ -232,8 +239,7 @@ def _compile(t: Term) -> Evaluator:
     returned list is the table's and is not to be mutated."""
     shape = " ".join(f"{kind}{len(m)}.{len(counts)}.{len(base)}"
                      for (kind, m, _, counts), base in t)
-    w_slots = [s for (_, m, _, counts), base in t for s in (*m, *counts, *base)]
-    y_slots = [j for (kind, _, j, _), _ in t if kind != "T"]
+    w_slots, y_slots = _reads(t)
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count).
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
 
@@ -306,87 +312,79 @@ _INTRO_CHAIN = (_C9[0], _C9[1], _C12[0], _C12[1], _C9[2], _C12[4], _C12[5], _C15
 
 @dataclass(frozen=True)
 class IdentityFamily:
-    """One theorem or corollary: its equal expressions and constraints; for a
-    theorem, ``perms`` holds the template permutation of each variant."""
+    """One theorem or corollary: its equal expressions and constraints, as
+    ``from_terms`` reads them off its row of terms.  A theorem's variants
+    number the orbit size of its template, and ``perms`` holds the template
+    permutation of each; other families have neither."""
 
     family_id: str
     w_arity: int
     y_arity: int
     odd_only: bool
     variants: tuple[Evaluator, ...]
-    expected_orbit_size: int | None = None
     orbit_template: str | None = None
     perms: tuple[Perm, ...] = ()
 
+    @classmethod
+    def from_terms(cls, family_id: str, row: Sequence[Term], odd_only: bool,
+                   template: str | None = None, perms: tuple[Perm, ...] = ()) -> IdentityFamily:
+        """The family of ``row``, one compiled variant per term; its arities are
+        one past the largest weight slot and shift index that the terms read."""
+        w_slots, y_slots = ([ix for t in row for ix in _reads(t)[k]] for k in (0, 1))
+        return cls(family_id, 1 + max(w_slots, default=-1), 1 + max(y_slots, default=-1),
+                   odd_only, tuple(map(_compile, row)), template, perms)
+
+    @property
+    def expected_orbit_size(self) -> int | None:  # None without a template
+        return EXPECTED_ORBIT_SIZES.get(self.orbit_template)
+
     def __post_init__(self) -> None:
-        size = self.expected_orbit_size
+        template, size = self.orbit_template, self.expected_orbit_size
+        if template is not None and size is None:
+            raise ValueError(f"{self.family_id}: unknown orbit template {template!r}")
         if size is not None and len(self.variants) != size:
             raise ValueError(
                 f"{self.family_id}: {len(self.variants)} variants but expected orbit size {size}"
             )
-        template = self.orbit_template
-        if template is not None and template not in EXPECTED_ORBIT_SIZES:
-            raise ValueError(f"{self.family_id}: unknown orbit template {template!r}")
-        if template is not None and EXPECTED_ORBIT_SIZES[template] != size:
-            raise ValueError(f"{self.family_id}: template/orbit size mismatch")
 
 
-# Theorem -> (template, shift arity, odd weights only, perms in chain order).
-_THEOREMS: dict[str, tuple[str, int, bool, tuple[Perm, ...]]] = {
-    "T1": ("eee", 3, False, ALL_PERMS),
-    "T2": ("eet", 2, True, ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))),
-    "T5": ("e-shift", 2, True, ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))),
-    "T8": ("ett", 1, True, CYCLIC_PERMS),
-    "T11": ("shift-t", 1, True, ALL_PERMS),
-    "T14": ("double-shift", 1, True, CYCLIC_PERMS),
-    "T16": ("eee-cyclic", 1, False, ((0, 1, 2), (0, 2, 1))),
-    "T17": ("ttt-cyclic", 0, True, ((0, 1, 2), (0, 2, 1))),
+# Theorem -> (template, odd weights only, perms in chain order).
+_THEOREMS: dict[str, tuple[str, bool, tuple[Perm, ...]]] = {
+    "T1": ("eee", False, ALL_PERMS),
+    "T2": ("eet", True, ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))),
+    "T5": ("e-shift", True, ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))),
+    "T8": ("ett", True, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    "T11": ("shift-t", True, ALL_PERMS),
+    "T14": ("double-shift", True, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    "T16": ("eee-cyclic", False, ((0, 1, 2), (0, 2, 1))),
+    "T17": ("ttt-cyclic", True, ((0, 1, 2), (0, 2, 1))),
 }
 
-# Corollary -> (parent theorem, number of trailing parent weights pinned to
-# 1, row).  A corollary takes the parent's shifts and its unpinned weights.
-_COROLLARIES: dict[str, tuple[str, int, tuple[Term, ...]]] = {
-    "C3": ("T2", 1, _C3),
-    "C4": ("T2", 2, _C4),
-    "C6": ("T5", 1, _C6),
-    "C7": ("T5", 2, _C7),
-    "C9": ("T8", 1, _C9),
-    "C10": ("T8", 2, _C10),
-    "C12": ("T11", 1, _C12),
-    "C13": ("T11", 2, _C13),
-    "C15": ("T14", 1, _C15),
-    "C18": ("T17", 1, _C18),
+# Corollary -> (parent theorem, row).  A corollary takes its parent's parity
+# rule, and the parent's weights past the row's are pinned to 1.
+_COROLLARIES: dict[str, tuple[str, tuple[Term, ...]]] = {
+    "C3": ("T2", _C3), "C4": ("T2", _C4), "C6": ("T5", _C6), "C7": ("T5", _C7),
+    "C9": ("T8", _C9), "C10": ("T8", _C10), "C12": ("T11", _C12), "C13": ("T11", _C13),
+    "C15": ("T14", _C15), "C18": ("T17", _C18),
 }
 
-# Specialization checks compare values across this map.
-PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
-    cid: (parent, pinned) for cid, (parent, pinned, _) in _COROLLARIES.items()
-}
-
-# Every one of the six permuted forms of each theorem's template, compiled.
-_PERMUTED: dict[str, dict[Perm, Evaluator]] = {
-    fid: {p: _compile(substitute(ORBIT_TEMPLATES[template], p)) for p in ALL_PERMS}
-    for fid, (template, *_) in _THEOREMS.items()
-}
-
-
-def _build(fid: str) -> IdentityFamily:
-    if fid in _THEOREMS:
-        template, y_arity, odd_only, perms = _THEOREMS[fid]
-        variants = tuple(_PERMUTED[fid][p] for p in perms)
-        return IdentityFamily(fid, 3, y_arity, odd_only, variants, len(perms), template, perms)
-    parent, pinned, row = _COROLLARIES[fid]
-    y_arity = _THEOREMS[parent][1]
-    return IdentityFamily(fid, 3 - pinned, y_arity, True, tuple(map(_compile, row)), len(row))
-
-
-# In the numbering of the source, theorems and corollaries interleaved.
 FAMILIES: dict[str, IdentityFamily] = {
-    fid: _build(fid) for fid in sorted({**_THEOREMS, **_COROLLARIES}, key=lambda f: int(f[1:]))
+    fid: IdentityFamily.from_terms(
+        fid, [substitute(ORBIT_TEMPLATES[template], p) for p in perms], odd_only, template, perms)
+    for fid, (template, odd_only, perms) in _THEOREMS.items()
 }
-FAMILIES["INTRO_CHAIN"] = IdentityFamily(
-    "INTRO_CHAIN", 2, 1, True, tuple(map(_compile, _INTRO_CHAIN))
-)
+FAMILIES.update({cid: IdentityFamily.from_terms(cid, row, FAMILIES[parent].odd_only)
+                 for cid, (parent, row) in _COROLLARIES.items()})
+# In the numbering of the source, theorems and corollaries interleaved.
+FAMILIES = dict(sorted(FAMILIES.items(), key=lambda item: int(item[0][1:])))
+FAMILIES["INTRO_CHAIN"] = IdentityFamily.from_terms("INTRO_CHAIN", _INTRO_CHAIN, True)
+
+# Specialization checks compare values across this map: corollary ->
+# (parent, how many trailing parent weights are pinned to 1).
+PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
+    cid: (parent, FAMILIES[parent].w_arity - FAMILIES[cid].w_arity)
+    for cid, (parent, _) in _COROLLARIES.items()
+}
 
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
@@ -474,13 +472,14 @@ def eval_variant(
     """Evaluate one expression of a family, chosen by its index in the
     family's equality chain or, for a theorem family, by any of the six
     weight permutations of its template (the unlisted ones are the forms
-    that collapse onto listed ones under bound-index renaming)."""
+    that collapse onto listed ones under bound-index renaming).  A form
+    chosen by permutation is compiled for this call."""
     fam = _family(family_id)
     choice = index_or_perm
     if type(choice) is int and 0 <= choice < len(fam.variants):
         ev = fam.variants[choice]
-    elif isinstance(choice, Sequence) and tuple(choice) in _PERMUTED.get(family_id, {}):
-        ev = _PERMUTED[family_id][tuple(choice)]
+    elif fam.orbit_template and isinstance(choice, Sequence) and tuple(choice) in ALL_PERMS:
+        ev = _compile(substitute(ORBIT_TEMPLATES[fam.orbit_template], tuple(choice)))
     else:
         raise ValueError(f"{family_id} has no variant {choice!r}; it takes an index "
                          f"below {len(fam.variants)} or, for a theorem, a permutation")
@@ -510,11 +509,12 @@ SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
 
 
 def _oracle_holds(fid: str, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...]) -> bool:
-    """Whether the oracle form of theorem ``fid``, folded as one column
-    with a fresh table, equals ``lambda_series`` at n = 0..n_max; wt and
-    yt as ``case_args`` returns them for the family."""
+    """Whether the oracle form of theorem ``fid``, compiled for this call and
+    folded as one column with a fresh table, equals ``lambda_series`` at
+    n = 0..n_max; wt and yt as ``case_args`` returns them for the family."""
     series, sub_index, perm = _ORACLES[fid]
-    column = _PERMUTED[fid][perm].vector(n_max, wt, _shifts(yt), {})
+    form = _compile(substitute(ORBIT_TEMPLATES[FAMILIES[fid].orbit_template], perm))
+    column = form.vector(n_max, wt, _shifts(yt), {})
     return tuple(column) == lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
 
 

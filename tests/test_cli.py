@@ -233,21 +233,25 @@ def test_verify_rejects_malformed_rational(capsys):
     assert "malformed" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--wset", "1_1", "--family", "C13", "--nmax", "0"),
-    ("euler", "--n", "2", "--x", "0.5"),
-    ("euler", "--n", "1_0"),
-    ("altsum", "--k", "\u0662", "--n", "3"),
-    ("verify", "--family", "T17", "--nmax", "1_0"),
-    ("series", "--family", "L12_1", "--w", "1,3,5", "--order", "1_0"),
-    ("series", "--family", "L23", "--i", "\u0661", "--w", "1,3,5", "--y=0,0"),
-], ids=["wset 1_1", "x 0.5", "n 1_0", "k arabic 2", "nmax 1_0", "order 1_0", "i arabic 1"])
-def test_only_plain_integers_and_fractions_parse(capsys, argv):
+@pytest.mark.parametrize("option, argv", [
+    ("--wset", ("verify", "--wset", "1_1", "--family", "C13", "--nmax", "0")),
+    ("--x", ("euler", "--n", "2", "--x", "0.5")),
+    ("--n", ("euler", "--n", "1_0")),
+    ("--k", ("altsum", "--k", "\u0662", "--n", "3")),
+    ("--nmax", ("verify", "--family", "T17", "--nmax", "1_0")),
+    ("--order", ("series", "--family", "L12_1", "--w", "1,3,5", "--order", "1_0")),
+    ("--i", ("series", "--family", "L23", "--i", "\u0661", "--w", "1,3,5", "--y=0,0")),
+    ("--wset", ("verify", "--family", "T17", "--wset", "1,,3", "--nmax", "0")),
+    ("--ys", ("verify", "--family", "C10", "--wset", "3", "--nmax", "0", "--ys", "0,,1/2")),
+], ids=["wset 1_1", "x 0.5", "n 1_0", "k arabic 2", "nmax 1_0", "order 1_0", "i arabic 1",
+        "wset empty item", "ys empty item"])
+def test_only_plain_integers_and_fractions_parse(capsys, option, argv):
     # Not read as 11 or 10, as the float's value or as a non-ASCII digit's
-    # value: each is a usage error.
+    # value, and an empty list item is not dropped: each is a usage error
+    # that names the option.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "malformed" in err
+    assert err.startswith("error: malformed ") and f" for {option}: " in err
 
 
 def test_verify_rejects_unknown_family(capsys):
@@ -467,8 +471,8 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
         term((E((0,), 0), ()), (E((1,), 0), (2,))),
     )
     catalog = {**identities.FAMILIES, **{
-        fid: identities.IdentityFamily(fid, w_arity, 1, True, tuple(map(identities._compile, row)))
-        for fid, w_arity, row in (("SCALE", 2, scaled), ("KIND", 3, kinds), ("SLOTS", 3, slots))
+        fid: identities.IdentityFamily.from_terms(fid, row, True)
+        for fid, row in (("SCALE", scaled), ("KIND", kinds), ("SLOTS", slots))
     }}
     failing = set()
     for ys in ((Fraction(1, 3), Fraction(-1, 2)), (Fraction(1, 3),)):

@@ -356,7 +356,7 @@ def test_catalog_structure():
     assert len(FAMILIES["INTRO_CHAIN"].variants) == 8
     for fid, fam in FAMILIES.items():
         assert fam.family_id == fid
-        if fid == "INTRO_CHAIN":
+        if fid == "INTRO_CHAIN" or fid in PARENT_SPECIALIZATIONS:
             assert fam.expected_orbit_size is None
         else:
             assert fam.expected_orbit_size == len(fam.variants)
@@ -364,13 +364,40 @@ def test_catalog_structure():
         assert fam.odd_only == (fid not in ("T1", "T16"))
 
 
+# Each family's shape as the paper states it, not as the catalog derives it:
+# (weights, shift values, odd weights only, orbit size of the theorem's
+# template or None).  A corollary sets trailing weights of its parent to 1.
+SHAPES = {
+    "T1": (3, 3, False, 6), "T2": (3, 2, True, 6), "T5": (3, 2, True, 6),
+    "T8": (3, 1, True, 3), "T11": (3, 1, True, 6), "T14": (3, 1, True, 3),
+    "T16": (3, 1, False, 2), "T17": (3, 0, True, 2),
+    "C3": (2, 2, True, None), "C4": (1, 2, True, None), "C6": (2, 2, True, None),
+    "C7": (1, 2, True, None), "C9": (2, 1, True, None), "C10": (1, 1, True, None),
+    "C12": (2, 1, True, None), "C13": (1, 1, True, None), "C15": (2, 1, True, None),
+    "C18": (2, 0, True, None), "INTRO_CHAIN": (2, 1, True, None),
+}
+# Corollary -> (parent theorem, number of its trailing weights set to 1).
+PINNED = {
+    "C3": ("T2", 1), "C4": ("T2", 2), "C6": ("T5", 1), "C7": ("T5", 2), "C9": ("T8", 1),
+    "C10": ("T8", 2), "C12": ("T11", 1), "C13": ("T11", 2), "C15": ("T14", 1),
+    "C18": ("T17", 1),
+}
+
+
+def test_each_family_has_the_shape_the_paper_states():
+    shapes = {fid: (fam.w_arity, fam.y_arity, fam.odd_only, fam.expected_orbit_size)
+              for fid, fam in FAMILIES.items()}
+    assert shapes == SHAPES
+    assert PARENT_SPECIALIZATIONS == PINNED
+
+
 def test_family_rejects_a_wrong_orbit():
-    # A theorem family must list one variant per orbit class of a template
-    # whose audited size it declares.
+    # A theorem family must list one variant per orbit class of its
+    # template, whose audited size is its expected orbit size.
     t8 = FAMILIES["T8"]
     with pytest.raises(ValueError, match="expected orbit size"):
         replace(t8, variants=t8.variants[:2])
-    with pytest.raises(ValueError, match="template/orbit size mismatch"):
+    with pytest.raises(ValueError, match="3 variants but expected orbit size 6"):
         replace(t8, orbit_template="eet")
     with pytest.raises(ValueError, match="unknown orbit template 'zzz'"):
         replace(t8, orbit_template="zzz")
