@@ -13,9 +13,10 @@ Subcommands:
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
 fails, 2 on usage or configuration errors, before any computation starts.
-A malformed number in any option, or an empty item in a number list, is
-such an error, and its message names the option (``exact_arith`` gives
-the grammar; a wholly empty list has no items).
+A malformed number in any option, an empty item in a number list, or a
+list given to a one-number option, is such an error, and its message names
+the option (``exact_arith`` gives the grammar; a wholly empty list has no
+items).
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -271,17 +272,10 @@ def emit_report(records: Sequence[VerificationReport], format: str = "json") -> 
 # Argument parsing helpers.
 
 
-def _number(args: argparse.Namespace, option: str, parse: Callable[[str], Any] = parse_int,
-            items: bool = False) -> Any:
-    """``parse`` of the text of ``option``, or with ``items`` of each of its
-    comma-separated items (blank text has none); errors name ``option``."""
-    text = getattr(args, option[2:])
-    parts = text.split(",") if text.strip() or not items else []
-    try:
-        values = tuple(map(parse, parts))
-    except ValueError as exc:  # "malformed integer: '1_0'"
-        raise ValueError(str(exc).replace(":", f" for {option}:", 1)) from None
-    return values if items else values[0]
+def _numbers(option: str, text: str, parse: Callable[[str, str], Any] = parse_int) -> tuple:
+    """``parse`` of each comma-separated item of ``text``, the value of
+    ``option`` (blank text has none); an empty item is malformed."""
+    return tuple(parse(part, option) for part in text.split(",")) if text.strip() else ()
 
 
 def _resolve_families(text: str) -> tuple[str, ...]:
@@ -343,27 +337,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_euler(args: argparse.Namespace) -> int:
     from . import euler
 
-    n = _number(args, "--n")
+    n = parse_int(args.n, "--n")
     if args.x is None:
         for coeff in euler.euler_polynomial(n).coeffs:
             print(format_rational(coeff))
     else:
-        print(format_rational(euler.euler_eval(n, _number(args, "--x", parse_rational))))
+        print(format_rational(euler.euler_eval(n, parse_rational(args.x, "--x"))))
     return 0
 
 
 def _cmd_altsum(args: argparse.Namespace) -> int:
     from .altsum import alt_power_sum
 
-    print(format_rational(alt_power_sum(_number(args, "--k"), _number(args, "--n"))))
+    print(format_rational(alt_power_sum(parse_int(args.k, "--k"), parse_int(args.n, "--n"))))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    w = _number(args, "--w", items=True)
-    y = _number(args, "--y", parse_rational, items=True)
-    i = None if args.i is None else _number(args, "--i")
-    series = lambda_series(args.family, i, w, y, order=_number(args, "--order"))
+    w = _numbers("--w", args.w)
+    y = _numbers("--y", args.y, parse_rational)
+    i = None if args.i is None else parse_int(args.i, "--i")
+    series = lambda_series(args.family, i, w, y, order=parse_int(args.order, "--order"))
     for coeff in series.coeffs:
         print(format_rational(coeff))
     return 0
@@ -373,9 +367,9 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The sweep of parsed ``verify`` arguments."""
     return SweepConfig(
         families=_resolve_families(args.family),
-        w_set=_number(args, "--wset", items=True),
-        n_max=_number(args, "--nmax"),
-        y_samples=_number(args, "--ys", parse_rational, items=True),
+        w_set=_numbers("--wset", args.wset),
+        n_max=parse_int(args.nmax, "--nmax"),
+        y_samples=_numbers("--ys", args.ys, parse_rational),
         include_even_w=args.include_even_w,
     )
 

@@ -18,7 +18,8 @@ Text is parsed by one grammar, in ASCII only: an integer is
 ``[+-]?[0-9]+`` (``parse_int``) and a rational ``[+-]?[0-9]+(/[0-9]+)?``
 with a non-zero denominator (``parse_rational``), either with ASCII
 whitespace around it.  Anything else (``0.5``, ``1e-1``, ``1_0``, ``1 / 2``, a
-non-ASCII digit) raises ``ValueError`` starting ``malformed``.
+non-ASCII digit, a comma) raises ``ValueError`` starting ``malformed``, and
+naming the option the text came from when the caller gives one.
 """
 
 from __future__ import annotations
@@ -46,19 +47,20 @@ _INT = re.compile(r"\s*([+-]?[0-9]+)\s*", re.ASCII)
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
 
-def parse_int(text: str) -> int:
-    """Parse 'n' into an int; reject anything else."""
+def parse_int(text: str, name: str = "") -> int:
+    """Parse 'n' into an int; reject anything else, naming ``name`` if given."""
     match = _INT.fullmatch(text)
     if match is None:
-        raise ValueError(f"malformed integer: {text!r}")
+        raise ValueError(f"malformed integer{name and ' for ' + name}: {text!r}")
     return int(match[1])
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'n' into a canonical Fraction; reject anything else."""
+def parse_rational(text: str, name: str = "") -> Fraction:
+    """Parse 'p/q' or 'n' into a canonical Fraction; reject anything else,
+    naming ``name`` if given."""
     match = _RATIONAL.fullmatch(text)
     if match is None or match[2] is not None and int(match[2]) == 0:
-        raise ValueError(f"malformed rational: {text!r}")
+        raise ValueError(f"malformed rational{name and ' for ' + name}: {text!r}")
     return Fraction(int(match[1]), int(match[2] or 1))
 
 

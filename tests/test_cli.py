@@ -243,12 +243,15 @@ def test_verify_rejects_malformed_rational(capsys):
     ("--i", ("series", "--family", "L23", "--i", "\u0661", "--w", "1,3,5", "--y=0,0")),
     ("--wset", ("verify", "--family", "T17", "--wset", "1,,3", "--nmax", "0")),
     ("--ys", ("verify", "--family", "C10", "--wset", "3", "--nmax", "0", "--ys", "0,,1/2")),
+    ("--n", ("euler", "--n", "1,2")),
+    ("--nmax", ("verify", "--family", "T17", "--nmax", "3,99")),
+    ("--x", ("euler", "--n", "2", "--x", "1/2,7")),
 ], ids=["wset 1_1", "x 0.5", "n 1_0", "k arabic 2", "nmax 1_0", "order 1_0", "i arabic 1",
-        "wset empty item", "ys empty item"])
+        "wset empty item", "ys empty item", "n comma", "nmax comma", "x comma"])
 def test_only_plain_integers_and_fractions_parse(capsys, option, argv):
     # Not read as 11 or 10, as the float's value or as a non-ASCII digit's
-    # value, and an empty list item is not dropped: each is a usage error
-    # that names the option.
+    # value, an empty list item is not dropped, and a scalar option is not a
+    # list: each is a usage error that names the option.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: malformed ") and f" for {option}: " in err
