@@ -11,12 +11,19 @@ Subcommands:
   Each family's records are written as soon as that family is swept and
   then dropped, so memory holds one family's records, not the report.
 
+Reports: ``_FORMATS`` describes each format once (head, record template,
+separators, tail), and one generator, ``_report_pieces``, reads it for
+both ``emit_report`` and ``verify``.  Nothing is escaped or quoted, so a
+family id is one or more ASCII letters, digits and ``_``; the writer and
+``--family`` refuse any other.
+
 Exit codes: 0 when every checked identity holds, 1 when at least one case
 fails, 2 on usage or configuration errors, before any computation starts.
 A malformed number in any option, an empty item in a number list, or a
 list given to a one-number option, is such an error, and its message names
 the option (``exact_arith`` gives the grammar; a wholly empty list has no
-items).
+items).  So is a ``--family`` item that, stripped, is not a family id, as
+an empty item is (``--family T17,,C18``).
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -31,9 +38,8 @@ the case count stays linear in the sample count.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
@@ -204,68 +210,61 @@ def run_sweep(
     return records, _total(part for _, part in swept)
 
 
-# One JSON record, from text made beforehand.
-_JSON_RECORD = '{"family":%s,"n":%s,"w":[%s],"y":[%s],"values":[%s],"equal":%s}'
-_CSV_HEADER = b"family,n,w,y,values,equal\n"
+# Head, record, list-item separator, value template, record separator, tail.
+# With format_rational values and _FAMILY_ID ids, these are the bytes of the
+# json module with (",", ":") separators and the csv module with "\n" rows.
+_FORMATS = {
+    "json": ("[", '{"family":"%s","n":%s,"w":[%s],"y":[%s],"values":[%s],"equal":%s}',
+             ",", '"%s"', ",", "]"),
+    "csv": ("family,n,w,y,values,equal\n", "%s,%s,%s,%s,%s,%s\n", "|", "%s", "", ""),
+}
+_FAMILY_ID = re.compile(r"[A-Za-z0-9_]+")
 
 
-def _chunk_text(records: Sequence[VerificationReport], format: str) -> str:
-    """The report text of a run of records: JSON records joined by commas,
-    or CSV rows.
+def _family_id(text: str, name: str) -> str:
+    """``text`` if it is a family id: one or more ASCII letters, digits and
+    ``_``; otherwise a ``ValueError`` naming ``name``."""
+    if not _FAMILY_ID.fullmatch(text):
+        raise ValueError(f"malformed id for {name}: {text!r}")
+    return text
+
+
+def _report_pieces(chunks: Iterable[Sequence[VerificationReport]], format: str) -> Iterator[str]:
+    """The report of the records of ``chunks``, in order, as pieces of text:
+    the head, then for each non-empty chunk the record separator (none
+    before the first) and the chunk's records as one piece, then the tail.
 
     The records of a sweep share their value objects, one per distinct
     value (see ``identities``), so each distinct object, keyed by ``id``,
     goes through ``format_rational`` once per chunk; the records keep every
-    object alive while this runs, so no id is reused.  A JSON record is one
-    ``%``-formatted string of those texts, with each family id through
-    ``json.dumps`` once; the bytes are those of ``json.dumps`` over one
-    dict per record with ``separators=(",", ":")``.  CSV rows go through
-    ``csv.writer``."""
-    objects = {id(v): v for r in records for v in r.y + r.variant_values}
-    quote = '"%s"' if format == "json" else "%s"
-    text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
-    if format == "json":
-        family = {fid: json.dumps(fid) for fid in {r.family_id for r in records}}
-        return ",".join([_JSON_RECORD % (
-            family[r.family_id], r.n, ",".join(map(str, r.w)), ",".join(map(text, map(id, r.y))),
-            ",".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false",
-        ) for r in records])
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(
-        [r.family_id, r.n, "|".join(map(str, r.w)), "|".join(map(text, map(id, r.y))),
-         "|".join(map(text, map(id, r.variant_values))), "true" if r.all_equal else "false"]
-        for r in records
-    )
-    return buffer.getvalue()
-
-
-def _write_report(
-    write: Callable[[bytes], object],
-    chunks: Iterable[Sequence[VerificationReport]],
-    format: str,
-) -> None:
-    """Write the report of the records of ``chunks``, in order, one chunk
-    at a time: ``[`` and the non-empty chunks joined by ``,`` and ``]`` for
-    JSON, or the header and the rows for CSV."""
-    if format not in ("json", "csv"):
+    object alive while this runs, so no id is reused.  Each distinct family
+    id of a chunk is checked against the id grammar once."""
+    if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}")
-    head, comma, tail = (b"[", b",", b"]") if format == "json" else (_CSV_HEADER, b"", b"")
-    write(head)
-    sep = b""
+    head, record, item, quote, sep, tail = _FORMATS[format]
+    yield head
+    before = ""
     for records in chunks:
         if records:
-            write(sep)
-            write(_chunk_text(records, format).encode("utf-8"))
-            sep = comma
-    write(tail)
+            for family_id in {r.family_id for r in records}:
+                _family_id(family_id, "family")
+            objects = {id(v): v for r in records for v in r.y + r.variant_values}
+            text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
+            yield before
+            yield sep.join([record % (
+                r.family_id, r.n, item.join(map(str, r.w)), item.join(map(text, map(id, r.y))),
+                item.join(map(text, map(id, r.variant_values))),
+                "true" if r.all_equal else "false",
+            ) for r in records])
+            before = sep
+    yield tail
 
 
 def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
     """Serialize records; byte-stable for a fixed record order.  These are
-    the bytes ``verify`` writes, family by family, for the same records."""
-    buffer = io.BytesIO()
-    _write_report(buffer.write, [records], format)
-    return buffer.getvalue()
+    the bytes ``verify`` writes, family by family, for the same records:
+    the pieces of one ``_report_pieces``, joined."""
+    return "".join(_report_pieces([records], format)).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +280,7 @@ def _numbers(option: str, text: str, parse: Callable[[str, str], Any] = parse_in
 def _resolve_families(text: str) -> tuple[str, ...]:
     if text == "all":
         return FAMILY_IDS
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    return tuple(_family_id(part.strip(), "--family") for part in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="let any-parity families (T1, T16) use even weights from --wset",
     )
     p_verify.add_argument("--output", default=None, help="write report here")
-    p_verify.add_argument("--format", default="json", choices=("json", "csv"))
+    p_verify.add_argument("--format", default="json", choices=tuple(_FORMATS))
     return parser
 
 
@@ -378,15 +377,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _sweep_config(args)
     # A file is opened before the sweep, so that an unwritable path fails at
     # once; sys.stdout is read only to write, as a caller may redirect it,
-    # and a stream without a binary buffer (io.StringIO) is written text.
+    # and a stream without a binary buffer (a StringIO) is written text.
     with nullcontext() if args.output is None else open(args.output, "wb") as handle:
         sweeps = _family_sweeps(config)  # ids checked before the first byte
         out = handle if handle is not None else getattr(sys.stdout, "buffer", sys.stdout)
         text = isinstance(out, io.TextIOBase)
-
-        def write(data: bytes) -> None:
-            out.write(data.decode("utf-8") if text else data)
-
         parts: list[SweepSummary] = []
 
         def chunks() -> Iterator[list[VerificationReport]]:
@@ -395,8 +390,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 parts.append(part)
                 yield records
 
-        _write_report(write, chunks(), args.format)
-        write(b"\n")
+        # writelines keeps no piece past its write, as a loop variable would.
+        pieces = _report_pieces(chunks(), args.format)
+        out.writelines(pieces if text else map(str.encode, pieces))
+        out.write("\n" if text else b"\n")
         out.flush()
     summary = _total(parts)
 

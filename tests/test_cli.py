@@ -246,12 +246,15 @@ def test_verify_rejects_malformed_rational(capsys):
     ("--n", ("euler", "--n", "1,2")),
     ("--nmax", ("verify", "--family", "T17", "--nmax", "3,99")),
     ("--x", ("euler", "--n", "2", "--x", "1/2,7")),
+    ("--family", ("verify", "--family", "T17,,C18", "--nmax", "0")),
+    ("--family", ("verify", "--family", "", "--nmax", "0")),
 ], ids=["wset 1_1", "x 0.5", "n 1_0", "k arabic 2", "nmax 1_0", "order 1_0", "i arabic 1",
-        "wset empty item", "ys empty item", "n comma", "nmax comma", "x comma"])
+        "wset empty item", "ys empty item", "n comma", "nmax comma", "x comma",
+        "family empty item", "family empty"])
 def test_only_plain_integers_and_fractions_parse(capsys, option, argv):
     # Not read as 11 or 10, as the float's value or as a non-ASCII digit's
-    # value, an empty list item is not dropped, and a scalar option is not a
-    # list: each is a usage error that names the option.
+    # value, an empty list item (a family id too) is not dropped, and a
+    # scalar option is not a list: each is a usage error that names the option.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: malformed ") and f" for {option}: " in err

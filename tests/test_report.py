@@ -1,9 +1,12 @@
 """``emit_report`` writes the bytes of the plain emitters in
-``report_reference``, in both formats, and formats each distinct value
-object once."""
+``report_reference``, in both formats, for any id of the family-id
+grammar, refuses any other id, and formats each distinct value object
+once."""
 
+import string
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -21,6 +24,14 @@ numerators = st.one_of(
 denominators = st.one_of(
     st.just(1), st.integers(-9, 9), st.integers(-(10**20) + 1, 10**20 - 1),
 ).filter(bool)
+
+# The catalog's ids and any other the id grammar, [A-Za-z0-9_]+, admits.
+# (st.from_regex fails the too_slow health check on a first run, with no
+# .hypothesis directory yet.)
+family_ids = st.one_of(
+    st.sampled_from(FAMILY_IDS),
+    st.text(st.sampled_from(string.ascii_letters + string.digits + "_"), min_size=1),
+)
 
 
 @st.composite
@@ -41,7 +52,7 @@ def reports(draw):
     for _ in range(draw(st.integers(0, 6))):
         w = tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=3)))
         records.append(VerificationReport(
-            draw(st.sampled_from(FAMILY_IDS)), draw(st.integers(0, 40)), w,
+            draw(family_ids), draw(st.integers(0, 40)), w,
             values(0, 3), values(1, 8),
         ))
     return records
@@ -59,6 +70,15 @@ EVERY_FAMILY = [
 def test_emit_report_matches_reference(records):
     for fmt in FORMATS:
         assert emit_report(records, fmt) == ref.emit_report(records, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("family_id", ['T"1', "T,1", "T|1", "T\u00e4", "T 1", ""])
+def test_emit_report_refuses_an_id_the_template_cannot_write(fmt, family_id):
+    # None is a family id: the template neither escapes nor quotes.
+    record = VerificationReport(family_id, 0, (1,), (), (Fraction(1),))
+    with pytest.raises(ValueError, match="malformed id"):
+        emit_report([record], fmt)
 
 
 def test_sweep_report_formats_each_value_object_once(monkeypatch):
