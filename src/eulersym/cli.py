@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import identities
+from . import altsum, euler, identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
 from .exact_arith import (
     count, format_rational, int_weights, parse_int, parse_rational, rational_shifts,
@@ -257,6 +257,7 @@ def _report_pieces(chunks: Iterable[Sequence[VerificationReport]], format: str) 
                 "true" if r.all_equal else "false",
             ) for r in records])
             before = sep
+            del records, objects, text  # before the next chunk is made
     yield tail
 
 
@@ -334,8 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
-    from . import euler
-
     n = parse_int(args.n, "--n")
     if args.x is None:
         for coeff in euler.euler_polynomial(n).coeffs:
@@ -346,9 +345,8 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_altsum(args: argparse.Namespace) -> int:
-    from .altsum import alt_power_sum
-
-    print(format_rational(alt_power_sum(parse_int(args.k, "--k"), parse_int(args.n, "--n"))))
+    k, n = parse_int(args.k, "--k"), parse_int(args.n, "--n")
+    print(format_rational(altsum.alt_power_sum(k, n)))
     return 0
 
 
@@ -385,10 +383,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         parts: list[SweepSummary] = []
 
         def chunks() -> Iterator[list[VerificationReport]]:
-            # Each family's records are written, then dropped.
+            # Each family's records are written, then dropped before the next is swept.
             for records, part in sweeps:
                 parts.append(part)
                 yield records
+                del records
 
         # writelines keeps no piece past its write, as a loop variable would.
         pieces = _report_pieces(chunks(), args.format)

@@ -9,7 +9,7 @@ coefficients) is built on this type.
 The input rules live here, and each public entry point applies them once:
 a degree, index or order is a ``count`` (a non-``bool`` ``int`` >= 0); a
 weight a positive non-``bool`` ``int`` (``int_weights``), odd wherever a
-T_k factor appears; a shift, point or series value an ``int`` or a
+T or an A factor appears; a shift, point or series value an ``int`` or a
 ``Fraction`` (``as_rational``); a case has fixed weight and shift arities
 (``case_args``).  Nothing is coerced: ``2.0``, ``True``, ``0.1`` and
 ``'1/2'`` raise ``ValueError`` naming the argument.

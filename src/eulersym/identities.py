@@ -52,7 +52,8 @@ table, shared by its variants, and ``eval_variant`` and the series
 oracles give each call a fresh one.  Nothing is cached at module level.
 
 Every family is a row of terms, built by ``IdentityFamily.from_terms``:
-its weight and shift arities are the slots and shifts the terms read.
+its weight and shift arities are the slots and shifts the terms read, and
+it takes odd weights only if a term has a T or an A factor (``orbits``).
 * A theorem's row is its ``orbits.ORBIT_TEMPLATES`` template at the
   permutations it lists in chain order, one per orbit class, and its orbit
   size is the template's.  The template drives the orbit audit and,
@@ -60,15 +61,12 @@ its weight and shift arities are the slots and shifts the terms read.
   gives that form per n, ``_oracle_holds`` folds it as one column to n_max.
 * A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
   is w2), never as the parent at pinned weights, so the specialization
-  checks compare two computations.  It takes its parent's parity rule, and
-  the parent's weights past its own are pinned to 1.  A row repeating
-  another row's expression names its term.
+  checks compare two computations.  The parent's weights past its own are
+  pinned to 1.  A row repeating another row's expression names its term.
 
 ``w`` is a tuple of positive integer weights and ``y`` a tuple of exact
 shift values (``int`` or ``Fraction``).  A permutation is a tuple of
 0-based slots: (1, 0, 2) reads the roles (a, b, c) as (w2, w1, w3).
-Families built on T_k (the alternating power sum) require odd weights;
-the all-Euler families T1 and T16 accept any.
 
 Family ids: T1, T2, T5, T8, T11, T14, T16, T17 are the three-weight
 theorems; C3, C4, C6, C7, C9, C10, C12, C13, C15, C18 the corollaries
@@ -221,11 +219,13 @@ def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
     return tuple((s.numerator, s.denominator) for s in y)
 
 
-def _reads(t: Term) -> tuple[list[int], list[int]]:
+def _reads(t: Term) -> tuple[list[int], list[int], bool]:
     """The weight slots of each bundle's monomial, counts and base, in order,
-    and the shift index of each E and A (a T's index 0 is a placeholder)."""
+    the shift index of each E and A (a T's index 0 is a placeholder), and
+    whether a T or an A factor makes the term need odd weights."""
     return ([s for (_, m, _, counts), base in t for s in (*m, *counts, *base)],
-            [j for (kind, _, j, _), _ in t if kind != "T"])
+            [j for (kind, _, j, _), _ in t if kind != "T"],
+            any(kind != "E" for (kind, *_), _ in t))
 
 
 def _compile(t: Term) -> Evaluator:
@@ -239,7 +239,7 @@ def _compile(t: Term) -> Evaluator:
     returned list is the table's and is not to be mutated."""
     shape = " ".join(f"{kind}{len(m)}.{len(counts)}.{len(base)}"
                      for (kind, m, _, counts), base in t)
-    w_slots, y_slots = _reads(t)
+    w_slots, y_slots, _ = _reads(t)
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count).
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
 
@@ -326,13 +326,14 @@ class IdentityFamily:
     perms: tuple[Perm, ...] = ()
 
     @classmethod
-    def from_terms(cls, family_id: str, row: Sequence[Term], odd_only: bool,
-                   template: str | None = None, perms: tuple[Perm, ...] = ()) -> IdentityFamily:
-        """The family of ``row``, one compiled variant per term; its arities are
-        one past the largest weight slot and shift index that the terms read."""
-        w_slots, y_slots = ([ix for t in row for ix in _reads(t)[k]] for k in (0, 1))
-        return cls(family_id, 1 + max(w_slots, default=-1), 1 + max(y_slots, default=-1),
-                   odd_only, tuple(map(_compile, row)), template, perms)
+    def from_terms(cls, family_id: str, row: Sequence[Term], template: str | None = None,
+                   perms: tuple[Perm, ...] = ()) -> IdentityFamily:
+        """The family of ``row``, one compiled variant per term: its arities one past
+        the largest weight slot and shift index read, odd-only if a term needs it."""
+        reads = list(map(_reads, row))
+        w_arity, y_arity = (1 + max((ix for r in reads for ix in r[k]), default=-1) for k in (0, 1))
+        return cls(family_id, w_arity, y_arity, any(r[2] for r in reads),
+                   tuple(map(_compile, row)), template, perms)
 
     @property
     def expected_orbit_size(self) -> int | None:  # None without a template
@@ -348,20 +349,19 @@ class IdentityFamily:
             )
 
 
-# Theorem -> (template, odd weights only, perms in chain order).
-_THEOREMS: dict[str, tuple[str, bool, tuple[Perm, ...]]] = {
-    "T1": ("eee", False, ALL_PERMS),
-    "T2": ("eet", True, ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))),
-    "T5": ("e-shift", True, ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))),
-    "T8": ("ett", True, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
-    "T11": ("shift-t", True, ALL_PERMS),
-    "T14": ("double-shift", True, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
-    "T16": ("eee-cyclic", False, ((0, 1, 2), (0, 2, 1))),
-    "T17": ("ttt-cyclic", True, ((0, 1, 2), (0, 2, 1))),
+# Theorem -> (template, perms in chain order).
+_THEOREMS: dict[str, tuple[str, tuple[Perm, ...]]] = {
+    "T1": ("eee", ALL_PERMS),
+    "T2": ("eet", ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))),
+    "T5": ("e-shift", ((2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2))),
+    "T8": ("ett", ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    "T11": ("shift-t", ALL_PERMS),
+    "T14": ("double-shift", ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    "T16": ("eee-cyclic", ((0, 1, 2), (0, 2, 1))),
+    "T17": ("ttt-cyclic", ((0, 1, 2), (0, 2, 1))),
 }
 
-# Corollary -> (parent theorem, row).  A corollary takes its parent's parity
-# rule, and the parent's weights past the row's are pinned to 1.
+# Corollary -> (parent theorem, row); the parent's weights past the row's are pinned to 1.
 _COROLLARIES: dict[str, tuple[str, tuple[Term, ...]]] = {
     "C3": ("T2", _C3), "C4": ("T2", _C4), "C6": ("T5", _C6), "C7": ("T5", _C7),
     "C9": ("T8", _C9), "C10": ("T8", _C10), "C12": ("T11", _C12), "C13": ("T11", _C13),
@@ -370,14 +370,14 @@ _COROLLARIES: dict[str, tuple[str, tuple[Term, ...]]] = {
 
 FAMILIES: dict[str, IdentityFamily] = {
     fid: IdentityFamily.from_terms(
-        fid, [substitute(ORBIT_TEMPLATES[template], p) for p in perms], odd_only, template, perms)
-    for fid, (template, odd_only, perms) in _THEOREMS.items()
+        fid, [substitute(ORBIT_TEMPLATES[template], p) for p in perms], template, perms)
+    for fid, (template, perms) in _THEOREMS.items()
 }
-FAMILIES.update({cid: IdentityFamily.from_terms(cid, row, FAMILIES[parent].odd_only)
-                 for cid, (parent, row) in _COROLLARIES.items()})
+FAMILIES.update({cid: IdentityFamily.from_terms(cid, row)
+                 for cid, (_, row) in _COROLLARIES.items()})
 # In the numbering of the source, theorems and corollaries interleaved.
 FAMILIES = dict(sorted(FAMILIES.items(), key=lambda item: int(item[0][1:])))
-FAMILIES["INTRO_CHAIN"] = IdentityFamily.from_terms("INTRO_CHAIN", _INTRO_CHAIN, True)
+FAMILIES["INTRO_CHAIN"] = IdentityFamily.from_terms("INTRO_CHAIN", _INTRO_CHAIN)
 
 # Specialization checks compare values across this map: corollary ->
 # (parent, how many trailing parent weights are pinned to 1).

@@ -9,7 +9,8 @@ monomial s into every base, as s^n [t^n] prod F_b(beta_b t) =
 [t^n] prod F_b(s beta_b t).  Factors: ``E(m, j)`` is E_k(m y_j); ``T(s)``
 is T_k(w_s - 1); ``A(m, j, c)`` is sum_{i<w_c} (-1)^i E_k(m y_j + (m/w_c) i)
 and ``A(m, j, c1, c2)`` the double alternating sum of
-E_k(m y_j + (m/w_c1) i + (m/w_c2) i').
+E_k(m y_j + (m/w_c1) i + (m/w_c2) i').  T's w_s and A's counts must be odd:
+(e^{wt} + 1)/(e^t + 1) is sum_{i<w} (-1)^i e^{it} only then.  E needs none.
 
 Templates are written in the roles a, b, c = 0, 1, 2; the permutation p
 puts role r on weight slot p[r].  Renaming bound summation indices maps

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -324,6 +325,30 @@ def test_verify_writes_each_family_before_sweeping_the_next(monkeypatch):
     assert stdout.buffer.getvalue().startswith(t1[:-1] + b",")
 
 
+def test_verify_holds_one_familys_records_at_a_time(monkeypatch):
+    # verify drops each family's records once they are written: when a
+    # family's first _check_cases call runs, no report of an earlier family
+    # is alive, beyond those alive before main ran.
+    def live_reports():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is identities.VerificationReport]
+
+    before = {id(r): r for r in live_reports()}
+    check_cases = identities._check_cases
+    alive = {}
+
+    def logged(fam, *args):
+        if fam.family_id not in alive:
+            alive[fam.family_id] = {r.family_id for r in live_reports() if id(r) not in before}
+        return check_cases(fam, *args)
+
+    monkeypatch.setattr(identities, "_check_cases", logged)
+    argv = ["verify", "--family", "T1,T2,T8", "--wset", "1,3", "--nmax", "1", "--ys", "0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert alive == {"T1": set(), "T2": set(), "T8": set()}
+
+
 def test_verify_to_a_text_stdout_without_buffer(tmp_path):
     # A caller may redirect sys.stdout to an io.StringIO, which has no
     # binary buffer: the report is written to it as text.
@@ -477,7 +502,7 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
         term((E((0,), 0), ()), (E((1,), 0), (2,))),
     )
     catalog = {**identities.FAMILIES, **{
-        fid: identities.IdentityFamily.from_terms(fid, row, True)
+        fid: identities.IdentityFamily.from_terms(fid, row)
         for fid, row in (("SCALE", scaled), ("KIND", kinds), ("SLOTS", slots))
     }}
     failing = set()

@@ -9,6 +9,7 @@ from eulersym.euler import euler_eval
 from eulersym.identities import (
     FAMILIES,
     FAMILY_IDS,
+    IdentityFamily,
     PARENT_SPECIALIZATIONS,
     SERIES_ORACLES,
     VerificationReport,
@@ -19,7 +20,7 @@ from eulersym.identities import (
     _compile,
     variant_values,
 )
-from eulersym.orbits import ALL_PERMS, E, term
+from eulersym.orbits import ALL_PERMS, A, E, T, term
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -389,6 +390,18 @@ def test_each_family_has_the_shape_the_paper_states():
               for fid, fam in FAMILIES.items()}
     assert shapes == SHAPES
     assert PARENT_SPECIALIZATIONS == PINNED
+
+
+def test_a_family_takes_odd_weights_only_where_a_term_has_t_or_a():
+    # T_k(w - 1) and the alternating sum over w shifts need odd w; E needs
+    # none.  One T or one A factor in a row makes the family odd-only.
+    rows = {
+        "E": (term((E((0,), 0), (1,)), (E((1,), 0), (0,))), term((E((1,), 0), (0,)))),
+        "T": (term((E((0,), 0), (1,))), term((E((), 0), (0,)), (T(1), ()))),
+        "A": (term((E((0,), 0), ())), term((A((), 0, 0), ()), scale=(0,))),
+    }
+    odd_only = {kind: IdentityFamily.from_terms(kind, row).odd_only for kind, row in rows.items()}
+    assert odd_only == {"E": False, "T": True, "A": True}
 
 
 def test_family_rejects_a_wrong_orbit():
