@@ -7,7 +7,7 @@ Subcommands:
 * ``series`` -- print the coefficients of one of the quotient series
 * ``verify`` -- sweep identity families over a parameter grid and emit one
   report record per (family, n, w, y) case; each theorem's series spot
-  check runs at its first admissible (w, y), for every n <= ``--nmax``.
+  check runs at its last admissible (w, y), for every n <= ``--nmax``.
   Each family's records are written as soon as that family is swept and
   then dropped, so memory holds one family's records, not the report.
 
@@ -23,7 +23,9 @@ A malformed number in any option, an empty item in a number list, or a
 list given to a one-number option, is such an error, and its message names
 the option (``exact_arith`` gives the grammar; a wholly empty list has no
 items).  So is a ``--family`` item that, stripped, is not a family id, as
-an empty item is (``--family T17,,C18``).
+an empty item is (``--family T17,,C18``).  Exit 2 comes only from a
+``ValueError`` or an ``OSError`` (such as an unwritable ``--output``); any
+other exception is a fault of the program and propagates.
 
 Sweeps are deterministic: cases are ordered lexicographically by
 (family id, n, w tuple, y tuple) and records carry no timestamps, so the
@@ -126,10 +128,15 @@ def _family_sweeps(
     config: SweepConfig,
     families: Mapping[str, IdentityFamily] | None = None,
 ) -> Iterator[tuple[list[VerificationReport], SweepSummary]]:
-    """Check every id against the catalog now, before anything is evaluated,
-    and return a generator that sweeps one family per step, in id order,
-    yielding its records in report order and its own summary."""
+    """Check now, before anything is evaluated, that the catalog maps each
+    family's own id to it and holds every id, and return a generator that
+    sweeps one family per step, in id order, yielding its records in report
+    order and its own summary."""
     catalog = FAMILIES if families is None else families
+    misfiled = [f"{key} holds {fam.family_id}" for key, fam in catalog.items()
+                if key != fam.family_id]
+    if misfiled:
+        raise ValueError(f"catalog keys not their families' ids: {', '.join(misfiled)}")
     unknown = sorted(set(config.families).difference(catalog))
     if unknown:
         raise ValueError(
@@ -140,13 +147,13 @@ def _family_sweeps(
     # generator.
     table: dict = {}
     return (
-        _sweep_family(family_id, catalog[family_id], config, table)
+        _sweep_family(catalog[family_id], config, table)
         for family_id in sorted(set(config.families))
     )
 
 
 def _sweep_family(
-    family_id: str, fam: IdentityFamily, config: SweepConfig, table: dict,
+    fam: IdentityFamily, config: SweepConfig, table: dict,
 ) -> tuple[list[VerificationReport], SweepSummary]:
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
@@ -155,9 +162,10 @@ def _sweep_family(
     w_tuples = tuple(product(w_values, repeat=fam.w_arity))
     y_tuples = _y_tuples(config.y_samples, fam.y_arity)
 
-    oracle = bool(w_tuples and y_tuples) and family_id in identities.SERIES_ORACLES
-    oracle_failed = oracle and not identities._oracle_holds(
-        family_id, config.n_max, w_tuples[0], y_tuples[0])
+    # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
+    # weight products equal the weights, and L23_i and L13_i coincide.
+    held = identities._oracle_holds(
+        fam, config.n_max, w_tuples[-1], y_tuples[-1]) if w_tuples and y_tuples else None
 
     # The config is validated and the grid admissible for fam, so each
     # (w, y) goes straight to the step check_cases runs after validating.
@@ -174,8 +182,8 @@ def _sweep_family(
         failures=sum(not r.all_equal for r in records),
         orbit_checks=int(audited),
         orbit_failures=int(orbit_failed),
-        oracle_checks=int(oracle),
-        oracle_failures=int(oracle_failed),
+        oracle_checks=int(held is not None),
+        oracle_failures=int(held is False),
     )
 
 
@@ -195,11 +203,12 @@ def run_sweep(
     (family, w, y) once for all n, and list the records in that order.
 
     Every id must be in the catalog (``FAMILIES`` unless ``families`` is
-    given), checked before any evaluation.  Besides the variant-equality
-    checks, each theorem family gets a one-off orbit-size audit of its
-    expression template and, where applicable, a series-coefficient spot
-    check at its first admissible parameter tuple, for every n <= ``n_max``
-    (``identities._oracle_holds``).
+    given), which maps each family's own ``family_id`` to it; both are
+    checked before any evaluation.  Besides the variant-equality checks,
+    each family with an orbit template, in any catalog, gets a one-off
+    orbit-size audit of it and, where the template has a series, a
+    series-coefficient spot check at its last admissible parameter tuple,
+    for every n <= ``n_max`` (``identities._oracle_holds``).
 
     This is the list of the family-by-family sweep that ``verify`` writes
     as it goes, so it holds every record at once; ``verify`` holds one
@@ -400,7 +409,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"families={summary.families_run} cases={summary.cases_run} "
         f"failures={summary.failures} orbit_failures={summary.orbit_failures} "
-        f"oracle_failures={summary.oracle_failures}{note}",
+        f"oracle_failures={summary.oracle_failures} orbit_checks={summary.orbit_checks} "
+        f"oracle_checks={summary.oracle_checks}{note}",
         file=sys.stderr,
     )
     return 0 if summary.ok else 1
@@ -417,7 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -56,9 +56,11 @@ its weight and shift arities are the slots and shifts the terms read, and
 it takes odd weights only if a term has a T or an A factor (``orbits``).
 * A theorem's row is its ``orbits.ORBIT_TEMPLATES`` template at the
   permutations it lists in chain order, one per orbit class, and its orbit
-  size is the template's.  The template drives the orbit audit and,
-  compiled per call at one permutation, the series oracle: ``SERIES_ORACLES``
-  gives that form per n, ``_oracle_holds`` folds it as one column to n_max.
+  size is the template's.  The template, not the id, drives the orbit audit
+  and the series oracle, so a family in any catalog gets both:
+  ``_TEMPLATE_SERIES`` pairs the template with its series and one
+  permutation, whose form, compiled per call, ``_oracle_holds`` folds as
+  one column to n_max and ``SERIES_ORACLES`` gives per n.
 * A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
   is w2), never as the parent at pinned weights, so the specialization
   checks compare two computations.  The parent's weights past its own are
@@ -487,33 +489,40 @@ def eval_variant(
     return ev(n, *case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only))
 
 
-# For each theorem, the generating-function series whose coefficient vector
-# the family expands, together with the template permutation that matches
-# the series expansion literally: (series family, sub-index, perm).
-_ORACLES: dict[str, tuple[str, int | None, Perm]] = {
-    "T1": ("L23", 0, (0, 1, 2)),
-    "T2": ("L23", 1, (0, 1, 2)),
-    "T5": ("L23", 1, (0, 1, 2)),
-    "T8": ("L23", 2, (0, 1, 2)),
-    "T11": ("L23", 2, (1, 0, 2)),
-    "T14": ("L23", 2, (1, 2, 0)),
-    "T16": ("L12_0", None, (1, 2, 0)),
-    "T17": ("L12_1", None, (1, 2, 0)),
+# Template -> the generating-function series whose coefficient vector a
+# family of that template expands, together with the template permutation
+# that matches the series expansion literally: (series family, sub-index,
+# perm).  A template without a row ("ttt") has no spot check.
+_TEMPLATE_SERIES: dict[str, tuple[str, int | None, Perm]] = {
+    "eee": ("L23", 0, (0, 1, 2)),
+    "eet": ("L23", 1, (0, 1, 2)),
+    "e-shift": ("L23", 1, (0, 1, 2)),
+    "ett": ("L23", 2, (0, 1, 2)),
+    "shift-t": ("L23", 2, (1, 0, 2)),
+    "double-shift": ("L23", 2, (1, 2, 0)),
+    "eee-cyclic": ("L12_0", None, (1, 2, 0)),
+    "ttt-cyclic": ("L12_1", None, (1, 2, 0)),
 }
 
-# The same pairing with the form as a per-n evaluator that validates its case.
+# The catalog's pairings, each form as a per-n evaluator that validates its case.
 SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
     fid: (series, sub_index, partial(eval_variant, fid, perm))
-    for fid, (series, sub_index, perm) in _ORACLES.items()
+    for fid, fam in FAMILIES.items() if fam.orbit_template in _TEMPLATE_SERIES
+    for series, sub_index, perm in [_TEMPLATE_SERIES[fam.orbit_template]]
 }
 
 
-def _oracle_holds(fid: str, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...]) -> bool:
-    """Whether the oracle form of theorem ``fid``, compiled for this call and
-    folded as one column with a fresh table, equals ``lambda_series`` at
-    n = 0..n_max; wt and yt as ``case_args`` returns them for the family."""
-    series, sub_index, perm = _ORACLES[fid]
-    form = _compile(substitute(ORBIT_TEMPLATES[FAMILIES[fid].orbit_template], perm))
+def _oracle_holds(
+    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...],
+) -> bool | None:
+    """Whether the oracle form of ``fam``'s template, compiled for this call
+    and folded as one column with a fresh table, equals ``lambda_series`` at
+    n = 0..n_max; None, no check, when the template has no series.  wt and
+    yt as ``case_args`` returns them for the family."""
+    if fam.orbit_template not in _TEMPLATE_SERIES:
+        return None
+    series, sub_index, perm = _TEMPLATE_SERIES[fam.orbit_template]
+    form = _compile(substitute(ORBIT_TEMPLATES[fam.orbit_template], perm))
     column = form.vector(n_max, wt, _shifts(yt), {})
     return tuple(column) == lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
 

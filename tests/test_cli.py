@@ -371,6 +371,29 @@ def test_run_sweep_rejects_unknown_family_before_evaluating(monkeypatch):
         run_sweep(config)
 
 
+def test_run_sweep_rejects_a_family_under_another_id_before_evaluating(monkeypatch):
+    # A catalog maps each family's own id to it: records carry the family's
+    # id and the spot check follows its template, so T8 filed under T2 is
+    # refused before any family is evaluated or spot-checked.
+    monkeypatch.setattr(identities, "_check_cases", None)
+    monkeypatch.setattr(identities, "_oracle_holds", None)
+    config = SweepConfig(families=("T2",), w_set=(1, 3), n_max=2,
+                         y_samples=(Fraction(0), Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"^catalog keys not their families' ids: T2 holds T8$"):
+        run_sweep(config, families={"T2": identities.FAMILIES["T8"]})
+
+
+def test_a_templated_family_in_another_catalog_gets_every_check():
+    # The orbit audit and the series spot check follow the template, not the id.
+    t8b = dataclasses.replace(identities.FAMILIES["T8"], family_id="T8b")
+    config = SweepConfig(families=("T8b",), w_set=(1, 3), n_max=2,
+                         y_samples=(Fraction(0), Fraction(1, 2)))
+    records, summary = run_sweep(config, families={"T8b": t8b})
+    assert {r.family_id for r in records} == {"T8b"}
+    assert (summary.orbit_checks, summary.oracle_checks) == (1, 1)
+    assert summary.ok
+
+
 def test_verify_rejects_bad_weight(capsys):
     code, _, _ = run_cli(capsys, "verify", "--family", "C10", "--wset", "0", "--nmax", "1")
     assert code == 2
@@ -382,6 +405,20 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+def test_an_internal_index_error_propagates(monkeypatch, capsys):
+    # Exit 2 means bad input; a fault of the program is not reported as one.
+    tval = identities._tval
+
+    def faulty(k, upper):
+        if k == 2:
+            raise IndexError("internal fault")
+        return tval(k, upper)
+
+    monkeypatch.setattr(identities, "_tval", faulty)
+    with pytest.raises(IndexError, match="internal fault"):
+        main(["verify", "--family", "C10,T1", "--wset", "3", "--nmax", "3", "--ys", "0"])
 
 
 def test_sweep_order_is_lexicographic():
@@ -566,6 +603,33 @@ def test_wrong_orbit_size_fails_the_sweep(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "T8", "--wset", "3", "--nmax", "1")
     assert code == 1
     assert "failures=0 orbit_failures=1 " in err
+
+
+def test_every_theorem_gets_one_audit_and_one_spot_check():
+    config = SweepConfig(families=identities.FAMILY_IDS, w_set=(1, 3), n_max=0,
+                         y_samples=(Fraction(0),))
+    _, summary = run_sweep(config)
+    assert summary.orbit_checks == summary.oracle_checks == 8
+    assert summary.ok
+
+
+@pytest.mark.parametrize("family, checks", [("T1,T2,T5,T8,T11,T14,T16,T17", 8), ("C10", 0)],
+                         ids=["theorems", "corollary"])
+def test_verify_says_how_many_checks_ran(capsys, family, checks):
+    code, _, err = run_cli(capsys, "verify", "--family", family, "--wset", "1,3", "--nmax", "1",
+                           "--ys", "0")
+    assert code == 0
+    assert f" oracle_failures=0 orbit_checks={checks} oracle_checks={checks}\n" in err
+
+
+def test_spot_check_reads_the_weights(monkeypatch, capsys):
+    # Paired with L13_2 in place of L23_2, the "ett" spot check must fail on
+    # the default grid.  At its first weights, w = (1, 1, 1), the two series
+    # are equal, so a check run there would pass.
+    monkeypatch.setitem(identities._TEMPLATE_SERIES, "ett", ("L13", 2, (0, 1, 2)))
+    code, _, err = run_cli(capsys, "verify", "--family", "T8", "--nmax", "2")
+    assert code == 1
+    assert "failures=0 orbit_failures=0 oracle_failures=1 " in err
 
 
 @pytest.mark.parametrize("k, argv, oracle_failures", [
