@@ -101,7 +101,7 @@ def in_process(argv: list[str]) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from eulersym import cli
 
-    args = cli._build_parser().parse_args(argv)
+    args = cli._parse_args(argv)[1]
     config = cli._sweep_config(args)
     records = cli.run_sweep(config)[0]
     return {

@@ -11,6 +11,14 @@ Subcommands:
   Each family's records are written as soon as that family is swept and
   then dropped, so memory holds one family's records, not the report.
 
+Options: ``_COMMANDS`` lists each command's handler, help line and
+options, and one parser, ``_parse_args``, and the ``-h`` text read it.  An
+option name matches only whole, with no abbreviation; ``--opt value`` and
+``--opt=value`` are the same, and the value is taken whole even when it
+starts with ``-`` (``--x -1/2``), though not when it starts with ``--``;
+a flag takes no value; given twice, an option keeps its last value.
+``-h``/``--help``, on its own or after a command, prints help and exits 0.
+
 Reports: ``_FORMATS`` describes each format once (head, record template,
 separators, tail), and one generator, ``_report_pieces``, reads it for
 both ``emit_report`` and ``verify``.  Nothing is escaped or quoted, so a
@@ -39,7 +47,6 @@ the case count stays linear in the sample count.
 
 from __future__ import annotations
 
-import argparse
 import io
 import re
 import sys
@@ -47,7 +54,10 @@ from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from types import SimpleNamespace
+from typing import (
+    Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 from . import altsum, euler, identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
@@ -293,57 +303,7 @@ def _resolve_families(text: str) -> tuple[str, ...]:
     return tuple(_family_id(part.strip(), "--family") for part in text.split(","))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eulersym",
-        description=(
-            "Exact computation and verification of symmetry identities for "
-            "Euler polynomials and alternating power sums."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_euler = sub.add_parser(
-        "euler", help="Euler polynomial coefficients or a point value"
-    )
-    p_euler.add_argument("--n", required=True, help="polynomial index")
-    p_euler.add_argument(
-        "--x", default=None, help="evaluation point as 'p/q'; omit for coefficients"
-    )
-
-    p_altsum = sub.add_parser("altsum", help="alternating power sum T_k(n)")
-    p_altsum.add_argument("--k", required=True)
-    p_altsum.add_argument("--n", required=True)
-
-    p_series = sub.add_parser(
-        "series", help="coefficients of a quotient generating function"
-    )
-    p_series.add_argument("--family", required=True, choices=LAMBDA_FAMILIES)
-    p_series.add_argument(
-        "--i", default=None, help="sub-index 0..3 (L23/L13 only)"
-    )
-    p_series.add_argument("--w", required=True, help="weights, e.g. 1,3,5")
-    p_series.add_argument("--y", default="", help="shift values, e.g. 0,1/2")
-    p_series.add_argument("--order", default="24")
-
-    p_verify = sub.add_parser("verify", help="sweep identity families")
-    p_verify.add_argument(
-        "--family", default="all", help="family id, comma list, or 'all'"
-    )
-    p_verify.add_argument("--wset", default="1,3,5,7", help="weight values")
-    p_verify.add_argument("--nmax", default="10")
-    p_verify.add_argument("--ys", default=DEFAULT_Y_SAMPLES, help="shift samples")
-    p_verify.add_argument(
-        "--include-even-w",
-        action="store_true",
-        help="let any-parity families (T1, T16) use even weights from --wset",
-    )
-    p_verify.add_argument("--output", default=None, help="write report here")
-    p_verify.add_argument("--format", default="json", choices=tuple(_FORMATS))
-    return parser
-
-
-def _cmd_euler(args: argparse.Namespace) -> int:
+def _cmd_euler(args: SimpleNamespace) -> int:
     n = parse_int(args.n, "--n")
     if args.x is None:
         for coeff in euler.euler_polynomial(n).coeffs:
@@ -353,13 +313,13 @@ def _cmd_euler(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_altsum(args: argparse.Namespace) -> int:
+def _cmd_altsum(args: SimpleNamespace) -> int:
     k, n = parse_int(args.k, "--k"), parse_int(args.n, "--n")
     print(format_rational(altsum.alt_power_sum(k, n)))
     return 0
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: SimpleNamespace) -> int:
     w = _numbers("--w", args.w)
     y = _numbers("--y", args.y, parse_rational)
     i = None if args.i is None else parse_int(args.i, "--i")
@@ -369,7 +329,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_config(args: argparse.Namespace) -> SweepConfig:
+def _sweep_config(args: SimpleNamespace) -> SweepConfig:
     """The sweep of parsed ``verify`` arguments."""
     return SweepConfig(
         families=_resolve_families(args.family),
@@ -380,7 +340,7 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     config = _sweep_config(args)
     # A file is opened before the sweep, so that an unwritable path fails at
     # once; sys.stdout is read only to write, as a caller may redirect it,
@@ -416,17 +376,153 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+# --------------------------------------------------------------------------
+# The command table and its parser.
+
+
+class _Option(NamedTuple):
+    """One ``--`` option: its help text, its default (``None`` unless given;
+    ``False`` makes it a flag, which takes no value and is ``True`` when
+    given), whether it is required, and the values it may take (any when
+    empty)."""
+
+    help: str
+    default: str | bool | None = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+
+
+class _Command(NamedTuple):
+    """One command: what runs it, its help line and its options by name."""
+
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    options: dict[str, _Option]
+
+
+_COMMANDS = {
+    "euler": _Command(_cmd_euler, "Euler polynomial coefficients or a point value", {
+        "--n": _Option("polynomial index", required=True),
+        "--x": _Option("evaluation point as 'p/q'; omit for coefficients"),
+    }),
+    "altsum": _Command(_cmd_altsum, "alternating power sum T_k(n)", {
+        "--k": _Option("power", required=True),
+        "--n": _Option("number of terms", required=True),
+    }),
+    "series": _Command(_cmd_series, "coefficients of a quotient generating function", {
+        "--family": _Option("quotient series", required=True, choices=LAMBDA_FAMILIES),
+        "--i": _Option("sub-index 0..3 (L23/L13 only)"),
+        "--w": _Option("weights, e.g. 1,3,5", required=True),
+        "--y": _Option("shift values, e.g. 0,1/2", ""),
+        "--order": _Option("last coefficient index", "24"),
+    }),
+    "verify": _Command(_cmd_verify, "sweep identity families", {
+        "--family": _Option("family id, comma list, or 'all'", "all"),
+        "--wset": _Option("weight values", "1,3,5,7"),
+        "--nmax": _Option("largest n swept", "10"),
+        "--ys": _Option("shift samples", DEFAULT_Y_SAMPLES),
+        "--include-even-w": _Option(
+            "let any-parity families (T1, T16) use even weights from --wset", False),
+        "--output": _Option("write report here"),
+        "--format": _Option("report format", "json", choices=tuple(_FORMATS)),
+    }),
+}
+_HELP = ("-h", "--help")
+
+
+def _metavar(name: str, option: _Option) -> str:
+    if option.default is False:
+        return name
+    value = "{%s}" % ",".join(option.choices) if option.choices else name[2:].upper()
+    return f"{name} {value}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: eulersym [-h] {%s} ..." % ",".join(_COMMANDS)
+    usage = [f"usage: eulersym {command} [-h]"]
+    for name, option in _COMMANDS[command].options.items():
+        text = _metavar(name, option)
+        usage.append(text if option.required else f"[{text}]")
+    return " ".join(usage)
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the commands (``command`` None) or a command's options, each
+    with its help, and exit 0."""
+    if command is None:
+        about = ("Exact computation and verification of symmetry identities for Euler "
+                 "polynomials and alternating power sums.  'eulersym COMMAND -h' lists "
+                 "a command's options.")
+        heading, rows = "commands", [(name, row.help) for name, row in _COMMANDS.items()]
+    else:
+        about, heading = _COMMANDS[command].help, "options"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (_metavar(name, option), option.help)
+            for name, option in _COMMANDS[command].options.items()
+        ]
+    width = max(len(left) for left, _ in rows)
+    lines = [f"  {left.ljust(width)}  {text}" for left, text in rows]
+    sys.stdout.write("\n".join([_usage(command), "", about, "", f"{heading}:", *lines, ""]))
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """Print the usage and a usage error on stderr, and exit 2."""
+    prog = "eulersym" if command is None else f"eulersym {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler of the command ``argv`` names and its options, each by
+    its name in ``_COMMANDS`` less ``--``, with ``-`` read as ``_``, in the
+    grammar the module docstring states.  Help exits 0 and a usage error
+    exits 2, before any handler runs."""
+    if not argv:
+        _fail(None, "no command given")
+    command, *rest = argv
+    if command in _HELP:
+        _help(None)
+    if command not in _COMMANDS:
+        _fail(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    handler, _, options = _COMMANDS[command]
+    values: dict[str, str | bool] = {}
+    words = iter(rest)
+    for word in words:
+        if word in _HELP:
+            _help(command)
+        name, eq, value = word.partition("=")
+        option = options.get(name)
+        if option is None:
+            _fail(command, f"unrecognized argument {word!r}")
+        if option.default is False:
+            if eq:
+                _fail(command, f"{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                _fail(command, f"{name} expects a value")
+        if option.choices and value not in option.choices:
+            _fail(command, f"invalid choice for {name}: {value!r} "
+                           f"(choose from {', '.join(option.choices)})")
+        values[name] = value
+    missing = [name for name, option in options.items()
+               if option.required and name not in values]
+    if missing:
+        _fail(command, f"the following options are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{
+        name[2:].replace("-", "_"): values.get(name, option.default)
+        for name, option in options.items()
+    })
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "euler": _cmd_euler,
-        "altsum": _cmd_altsum,
-        "series": _cmd_series,
-        "verify": _cmd_verify,
-    }
+    handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ import gc
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -291,7 +294,7 @@ def test_streamed_report_equals_emit_report(tmp_path, capsysbinary, grid, fmt):
     # verify writes family by family; the bytes on stdout and in --output
     # are those of emit_report over the whole sweep's records.
     argv = ["verify", *grid, "--format", fmt]
-    config = cli._sweep_config(cli._build_parser().parse_args(argv))
+    config = cli._sweep_config(cli._parse_args(argv)[1])
     expected = emit_report(run_sweep(config)[0], fmt) + b"\n"
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == expected
@@ -405,6 +408,95 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+@pytest.fixture
+def no_handler(monkeypatch):
+    """Every command's handler replaced by one that fails if it is reached."""
+    def reached(args):
+        raise AssertionError(f"a handler ran with {args}")
+
+    for name, row in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, row._replace(handler=reached))
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_lists_every_command_and_option(no_handler, capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    if command is None:
+        rows = [(name, row.help) for name, row in cli._COMMANDS.items()]
+    else:
+        rows = [(name, option.help) for name, option in cli._COMMANDS[command].options.items()]
+        assert lines[0].startswith(f"usage: eulersym {command} ")
+        assert cli._COMMANDS[command].help in lines
+    for name, text in rows:
+        assert any(line.split()[0] == name and line.endswith(text) for line in lines if line), name
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["verify", "--frobnicate", "1"],
+    ["verify", "T17"],
+    ["verify", "--fam", "T17"],  # no abbreviation
+    ["euler", "--n"],  # a value option at the end
+    ["euler", "--n", "--x", "1/2"],  # followed by another option
+    ["verify", "--include-even-w=1"],
+    ["verify", "--format", "yaml"],
+    ["series", "--family", "L99", "--w", "1,3,5"],
+    ["euler"],
+    ["altsum", "--k", "2"],
+    ["series", "--family", "L23"],
+])
+def test_usage_errors_exit_2_before_any_handler(no_handler, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    prog = " ".join(["eulersym", *argv[:1]]) if argv and argv[0] in cli._COMMANDS else "eulersym"
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} ") and error.startswith(f"{prog}: error: ")
+
+
+def test_a_value_is_taken_whole_even_when_it_starts_with_a_dash(capsys):
+    assert run_cli(capsys, "euler", "--n", "2", "--x", "-1/2") == (0, "3/4\n", "")
+    assert run_cli(capsys, "euler", "--n=2", "--x=-1/2") == (0, "3/4\n", "")
+
+
+def test_a_negative_count_is_still_a_value_error(capsys):
+    code, out, err = run_cli(capsys, "euler", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n must")
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys):
+    assert run_cli(capsys, "euler", "--n", "5", "--x", "9", "--n", "2", "--x=1/2") == (
+        0, "-1/4\n", "")
+    _, args = cli._parse_args(["verify", "--format", "csv", "--format", "json",
+                               "--include-even-w", "--include-even-w"])
+    assert (args.format, args.include_even_w, args.family) == ("json", True, "all")
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    # A fresh interpreter, isolated from the environment and user site, so
+    # that only eulersym.cli's own imports can add modules.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import eulersym.cli; "
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_an_internal_index_error_propagates(monkeypatch, capsys):
