@@ -178,11 +178,13 @@ def _sweep_family(
         fam, config.n_max, w_tuples[-1], y_tuples[-1]) if w_tuples and y_tuples else None
 
     # The config is validated and the grid admissible for fam, so each
-    # (w, y) goes straight to the step check_cases runs after validating.
+    # (w, y) goes straight to the step check_cases runs after validating,
+    # with the shift pairs of each y window made once.
+    windows = [(yt, identities._shifts(yt)) for yt in y_tuples]
     by_case = [
-        identities._check_cases(fam, config.n_max, wt, yt, table)
+        identities._check_cases(fam, config.n_max, wt, yt, shifts, table)
         for wt in w_tuples
-        for yt in y_tuples
+        for yt, shifts in windows
     ]
     # One (w, y) tuple of reports per n.
     records = [r for reports in zip(*by_case) for r in reports]
@@ -254,10 +256,13 @@ def _report_pieces(chunks: Iterable[Sequence[VerificationReport]], format: str) 
     before the first) and the chunk's records as one piece, then the tail.
 
     The records of a sweep share their value objects, one per distinct
-    value (see ``identities``), so each distinct object, keyed by ``id``,
-    goes through ``format_rational`` once per chunk; the records keep every
-    object alive while this runs, so no id is reused.  Each distinct family
-    id of a chunk is checked against the id grammar once."""
+    value (see ``identities``), and the records of a (family, w, y) block
+    share their ``w`` and ``y`` tuples, so each distinct object, keyed by
+    ``id``, is written once per chunk: each value through
+    ``format_rational``, and each ``w`` and ``y`` tuple as its list text.
+    The records keep every object alive while this runs, so no id is
+    reused.  Each distinct family id of a chunk is checked against the id
+    grammar once."""
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     head, record, item, quote, sep, tail = _FORMATS[format]
@@ -267,16 +272,21 @@ def _report_pieces(chunks: Iterable[Sequence[VerificationReport]], format: str) 
         if records:
             for family_id in {r.family_id for r in records}:
                 _family_id(family_id, "family")
-            objects = {id(v): v for r in records for v in r.y + r.variant_values}
+            ws = {id(r.w): r.w for r in records}
+            ys = {id(r.y): r.y for r in records}
+            objects = {id(v): v for r in records for v in r.variant_values}
+            objects.update((id(v), v) for y in ys.values() for v in y)
             text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
+            w_text = {key: item.join(map(str, w)) for key, w in ws.items()}
+            y_text = {key: item.join(map(text, map(id, y))) for key, y in ys.items()}
             yield before
             yield sep.join([record % (
-                r.family_id, r.n, item.join(map(str, r.w)), item.join(map(text, map(id, r.y))),
+                r.family_id, r.n, w_text[id(r.w)], y_text[id(r.y)],
                 item.join(map(text, map(id, r.variant_values))),
                 "true" if r.all_equal else "false",
             ) for r in records])
             before = sep
-            del records, objects, text  # before the next chunk is made
+            del records, ws, ys, objects, text, w_text, y_text  # before the next chunk is made
     yield tail
 
 

@@ -11,12 +11,14 @@ corresponding forward substitution (exact, O(N^2); Newton iteration buys
 nothing over rationals).  Every arithmetic result carries the minimum of
 the operand orders.
 
-Both kernels run in integers.  ``egf_mul`` puts each operand over the lcm
-of its denominators, convolves the integer numerators with Pascal-row
-binomials (``_binomial_conv``, shared with the identity evaluators), and
-divides once per output coefficient.  ``egf_div`` is fraction-free
-forward substitution: it carries numerators scaled by powers of the
-divisor's constant term and builds one ``Fraction`` per coefficient.
+Both kernels run in integers, and their binomials come from one row
+builder, ``_pascal_rows``.  ``egf_mul`` puts each operand over the lcm of
+its denominators, convolves the integer numerators against Pascal's rows
+(``_binomial_conv``, shared with the identity evaluators, which keep one
+set of rows per sweep), and divides once per output coefficient.
+``egf_div`` is fraction-free forward substitution: it carries numerators
+scaled by powers of the divisor's constant term and builds one
+``Fraction`` per coefficient.
 
 Atoms are e^{at} for rational a (coefficients a^k).  Every quotient the
 package leans on has the shape
@@ -45,7 +47,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import add, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact_arith import RationalLike, as_rational, case_args, count, is_int
 
@@ -127,19 +129,19 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _next_binomial_row(row: list[int]) -> list[int]:
-    """C(k+1, 0..k+1) from C(k, 0..k); the empty row starts at C(0, 0)."""
-    return [1, *map(add, row[1:], row[:-1]), 1] if row else [1]
+def _pascal_rows(n: int) -> Iterator[list[int]]:
+    """The rows C(k, 0..k) for k = 0..n, one at a time, by Pascal's rule:
+    a caller that keeps no row holds one at a time."""
+    row: list[int] = []
+    for _ in range(n + 1):
+        row = [1, *map(add, row[1:], row[:-1]), 1] if row else [1]
+        yield row
 
 
-def _binomial_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """(sum_j C(k, j) a_j b_{k-j}) for k below the shorter length, in integers."""
-    out = []
-    row: list[int] = []  # C(k, 0..k), Pascal's rule
-    for k in range(min(len(a), len(b))):
-        row = _next_binomial_row(row)
-        out.append(sum(map(mul, map(mul, row, a), b[k::-1])))
-    return out
+def _binomial_conv(a: Sequence[int], b: Sequence[int], rows: Sequence[list[int]]) -> list[int]:
+    """(sum_j C(k, j) a_j b_{k-j}) for k below the shorter length, in integers;
+    ``rows`` lists C(k, 0..k) at least that far (``_pascal_rows``)."""
+    return [sum(map(mul, map(mul, rows[k], a), b[k::-1])) for k in range(min(len(a), len(b)))]
 
 
 def egf_mul(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
@@ -147,7 +149,8 @@ def egf_mul(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     a, da = _over_common_denominator(lhs.coeffs[: n + 1])
     b, db = _over_common_denominator(rhs.coeffs[: n + 1])
     d = da * db
-    return TruncatedEGF(tuple(Fraction(c, d) for c in _binomial_conv(a, b)))
+    nums = _binomial_conv(a, b, list(_pascal_rows(n)))
+    return TruncatedEGF(tuple(Fraction(c, d) for c in nums))
 
 
 def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
@@ -171,9 +174,7 @@ def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     big_q: list[int] = []
     out = []
     g0_pow = 1  # G_0^k
-    row: list[int] = []
-    for k in range(n + 1):
-        row = _next_binomial_row(row)
+    for k, row in enumerate(_pascal_rows(n)):
         acc = dg * f[k] * g0_pow - sum(map(mul, map(mul, row, big_q), h[k:0:-1]))
         big_q.append(acc)
         g0_pow *= g0

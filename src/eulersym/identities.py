@@ -42,10 +42,15 @@ inferred through the substitution lemma or the orbit normal form.
 Every variant is still folded on its own, but the theorems make almost
 every value recur, so the table also maps each value's reduced
 (numerator, denominator) pair to one ``Fraction``: a fold's entry with
-the same exact integers as one already built is that object.  The three
-kinds of key cannot meet: a factor key starts with its one-letter kind, a
-term key with its shape, which goes on past a kind, and a value key with
-an ``int``.
+the same exact integers as one already built is that object.  Every fold
+convolves against Pascal's rows C(k, 0..k), k = 0..n_max, which the table
+builds once and holds under the bare int ``n_max``.  The four kinds of key
+cannot meet: a factor key starts with its one-letter kind, a term key with
+its shape, which goes on past a kind, a value key with an ``int``, and the
+rows key is a bare ``int``, not a tuple.  No key holds a ``Fraction``,
+which would equal an ``int`` (``Fraction(0) == 0``): shifts enter keys as
+(numerator, denominator) pairs, which a sweep makes once per y window, so
+the term keys of the window share them.
 ``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
 and drops it when the sweep returns; a call of ``check_cases`` has one
 table, shared by its variants, and ``eval_variant`` and the series
@@ -80,13 +85,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import gcd, prod
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from . import altsum, euler
-from .egf_series import _binomial_conv, _over_common_denominator, lambda_series
+from .egf_series import _binomial_conv, _over_common_denominator, _pascal_rows, lambda_series
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
     ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Factor, Perm, T, Term,
@@ -144,23 +149,31 @@ def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[
         sums.append(sum(terms))
         terms = list(map(mul, terms, points))
     q_pows = [q**k for k in range(n_max + 1)]
-    nums = _binomial_conv(list(map(mul, euler.scaled_numbers(n_max), q_pows)), sums)
+    nums = _binomial_conv(list(map(mul, euler.scaled_numbers(n_max), q_pows)), sums,
+                          list(_pascal_rows(n_max)))
     return [Fraction(c, qk << k) for k, (c, qk) in enumerate(zip(nums, q_pows))]
 
 
 def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> list[Fraction]:
     """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, forms[b] holding
     coefficients 0..N of F_b as integer numerators over one denominator,
-    ``(nums, d)`` (N + 1 the shortest length): each numerator vector is
-    rescaled by base^k and the vectors are folded with ``_binomial_conv``.
-    Each entry is reduced to its (numerator, denominator) pair, which
-    ``table`` maps to the one ``Fraction`` of that value; a miss builds it.
+    ``(nums, d)`` (N + 1 the shortest length): in one pass over the
+    factors, each numerator vector is rescaled by base^k and convolved into
+    the product so far by ``_binomial_conv``, against the Pascal rows that
+    ``table`` holds under the bare int one below the first factor's length
+    (``n_max`` in a sweep); a miss builds them.  Each entry is reduced to
+    its (numerator, denominator) pair, which ``table`` maps to the one
+    ``Fraction`` of that value; a miss builds it.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
     w1^{l+m} w2^{k+m} w3^{k+l} (there the bases are w2*w3, w1*w3, w1*w2).
     """
-    rescaled = []
+    n = len(forms[0][0]) - 1  # the product is no longer than its first factor
+    rows = table.get(n)
+    if rows is None:
+        rows = table[n] = list(_pascal_rows(n))
+    product: list[int] | None = None
     den = 1
     for (nums, d), base in zip(forms, bases):
         if base != 1:
@@ -169,10 +182,10 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> li
                 scaled.append(c * power)
                 power *= base
             nums = scaled
-        rescaled.append(nums)
+        product = nums if product is None else _binomial_conv(product, nums, rows)
         den *= d
     values = []
-    for c in reduce(_binomial_conv, rescaled):
+    for c in product:
         g = gcd(c, den)
         key = (c // g, den // g)
         value = table.get(key)
@@ -391,11 +404,14 @@ PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
     ``all_equal`` is always worked out from the values.  A sweep makes one
-    per case, so the class has slots and no ``__dict__``."""
+    per case, so the class has slots and no ``__dict__``, and its
+    ``__init__`` is written out: it checks the values and sets the six
+    slots itself, which costs less than a generated ``__init__`` that
+    calls a ``__post_init__``."""
 
     family_id: str
     n: int
@@ -404,14 +420,21 @@ class VerificationReport:
     variant_values: tuple[Fraction, ...]
     all_equal: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        values = self.variant_values
-        if not values:
+    def __init__(self, family_id: str, n: int, w: tuple[int, ...], y: tuple[Fraction, ...],
+                 variant_values: tuple[Fraction, ...]) -> None:
+        if not variant_values:
             raise ValueError("a report needs at least one variant value")
+        set_slot = object.__setattr__  # the class is frozen
+        set_slot(self, "family_id", family_id)
+        set_slot(self, "n", n)
+        set_slot(self, "w", w)
+        set_slot(self, "y", y)
+        set_slot(self, "variant_values", variant_values)
         # Each value against the first: no Fraction is hashed.  Equal values
         # folded through one table are one object and compare by identity,
         # so Fraction.__eq__ runs only on a value that differs.
-        object.__setattr__(self, "all_equal", values.count(values[0]) == len(values))
+        set_slot(self, "all_equal",
+                 variant_values.count(variant_values[0]) == len(variant_values))
 
 
 def _family(family_id: str) -> IdentityFamily:
@@ -447,17 +470,19 @@ def check_cases(
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return _check_cases(fam, n_max, wt, yt, {})
+    return _check_cases(fam, n_max, wt, yt, _shifts(yt), {})
 
 
 def _check_cases(
-    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...], table: dict,
+    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...],
+    shifts: tuple[Shift, ...], table: dict,
 ) -> list[VerificationReport]:
     """``check_cases`` for a case already validated against ``fam``: wt and
-    yt as ``case_args`` returns them, and ``table`` the table to read and
-    fill.  A sweep whose whole grid is valid by construction calls this
-    directly, with one table for the whole sweep."""
-    shifts = _shifts(yt)
+    yt as ``case_args`` returns them, ``shifts`` the ``_shifts`` of yt and
+    ``table`` the table to read and fill.  A sweep whose whole grid is
+    valid by construction calls this directly, with one table for the whole
+    sweep and the shift pairs of each y window made once, so that every
+    term key of the window holds the same pair objects."""
     columns = [
         ev.vector(n_max, wt, shifts, table) if hasattr(ev, "vector")
         else [ev(n, wt, yt) for n in range(n_max + 1)]

@@ -582,6 +582,29 @@ def test_sweep_holds_one_object_per_distinct_value():
     assert len({id(v) for v in values}) == len(pairs) < len(values)
 
 
+def test_a_sweep_builds_pascal_rows_once(monkeypatch):
+    # Every fold of a sweep convolves against the rows its table holds, so
+    # the folds of both families build them once.  _alt_vec, a seam with
+    # no table, builds its own; only the calls from _product_vec count.
+    # Corollaries have no series spot check, which folds with a table of
+    # its own.
+    pascal_rows = identities._pascal_rows
+    fold = identities._product_vec.__code__
+    calls = []
+
+    def counted(n):
+        if sys._getframe(1).f_code is fold:
+            calls.append(n)
+        return pascal_rows(n)
+
+    monkeypatch.setattr(identities, "_pascal_rows", counted)
+    config = SweepConfig(families=("C6", "C12"), w_set=(1, 3, 5), n_max=2,
+                         y_samples=(Fraction(0), Fraction(1, 2)))
+    records, summary = run_sweep(config)
+    assert summary.failures == 0 and {r.family_id for r in records} == {"C6", "C12"}
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("field, value", [
     ("w_set", (1.5, 3)), ("include_even_w", "no"), ("n_max", 1.5), ("y_samples", (0.5,)),
     ("families", "T8"), ("families", (1,)), ("families", ("T8", 3)), ("families", None),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import comb
@@ -6,6 +7,7 @@ import pytest
 
 from eulersym.egf_series import egf_coeff, lambda_series
 from eulersym.euler import euler_eval
+from eulersym.exact_arith import case_args
 from eulersym.identities import (
     FAMILIES,
     FAMILY_IDS,
@@ -17,7 +19,9 @@ from eulersym.identities import (
     check_cases,
     eval_triple_altsum,
     eval_variant,
+    _check_cases,
     _compile,
+    _shifts,
     variant_values,
 )
 from eulersym.orbits import ALL_PERMS, A, E, T, term
@@ -497,6 +501,72 @@ def test_report_has_slots_and_stays_frozen():
     for name, value in (("n", 2), ("all_equal", False)):
         with pytest.raises(FrozenInstanceError):
             setattr(report, name, value)
+
+
+def test_report_keyword_and_positional_construction_agree():
+    values = (Fraction(-1, 2), Fraction(-1, 2))
+    positional = VerificationReport("C10", 1, (3,), (Fraction(0),), values)
+    keyword = VerificationReport(
+        variant_values=values, y=(Fraction(0),), w=(3,), n=1, family_id="C10")
+    assert positional == keyword == check_case("C10", 1, (3,), (0,))
+    assert positional.all_equal and keyword.all_equal
+
+
+def test_report_replace_works_the_flag_out_again():
+    report = check_case("C10", 1, (3,), (0,))
+    split = replace(report, variant_values=(Fraction(1), Fraction(2)))
+    assert not split.all_equal
+    assert (split.family_id, split.n, split.w, split.y) == ("C10", 1, (3,), (Fraction(0),))
+    assert replace(split, variant_values=(Fraction(2), Fraction(2))).all_equal
+    # The flag is never given, not even through replace.
+    with pytest.raises(ValueError):
+        replace(report, all_equal=False)
+
+
+# A term key starts with its shape: one "<kind><monomial>.<counts>.<base>"
+# per bundle, in the lengths of each.
+SHAPE = re.compile(r"[ETA]\d+\.\d+\.\d+( [ETA]\d+\.\d+\.\d+)*")
+
+
+def _holds_a_fraction(item):
+    if isinstance(item, tuple):
+        return any(map(_holds_a_fraction, item))
+    return isinstance(item, Fraction)
+
+
+def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
+    # One table filled by five families at n_max 3, as a sweep fills it.
+    # Every key is exactly one kind, so no two kinds can meet; and no key
+    # holds a Fraction, which would equal an int (Fraction(0) == 0), so a
+    # shift key (0, 1) could not be told from the value key (0, 1).
+    n_max, table = 3, {}
+    for family_id, w, y in (
+        ("T1", (3, 1, 5), (HALF, -THIRD, 0)),
+        ("T5", (3, 5, 7), (0, Fraction(2, 7))),
+        ("T14", (5, 3, 1), (-THIRD,)),
+        ("C12", (3, 5), (0,)),
+        ("INTRO_CHAIN", (5, 3), (HALF,)),
+    ):
+        fam = FAMILIES[family_id]
+        wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
+        reports = _check_cases(fam, n_max, wt, yt, _shifts(yt), table)
+        assert all(r.all_equal for r in reports)
+    kinds = {
+        "factor": lambda key: type(key) is tuple and key[0] in ("E", "T", "A"),
+        "term": lambda key: (type(key) is tuple and type(key[0]) is str
+                             and SHAPE.fullmatch(key[0]) is not None),
+        "value": lambda key: (type(key) is tuple and len(key) == 2
+                              and all(type(part) is int for part in key) and key[1] > 0),
+        "rows": lambda key: type(key) is int and key == n_max,
+    }
+    seen = set()
+    for key in table:
+        matched = [kind for kind, holds in kinds.items() if holds(key)]
+        assert len(matched) == 1, key
+        assert not _holds_a_fraction(key), key
+        seen.update(matched)
+    assert seen == set(kinds)
+    assert table[n_max] == [[comb(k, j) for j in range(k + 1)] for k in range(n_max + 1)]
 
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)

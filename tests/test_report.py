@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import report_reference as ref
 from eulersym import cli
 from eulersym.cli import SweepConfig, emit_report, run_sweep
-from eulersym.identities import FAMILY_IDS, VerificationReport
+from eulersym.identities import FAMILY_IDS, VerificationReport, check_cases
 
 FORMATS = ("json", "csv")
 
@@ -94,3 +94,23 @@ def test_sweep_report_formats_each_value_object_once(monkeypatch):
         calls.clear()
         assert emit_report(records, fmt) == ref.emit_report(records, fmt)
         assert len(calls) == len(objects) < sum(len(r.y + r.variant_values) for r in records)
+
+
+def test_block_text_is_the_same_for_shared_and_fresh_tuples():
+    # The records of one (family, w, y) block share their w and y tuples,
+    # whose text the emitter writes once per object; equal tuples of their
+    # own, with values of their own, must give the same bytes.
+    shared = check_cases("T5", 3, (3, 5, 7), (Fraction(1, 2), Fraction(-1, 3)))
+    assert len({id(r.w) for r in shared}) == len({id(r.y) for r in shared}) == 1
+    fresh = [
+        VerificationReport(r.family_id, r.n, tuple(list(r.w)),
+                           tuple(Fraction(v.numerator, v.denominator) for v in r.y),
+                           r.variant_values)
+        for r in shared
+    ]
+    assert len({id(r.w) for r in fresh}) == len({id(r.y) for r in fresh}) == len(fresh)
+    for fmt in FORMATS:
+        expected = ref.emit_report(shared, fmt)
+        assert ref.emit_report(fresh, fmt) == expected
+        assert emit_report(shared, fmt) == expected
+        assert emit_report(fresh, fmt) == expected
