@@ -141,7 +141,11 @@ def _family_sweeps(
     """Check now, before anything is evaluated, that the catalog maps each
     family's own id to it and holds every id, and return a generator that
     sweeps one family per step, in id order, yielding its records in report
-    order and its own summary."""
+    order and its own summary.  Its first step makes the sweep's one
+    ``identities._Table`` at ``config.n_max``, so that its Pascal's rows are
+    built only once the sweep starts; every family of the sweep reads and
+    fills it, so that families share their factors, and it is dropped with
+    the generator."""
     catalog = FAMILIES if families is None else families
     misfiled = [f"{key} holds {fam.family_id}" for key, fam in catalog.items()
                 if key != fam.family_id]
@@ -152,18 +156,18 @@ def _family_sweeps(
         raise ValueError(
             f"unknown families: {', '.join(unknown)} (choose from {', '.join(catalog)})"
         )
-    # Factor vectors, term values and value objects shared by every family
-    # of this sweep, so that families share their factors; dropped with the
-    # generator.
-    table: dict = {}
-    return (
-        _sweep_family(catalog[family_id], config, table)
-        for family_id in sorted(set(config.families))
-    )
+    family_ids = sorted(set(config.families))
+
+    def sweeps() -> Iterator[tuple[list[VerificationReport], SweepSummary]]:
+        table = identities._Table(config.n_max)
+        for family_id in family_ids:
+            yield _sweep_family(catalog[family_id], config, table)
+
+    return sweeps()
 
 
 def _sweep_family(
-    fam: IdentityFamily, config: SweepConfig, table: dict,
+    fam: IdentityFamily, config: SweepConfig, table: identities._Table,
 ) -> tuple[list[VerificationReport], SweepSummary]:
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
@@ -182,7 +186,7 @@ def _sweep_family(
     # with the shift pairs of each y window made once.
     windows = [(yt, identities._shifts(yt)) for yt in y_tuples]
     by_case = [
-        identities._check_cases(fam, config.n_max, wt, yt, shifts, table)
+        identities._check_cases(fam, wt, yt, shifts, table)
         for wt in w_tuples
         for yt, shifts in windows
     ]
@@ -352,11 +356,13 @@ def _sweep_config(args: SimpleNamespace) -> SweepConfig:
 
 def _cmd_verify(args: SimpleNamespace) -> int:
     config = _sweep_config(args)
-    # A file is opened before the sweep, so that an unwritable path fails at
-    # once; sys.stdout is read only to write, as a caller may redirect it,
-    # and a stream without a binary buffer (a StringIO) is written text.
+    # The ids are checked before the file is opened, so that a configuration
+    # error leaves an existing file as it was; the file is opened before the
+    # first step of the sweep, so that an unwritable path fails before any
+    # evaluation.  sys.stdout is read only to write, as a caller may redirect
+    # it, and a stream without a binary buffer (a StringIO) is written text.
+    sweeps = _family_sweeps(config)
     with nullcontext() if args.output is None else open(args.output, "wb") as handle:
-        sweeps = _family_sweeps(config)  # ids checked before the first byte
         out = handle if handle is not None else getattr(sys.stdout, "buffer", sys.stdout)
         text = isinstance(out, io.TextIOBase)
         parts: list[SweepSummary] = []

@@ -28,29 +28,26 @@ One table per sweep.  Each factor depends on one or two of the weights,
 and a sweep's weight grid is closed under permutation, so a sweep meets
 the same factor vector, and the same resolved term (one template
 permutation at w is another at a permuted w), many times.  A *table*, a
-plain dict, holds both, and the values.  A factor's key is everything its
-vector depends on, in ints: kind, monomial value, n_max, shift as
-(numerator, denominator), count weights; it maps to the vector as
-``(nums, d)``.  A term's key is (shape, n_max, the weights and the shifts
-it reads), for any number of slots: the shape holds each bundle's kind
+``_Table``, serves one ``n_max`` and holds both, and the values, in one
+map each.  It also holds Pascal's rows C(k, 0..k), k = 0..n_max, built
+when it is made, which every fold and every A vector of the table
+convolves against.  ``factors`` maps a factor's key, everything its vector
+depends on in ints (kind, monomial value, shift as (numerator,
+denominator), count weights), to the vector as ``(nums, d)``.  ``terms``
+maps a term's key, (shape, the weights and the shifts it reads), for any
+number of slots, to the term's values: the shape holds each bundle's kind
 and the lengths of its monomial, counts and base, which group the weights
 read at those slots, and each E and A reads its shift.  Equal term keys
-are the same expression at the same numbers.  A term key maps to the
-term's values; only a miss on it builds the factor keys and bases.  Each
-miss builds and stores; a hit returns the stored values, so nothing is
-inferred through the substitution lemma or the orbit normal form.
-Every variant is still folded on its own, but the theorems make almost
-every value recur, so the table also maps each value's reduced
-(numerator, denominator) pair to one ``Fraction``: a fold's entry with
-the same exact integers as one already built is that object.  Every fold
-convolves against Pascal's rows C(k, 0..k), k = 0..n_max, which the table
-builds once and holds under the bare int ``n_max``.  The four kinds of key
-cannot meet: a factor key starts with its one-letter kind, a term key with
-its shape, which goes on past a kind, a value key with an ``int``, and the
-rows key is a bare ``int``, not a tuple.  No key holds a ``Fraction``,
-which would equal an ``int`` (``Fraction(0) == 0``): shifts enter keys as
-(numerator, denominator) pairs, which a sweep makes once per y window, so
-the term keys of the window share them.
+are the same expression at the same numbers.  Only a miss on a term key
+builds the factor keys and bases.  Each miss builds and stores; a hit
+returns the stored values, so nothing is inferred through the
+substitution lemma or the orbit normal form.  Every variant is still
+folded on its own, but the theorems make almost every value recur, so
+``values`` maps each value's reduced (numerator, denominator) pair to one
+``Fraction``: a fold's entry with the same exact integers as one already
+built is that object.  Shifts enter keys as (numerator, denominator)
+pairs, which hash in C where a ``Fraction`` hashes in Python; a sweep
+makes them once per y window, so the term keys of the window share them.
 ``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
 and drops it when the sweep returns; a call of ``check_cases`` has one
 table, shared by its variants, and ``eval_variant`` and the series
@@ -131,14 +128,18 @@ def _t_vec(upper: int, n_max: int) -> tuple[Fraction, ...]:
     return tuple(_tval(j, upper) for j in range(n_max + 1))
 
 
-def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[Fraction]:
-    """Entry k is sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_k(base + (m/c1) i + (m/c2) j)
-    for counts (c1, c2), or the single sum over i for counts (c1,).
+def _alt_vec(base: Fraction, m: int, counts: Sequence[int],
+             rows: Sequence[list[int]]) -> list[Fraction]:
+    """Entry k, for k = 0..n_max, is
+    sum_{i<c1} sum_{j<c2} (-1)^{i+j} E_k(base + (m/c1) i + (m/c2) j)
+    for counts (c1, c2), or the single sum over i for counts (c1,); ``rows``
+    lists Pascal's rows C(k, 0..k) for k = 0..n_max (a table's ``rows``).
 
     Every argument is p_s/q over q = den(base) c1 c2, and by the Appell form
     (2q)^k E_k(p/q) = sum_j C(k, j) g_{k-j} q^{k-j} (2p)^j with g_k = 2^k E_k,
     so the signed sum is one integer ``_binomial_conv`` of (g_k q^k) with the
     signed power sums (sum_s (-1)^{i+j} (2 p_s)^j), over (2q)^k."""
+    n_max = len(rows) - 1
     c1, c2 = (*counts, 1)[:2]
     q = base.denominator * c1 * c2
     p0, step = 2 * base.numerator * c1 * c2, 2 * m * base.denominator
@@ -149,30 +150,42 @@ def _alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[
         sums.append(sum(terms))
         terms = list(map(mul, terms, points))
     q_pows = [q**k for k in range(n_max + 1)]
-    nums = _binomial_conv(list(map(mul, euler.scaled_numbers(n_max), q_pows)), sums,
-                          list(_pascal_rows(n_max)))
+    nums = _binomial_conv(list(map(mul, euler.scaled_numbers(n_max), q_pows)), sums, rows)
     return [Fraction(c, qk << k) for k, (c, qk) in enumerate(zip(nums, q_pows))]
 
 
-def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> list[Fraction]:
-    """Coefficients 0..N of prod_b F_b(base_b t) in t^n/n!, forms[b] holding
-    coefficients 0..N of F_b as integer numerators over one denominator,
-    ``(nums, d)`` (N + 1 the shortest length): in one pass over the
+class _Table:
+    """The exact store of one sweep, or of one call, at one ``n_max``:
+    ``rows``, Pascal's rows C(k, 0..k) for k = 0..n_max, built here, and
+    the maps ``factors`` (factor key -> ``(nums, d)``), ``terms`` (term
+    key -> values) and ``values`` (reduced (numerator, denominator) -> its
+    one ``Fraction``), as the module docstring gives them."""
+
+    __slots__ = ("n_max", "rows", "factors", "terms", "values")
+
+    def __init__(self, n_max: int) -> None:
+        self.n_max = n_max
+        self.rows = list(_pascal_rows(n_max))
+        self.factors: dict[tuple, Form] = {}
+        self.terms: dict[tuple, list[Fraction]] = {}
+        self.values: dict[tuple[int, int], Fraction] = {}
+
+
+def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> list[Fraction]:
+    """Coefficients 0..table.n_max of prod_b F_b(base_b t) in t^n/n!,
+    forms[b] holding at least those coefficients of F_b as integer
+    numerators over one denominator, ``(nums, d)``: in one pass over the
     factors, each numerator vector is rescaled by base^k and convolved into
-    the product so far by ``_binomial_conv``, against the Pascal rows that
-    ``table`` holds under the bare int one below the first factor's length
-    (``n_max`` in a sweep); a miss builds them.  Each entry is reduced to
-    its (numerator, denominator) pair, which ``table`` maps to the one
-    ``Fraction`` of that value; a miss builds it.
+    the product so far, cut to n_max + 1 entries, by ``_binomial_conv``,
+    against ``table.rows``.  Each entry is reduced to its (numerator,
+    denominator) pair, which ``table.values`` maps to the one ``Fraction``
+    of that value; a miss builds it.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
     w1^{l+m} w2^{k+m} w3^{k+l} (there the bases are w2*w3, w1*w3, w1*w2).
     """
-    n = len(forms[0][0]) - 1  # the product is no longer than its first factor
-    rows = table.get(n)
-    if rows is None:
-        rows = table[n] = list(_pascal_rows(n))
+    rows = table.rows
     product: list[int] | None = None
     den = 1
     for (nums, d), base in zip(forms, bases):
@@ -182,15 +195,16 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> li
                 scaled.append(c * power)
                 power *= base
             nums = scaled
-        product = nums if product is None else _binomial_conv(product, nums, rows)
+        product = nums[:len(rows)] if product is None else _binomial_conv(product, nums, rows)
         den *= d
+    known = table.values
     values = []
     for c in product:
         g = gcd(c, den)
         key = (c // g, den // g)
-        value = table.get(key)
+        value = known.get(key)
         if value is None:
-            value = table[key] = Fraction(c, den)
+            value = known[key] = Fraction(c, den)
         values.append(value)
     return values
 
@@ -200,33 +214,35 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: dict) -> li
 # getters; its factor keys and bases are built only when that key misses.
 
 
-# Key kind -> the key's fields after the kind -> the vector, through the
-# seams above; the shift comes as its (numerator, denominator).
+# Key kind -> the table and the key's fields after the kind -> the vector at
+# 0..table.n_max, through the seams above; the shift comes as its
+# (numerator, denominator).
 _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
-    "T": lambda a, n_max: _t_vec(a - 1, n_max),
-    "E": lambda a, n_max, s: _euler_vec(a * Fraction(*s), n_max),
-    "A": lambda a, n_max, s, *counts: _alt_vec(a * Fraction(*s), a, counts, n_max),
+    "T": lambda table, a: _t_vec(a - 1, table.n_max),
+    "E": lambda table, a, s: _euler_vec(a * Fraction(*s), table.n_max),
+    "A": lambda table, a, s, *counts: _alt_vec(a * Fraction(*s), a, counts, table.rows),
 }
 
 
-def _factor_key(f: Factor, n_max: int, w: Sequence[int], y: Sequence[Shift]) -> tuple:
-    """The factor's key: everything its vector depends on, in ints (the
-    kind, the product of the weights in its monomial's slots, n_max, the
-    shift as a (numerator, denominator) pair of y, and the count weights of
-    an A, one or two: ``_alt_vec`` of the counts)."""
+def _factor_key(f: Factor, w: Sequence[int], y: Sequence[Shift]) -> tuple:
+    """The factor's key: everything its vector depends on at a table's
+    n_max, in ints (the kind, the product of the weights in its monomial's
+    slots, the shift as a (numerator, denominator) pair of y, and the count
+    weights of an A, one or two: ``_alt_vec`` of the counts)."""
     kind, m, j, counts = f
     a = prod([w[s] for s in m])
     if kind == "T":  # T_k(a - 1) has no shift
-        return kind, a, n_max
-    return (kind, a, n_max, y[j], *[w[c] for c in counts])
+        return kind, a
+    return (kind, a, y[j], *[w[c] for c in counts])
 
 
-def _form(key: tuple, table: dict) -> Form:
+def _form(key: tuple, table: _Table) -> Form:
     """The factor vector of ``key`` as integer numerators over one
-    denominator, ``(nums, d)``, from ``table``; a miss builds and stores it."""
-    form = table.get(key)
+    denominator, ``(nums, d)``, from ``table.factors``; a miss builds and
+    stores it."""
+    form = table.factors.get(key)
     if form is None:
-        form = table[key] = _over_common_denominator(_BUILD[key[0]](*key[1:]))
+        form = table.factors[key] = _over_common_denominator(_BUILD[key[0]](table, *key[1:]))
     return form
 
 
@@ -244,11 +260,11 @@ def _reads(t: Term) -> tuple[list[int], list[int], bool]:
 
 
 def _compile(t: Term) -> Evaluator:
-    """(n, w, y) -> the value at n, with ``.vector`` (n_max, w, y, table) ->
-    the values at 0..n_max for shifts y given by ``_shifts``, the term's
+    """(n, w, y) -> the value at n, with ``.vector`` (w, y, table) -> the
+    values at 0..table.n_max for shifts y given by ``_shifts``, the term's
     [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
 
-    ``table`` maps the term's key (shape, n_max, read_w(w), read_y(y)), as
+    ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; a miss folds the vectors
     of the ``_factor_key``s, read from and stored in the same table.  The
     returned list is the table's and is not to be mutated."""
@@ -258,17 +274,17 @@ def _compile(t: Term) -> Evaluator:
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count).
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
 
-    def vector(n_max: int, w: Sequence[int], y: Sequence[Shift], table: dict) -> list[Fraction]:
-        key = (shape, n_max, read_w(w), read_y(y))
-        values = table.get(key)
+    def vector(w: Sequence[int], y: Sequence[Shift], table: _Table) -> list[Fraction]:
+        key = (shape, read_w(w), read_y(y))
+        values = table.terms.get(key)
         if values is None:
-            forms = [_form(_factor_key(f, n_max, w, y), table) for f, _ in t]
+            forms = [_form(_factor_key(f, w, y), table) for f, _ in t]
             bases = [prod([w[s] for s in base]) for _, base in t]
-            values = table[key] = _product_vec(forms, bases, table)
+            values = table.terms[key] = _product_vec(forms, bases, table)
         return values
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        return vector(n, w, _shifts(y), {})[n]
+        return vector(w, _shifts(y), _Table(n))[n]
 
     evaluate.vector = vector  # type: ignore[attr-defined]
     return evaluate
@@ -470,22 +486,23 @@ def check_cases(
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return _check_cases(fam, n_max, wt, yt, _shifts(yt), {})
+    return _check_cases(fam, wt, yt, _shifts(yt), _Table(n_max))
 
 
 def _check_cases(
-    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...],
-    shifts: tuple[Shift, ...], table: dict,
+    fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
+    shifts: tuple[Shift, ...], table: _Table,
 ) -> list[VerificationReport]:
-    """``check_cases`` for a case already validated against ``fam``: wt and
-    yt as ``case_args`` returns them, ``shifts`` the ``_shifts`` of yt and
-    ``table`` the table to read and fill.  A sweep whose whole grid is
-    valid by construction calls this directly, with one table for the whole
-    sweep and the shift pairs of each y window made once, so that every
-    term key of the window holds the same pair objects."""
+    """``check_cases`` at n = 0..table.n_max for a case already validated
+    against ``fam``: wt and yt as ``case_args`` returns them, ``shifts``
+    the ``_shifts`` of yt and ``table`` the ``_Table`` to read and fill.  A
+    sweep whose whole grid is valid by construction calls this directly,
+    with one table for the whole sweep and the shift pairs of each y window
+    made once, so that every term key of the window holds the same pair
+    objects."""
     columns = [
-        ev.vector(n_max, wt, shifts, table) if hasattr(ev, "vector")
-        else [ev(n, wt, yt) for n in range(n_max + 1)]
+        ev.vector(wt, shifts, table) if hasattr(ev, "vector")
+        else [ev(n, wt, yt) for n in range(table.n_max + 1)]
         for ev in fam.variants
     ]
     return [VerificationReport(fam.family_id, n, wt, yt, values)
@@ -548,7 +565,7 @@ def _oracle_holds(
         return None
     series, sub_index, perm = _TEMPLATE_SERIES[fam.orbit_template]
     form = _compile(substitute(ORBIT_TEMPLATES[fam.orbit_template], perm))
-    column = form.vector(n_max, wt, _shifts(yt), {})
+    column = form.vector(wt, _shifts(yt), _Table(n_max))
     return tuple(column) == lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
 
 

@@ -270,14 +270,18 @@ def test_verify_rejects_unknown_family(capsys):
     assert "unknown famil" in err
 
 
-def test_verify_unknown_family_leaves_an_empty_output(tmp_path, capsys):
-    # The output is opened before run_sweep checks the ids, as a shell's
-    # "> file" is opened before its command runs, so the file stays empty.
+@pytest.mark.parametrize("before", [None, b"earlier report\n"], ids=["missing", "existing"])
+def test_verify_unknown_family_leaves_the_output_as_it_was(tmp_path, capsys, before):
+    # The ids are checked before the output is opened: a configuration
+    # error exits 2, creates no file and leaves an existing file's bytes as
+    # they were.
     target = tmp_path / "r.json"
+    if before is not None:
+        target.write_bytes(before)
     code, _, err = run_cli(capsys, "verify", "--family", "T99", "--output", str(target))
     assert code == 2
-    assert "unknown famil" in err
-    assert target.read_bytes() == b""
+    assert "unknown families" in err
+    assert (target.read_bytes() if target.exists() else None) == before
 
 
 STREAMED_GRIDS = [
@@ -583,18 +587,15 @@ def test_sweep_holds_one_object_per_distinct_value():
 
 
 def test_a_sweep_builds_pascal_rows_once(monkeypatch):
-    # Every fold of a sweep convolves against the rows its table holds, so
-    # the folds of both families build them once.  _alt_vec, a seam with
-    # no table, builds its own; only the calls from _product_vec count.
-    # Corollaries have no series spot check, which folds with a table of
-    # its own.
+    # A sweep's one table builds Pascal's rows when it is made, and every
+    # fold and every A vector of both families convolves against them, so
+    # the whole sweep builds them once.  Corollaries have no series spot
+    # check, which folds with a table of its own.
     pascal_rows = identities._pascal_rows
-    fold = identities._product_vec.__code__
     calls = []
 
     def counted(n):
-        if sys._getframe(1).f_code is fold:
-            calls.append(n)
+        calls.append(n)
         return pascal_rows(n)
 
     monkeypatch.setattr(identities, "_pascal_rows", counted)

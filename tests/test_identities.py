@@ -19,6 +19,7 @@ from eulersym.identities import (
     check_cases,
     eval_triple_altsum,
     eval_variant,
+    _Table,
     _check_cases,
     _compile,
     _shifts,
@@ -535,11 +536,13 @@ def _holds_a_fraction(item):
 
 
 def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
-    # One table filled by five families at n_max 3, as a sweep fills it.
-    # Every key is exactly one kind, so no two kinds can meet; and no key
-    # holds a Fraction, which would equal an int (Fraction(0) == 0), so a
-    # shift key (0, 1) could not be told from the value key (0, 1).
-    n_max, table = 3, {}
+    # One _Table(3) filled by five families, as a sweep fills it.  Each map
+    # holds only its own kind of key.  The table fixes n_max, so no factor
+    # or term key holds it: a factor key is its kind, its monomial value,
+    # the shift pair of an E or an A and the one or two count weights of an
+    # A, and a term key is (shape, the weights read, the shifts read).  No
+    # key holds a Fraction: shifts enter as (numerator, denominator) pairs.
+    table = _Table(3)
     for family_id, w, y in (
         ("T1", (3, 1, 5), (HALF, -THIRD, 0)),
         ("T5", (3, 5, 7), (0, Fraction(2, 7))),
@@ -549,24 +552,32 @@ def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
     ):
         fam = FAMILIES[family_id]
         wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-        reports = _check_cases(fam, n_max, wt, yt, _shifts(yt), table)
-        assert all(r.all_equal for r in reports)
-    kinds = {
-        "factor": lambda key: type(key) is tuple and key[0] in ("E", "T", "A"),
-        "term": lambda key: (type(key) is tuple and type(key[0]) is str
-                             and SHAPE.fullmatch(key[0]) is not None),
-        "value": lambda key: (type(key) is tuple and len(key) == 2
-                              and all(type(part) is int for part in key) and key[1] > 0),
-        "rows": lambda key: type(key) is int and key == n_max,
-    }
-    seen = set()
-    for key in table:
-        matched = [kind for kind, holds in kinds.items() if holds(key)]
-        assert len(matched) == 1, key
+        reports = _check_cases(fam, wt, yt, _shifts(yt), table)
+        assert len(reports) == 4 and all(r.all_equal for r in reports)
+
+    def pair(part):
+        return type(part) is tuple and len(part) == 2 and all(type(x) is int for x in part)
+
+    def factor_key(key):
+        kind, a, *rest = key
+        if kind == "T":
+            return type(a) is int and not rest
+        shift, *counts = rest
+        return (kind in ("E", "A") and type(a) is int and pair(shift)
+                and len(counts) in ((0,) if kind == "E" else (1, 2))
+                and all(type(c) is int for c in counts))
+
+    for key in table.factors:
+        assert factor_key(key) and not _holds_a_fraction(key), key
+    for key in table.terms:
+        assert len(key) == 3 and type(key[0]) is str and SHAPE.fullmatch(key[0]), key
         assert not _holds_a_fraction(key), key
-        seen.update(matched)
-    assert seen == set(kinds)
-    assert table[n_max] == [[comb(k, j) for j in range(k + 1)] for k in range(n_max + 1)]
+    for key, value in table.values.items():
+        assert pair(key) and key == (value.numerator, value.denominator), key
+    assert table.factors and table.terms and table.values
+    assert {len(nums) for nums, _ in table.factors.values()} == {4}
+    assert {len(values) for values in table.terms.values()} == {4}
+    assert table.rows == [[comb(k, j) for j in range(k + 1)] for k in range(4)]
 
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)

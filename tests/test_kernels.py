@@ -18,7 +18,7 @@ from eulersym.egf_series import (
     NonInvertibleSeriesError, _over_common_denominator, egf_div, egf_from_coeffs, egf_mul,
 )
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
-from eulersym.identities import _alt_vec, _product_vec
+from eulersym.identities import _Table, _alt_vec, _product_vec
 
 TABLE_MAX = 60
 
@@ -93,9 +93,12 @@ def test_div_rejects_zero_constant_term(f, g_tail):
 # All-ones factors at base 1 sum the trinomial row: 3^12.
 @example((12, [[Fraction(1)] * 13] * 3, [1, 1, 1]))
 @example((12, [[Fraction(-1, 3)] * 13, [Fraction(5, 7)] * 13, [Fraction(2)] * 13], [63, 1, 35]))
+# The first two factors run past the table's n_max, the third does not.
+@example((0, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)], [Fraction(5)]], [1, 1, 1]))
 def test_product_vec_matches_reference(case):
     n, vecs, bases = case
-    out = _product_vec([_over_common_denominator(vec) for vec in vecs], bases, {})
+    table = _Table(min(map(len, vecs)) - 1)
+    out = _product_vec([_over_common_denominator(vec) for vec in vecs], bases, table)
     assert len(out) == min(map(len, vecs)) >= n + 1
     if len(vecs) == 1:
         expected = [vecs[0][k] * bases[0] ** k for k in range(len(out))]
@@ -125,4 +128,4 @@ alt_bases = st.one_of(
 @example(Fraction(123457, 999983), 15, [3, 5], 6)
 @example(Fraction(-654321, 100003), 7, [7], 12)
 def test_alt_vec_matches_reference(base, m, counts, n_max):
-    assert _alt_vec(base, m, counts, n_max) == ref.alt_vec(base, m, counts, n_max)
+    assert _alt_vec(base, m, counts, _Table(n_max).rows) == ref.alt_vec(base, m, counts, n_max)
