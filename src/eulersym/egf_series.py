@@ -25,9 +25,12 @@ package leans on has the shape
 
     scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1),
 
-a ratio of two sums of at most eight exponentials: expanding the products
-gives sum_r c_r e^{a_r t}, whose coefficient k is sum_r c_r a_r^k, and one
-``egf_div`` finishes the quotient.  The two families built this way:
+a ratio of two sums of at most eight exponentials.  ``_quotient`` divides
+first, then shifts.  Expanding each product gives sum_r c_r e^{a_r t} at
+integer rates a_r, whose coefficient k is the integer sum_r c_r a_r^k, so
+one ``egf_div`` divides integers; only then is the quotient multiplied by
+e^{rate t}, by an integer Horner sum per coefficient, with no power of
+rate's denominator inside the division.  The two families built this way:
 
 * ``quotient_alternating(w, N)``: (e^{wt} + 1)/(e^t + 1) for odd w, which
   equals sum_{i=0}^{w-1} (-1)^i e^{it} and therefore has coefficient vector
@@ -44,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import lcm
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -189,27 +192,50 @@ def egf_coeff(series: TruncatedEGF, k: int) -> Fraction:
     return series.coeffs[count(k, "k")]
 
 
-def _exp_sum(scale: int, rate: RationalLike, parts: Sequence[int], order: int) -> TruncatedEGF:
-    """scale e^{rate t} prod_u (e^{ut} + 1) as sum_r c_r e^{a_r t}.  Each a_r = p_r/q
-    shares rate's denominator q, so coefficient k is sum_r c_r p_r^k / q^k."""
-    terms = Counter(rate + sum(s) for s in product(*((0, u) for u in parts)))
-    bases = [a.numerator for a in terms]
+def _exp_sum(scale: int, parts: Sequence[int], order: int) -> TruncatedEGF:
+    """scale prod_u (e^{ut} + 1) as sum_r c_r e^{a_r t}.  Every a_r is an
+    integer, so coefficient k is the integer sum_r c_r a_r^k."""
+    terms = Counter(sum(s) for s in product(*((0, u) for u in parts)))
+    bases = list(terms)
     acc = [scale * c for c in terms.values()]
     coeffs = []
-    q_pow = 1
     for _ in range(order + 1):
-        coeffs.append(Fraction(sum(acc), q_pow))
+        coeffs.append(sum(acc))
         acc = list(map(mul, acc, bases))
-        q_pow *= rate.denominator
     return TruncatedEGF(tuple(coeffs))
 
 
 def _quotient(
     scale: int, rate: RationalLike, ups: Sequence[int], downs: Sequence[int], order: int
 ) -> TruncatedEGF:
-    """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1)."""
+    """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1).
+
+    Divides first, then shifts.  ``egf_div`` divides the two integer series
+    of ``_exp_sum``; with that quotient r_j = R_j / d and rate = p/q,
+    coefficient k of e^{rate t} r is
+
+        (sum_j C(k, j) (R_j q^j) p^{k-j}) / (d q^k),
+
+    summed by homogeneous Horner in p over Pascal's row k, so that each step
+    multiplies the running sum by the small p.  At rate 0 the quotient is
+    the series.  Dividing the other way round would put every coefficient
+    of the dividend over q^order.
+    """
     count(order, "order")
-    return egf_div(_exp_sum(scale, rate, ups, order), _exp_sum(1, 0, downs, order))
+    quotient = egf_div(_exp_sum(scale, ups, order), _exp_sum(1, downs, order))
+    if not rate:
+        return quotient
+    big_r, d = _over_common_denominator(quotient.coeffs)
+    p, q = rate.numerator, rate.denominator
+    q_pows = list(accumulate(repeat(q, order), mul, initial=1))
+    scaled = list(map(mul, big_r, q_pows))  # R_j q^j
+    coeffs = []
+    for k, row in enumerate(_pascal_rows(order)):
+        acc = 0
+        for c, r in zip(row, scaled):
+            acc = acc * p + c * r
+        coeffs.append(Fraction(acc, d * q_pows[k]))
+    return TruncatedEGF(tuple(coeffs))
 
 
 def quotient_alternating(w: int, order: int) -> TruncatedEGF:

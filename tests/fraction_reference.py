@@ -1,5 +1,5 @@
-"""Plain ``Fraction`` versions of the Euler table, EGF mul/div and the
-identity-term kernels, the alternating shifted sums included.
+"""Plain ``Fraction`` versions of the Euler table, EGF mul/div, the quotient
+series and the identity-term kernels, the alternating shifted sums included.
 
 These are the straightforward loops the integer kernels in ``eulersym.euler``,
 ``eulersym.egf_series`` and ``eulersym.identities`` replace: a fresh
@@ -68,6 +68,23 @@ def egf_div(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...
             acc -= comb(k, j) * q[j] * g[k - j]
         q.append(acc / g0)
     return tuple(q)
+
+
+def exp_sum(scale: int, rate: Fraction, parts: Sequence[int], order: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..order of scale e^{rate t} prod_u (e^{ut} + 1): the
+    product expanded into terms c_r e^{a_r t}, coefficient k sum_r c_r a_r^k."""
+    terms = [(Fraction(scale), Fraction(rate))]
+    for u in parts:
+        terms = [(c, a + s) for c, a in terms for s in (0, u)]
+    return tuple(sum(c * a**k for c, a in terms) for k in range(order + 1))
+
+
+def quotient(
+    scale: int, rate: Fraction, ups: Sequence[int], downs: Sequence[int], order: int
+) -> tuple[Fraction, ...]:
+    """scale e^{rate t} prod_u (e^{ut} + 1) / prod_d (e^{dt} + 1), the shift
+    taken into the numerator and the two sums divided once."""
+    return egf_div(exp_sum(scale, rate, ups, order), exp_sum(1, Fraction(0), downs, order))
 
 
 def binom_sum(

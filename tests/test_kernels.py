@@ -1,9 +1,9 @@
 """The integer kernels agree exactly with plain ``Fraction`` loops.
 
 ``fraction_reference`` holds the straightforward ``Fraction`` versions of the
-Euler table, Horner evaluation, EGF mul/div, the two- and three-factor
-identity-term sums and the alternating shifted sums of the A/D factors;
-every result here must be equal to them, not merely close.
+Euler table, Horner evaluation, EGF mul/div, the quotient series, the two-
+and three-factor identity-term sums and the alternating shifted sums of the
+A/D factors; every result here must be equal to them, not merely close.
 """
 
 from fractions import Fraction
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from eulersym.egf_series import (
-    NonInvertibleSeriesError, _over_common_denominator, egf_div, egf_from_coeffs, egf_mul,
+    NonInvertibleSeriesError, _over_common_denominator, _quotient, egf_div, egf_from_coeffs,
+    egf_mul,
 )
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
 from eulersym.identities import _Table, _alt_vec, _product_vec
@@ -85,6 +86,33 @@ def test_div_matches_reference(f, g0, g_tail):
 def test_div_rejects_zero_constant_term(f, g_tail):
     with pytest.raises(NonInvertibleSeriesError):
         egf_div(egf_from_coeffs(f), egf_from_coeffs([0, *g_tail]))
+
+
+# Quotient rates: 0, and either sign over denominators up to 10^7.
+quotient_rates = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-10**8, max_value=10**8),
+              st.integers(min_value=1, max_value=10**7)),
+)
+exponents = st.lists(st.integers(min_value=1, max_value=9), max_size=3)
+
+
+@given(
+    st.integers(min_value=-8, max_value=8),
+    quotient_rates,
+    exponents,
+    exponents,
+    st.integers(min_value=0, max_value=40),
+)
+@example(8, Fraction(-9876543, 9999991), [3], [5, 7], 0)  # order 0
+# Rates passed as int: L12_1, and L13 with i = 1 at w = 3, 5, 7 and shifts summing to -1.
+@example(1, 0, [35, 21, 15], [3, 5, 7], 12)
+@example(4, -105, [105], [3, 5, 7], 12)
+# L23 with i = 0 at w = 3, 5, 7 and the shifts 1/2, -1/3, 2/7.
+@example(8, Fraction(95, 2), [], [35, 21, 15], 40)
+def test_quotient_matches_reference(scale, rate, ups, downs, order):
+    expected = ref.quotient(scale, rate, ups, downs, order)
+    assert _quotient(scale, rate, ups, downs, order).coeffs == expected
 
 
 @given(st.sampled_from((1, 2, 3)).flatmap(products))
