@@ -9,7 +9,10 @@ Subcommands:
   report record per (family, n, w, y) case; each theorem's series spot
   check runs at its last admissible (w, y), for every n <= ``--nmax``.
   Each family's records are written as soon as that family is swept and
-  then dropped, so memory holds one family's records, not the report.
+  then dropped, so memory holds one family's records, not the report.  A
+  record is a *row*, a plain tuple ``(family_id, n, w, y, values, equal)``,
+  from the sweep to the writer; ``run_sweep`` and ``emit_report`` keep
+  ``VerificationReport``s for their callers and convert at their edges.
 
 Options: ``_COMMANDS`` lists each command's handler, help line and
 options, and one parser, ``_parse_args``, and the ``-h`` text read it.  An
@@ -21,7 +24,9 @@ a flag takes no value; given twice, an option keeps its last value.
 
 Reports: ``_FORMATS`` describes each format once (head, record template,
 separators, tail), and one generator, ``_report_pieces``, reads it for
-both ``emit_report`` and ``verify``.  Nothing is escaped or quoted, so a
+both ``emit_report`` and ``verify``.  It writes the rows in blocks of at
+most ``_BLOCK`` records, one piece each, so no text of a whole family is
+ever held at once.  Nothing is escaped or quoted, so a
 family id is one or more ASCII letters, digits and ``_``; the writer and
 ``--family`` refuse any other.
 
@@ -70,6 +75,10 @@ from .orbits import orbit_audit
 __all__ = ["SweepConfig", "SweepSummary", "run_sweep", "emit_report", "main"]
 
 DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
+
+# One case of a sweep, as the sweep hands it to the writer: (family_id, n,
+# w, y, the variant values, whether they are all equal).
+Row = tuple[str, int, tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -137,10 +146,10 @@ def _y_tuples(samples: Sequence[Fraction], arity: int) -> tuple[tuple[Fraction, 
 def _family_sweeps(
     config: SweepConfig,
     families: Mapping[str, IdentityFamily] | None = None,
-) -> Iterator[tuple[list[VerificationReport], SweepSummary]]:
+) -> Iterator[tuple[list[Row], SweepSummary]]:
     """Check now, before anything is evaluated, that the catalog maps each
     family's own id to it and holds every id, and return a generator that
-    sweeps one family per step, in id order, yielding its records in report
+    sweeps one family per step, in id order, yielding its rows in report
     order and its own summary.  Its first step makes the sweep's one
     ``identities._Table`` at ``config.n_max``, so that its Pascal's rows are
     built only once the sweep starts; every family of the sweep reads and
@@ -158,7 +167,7 @@ def _family_sweeps(
         )
     family_ids = sorted(set(config.families))
 
-    def sweeps() -> Iterator[tuple[list[VerificationReport], SweepSummary]]:
+    def sweeps() -> Iterator[tuple[list[Row], SweepSummary]]:
         table = identities._Table(config.n_max)
         for family_id in family_ids:
             yield _sweep_family(catalog[family_id], config, table)
@@ -168,7 +177,12 @@ def _family_sweeps(
 
 def _sweep_family(
     fam: IdentityFamily, config: SweepConfig, table: identities._Table,
-) -> tuple[list[VerificationReport], SweepSummary]:
+) -> tuple[list[Row], SweepSummary]:
+    """The rows of one family, in report order (n, then w, then y), and its
+    summary.  Each (w, y) is one ``identities._check_cases`` call, whose
+    value rows become the family's rows as they are: ``equal`` is worked
+    out once per row, by the test ``VerificationReport`` makes, and the
+    failures are counted from those flags."""
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
 
@@ -185,17 +199,21 @@ def _sweep_family(
     # (w, y) goes straight to the step check_cases runs after validating,
     # with the shift pairs of each y window made once.
     windows = [(yt, identities._shifts(yt)) for yt in y_tuples]
-    by_case = [
-        identities._check_cases(fam, wt, yt, shifts, table)
-        for wt in w_tuples
-        for yt, shifts in windows
+    cases = [(wt, yt, shifts) for wt in w_tuples for yt, shifts in windows]
+    by_case = [identities._check_cases(fam, *case, table) for case in cases]
+    # zip(*by_case) gives, for each n, the value rows of every (w, y) in order.
+    # Equal values folded through one table are one object, so count()
+    # compares them by identity and no Fraction is hashed.
+    family_id = fam.family_id
+    rows = [
+        (family_id, n, wt, yt, values, values.count(values[0]) == len(values))
+        for n, at_n in enumerate(zip(*by_case))
+        for (wt, yt, _), values in zip(cases, at_n)
     ]
-    # One (w, y) tuple of reports per n.
-    records = [r for reports in zip(*by_case) for r in reports]
-    return records, SweepSummary(
+    return rows, SweepSummary(
         families_run=1,
-        cases_run=len(records),
-        failures=sum(not r.all_equal for r in records),
+        cases_run=len(rows),
+        failures=[row[5] for row in rows].count(False),
         orbit_checks=int(audited),
         orbit_failures=int(orbit_failed),
         oracle_checks=int(held is not None),
@@ -226,13 +244,17 @@ def run_sweep(
     series-coefficient spot check at its last admissible parameter tuple,
     for every n <= ``n_max`` (``identities._oracle_holds``).
 
-    This is the list of the family-by-family sweep that ``verify`` writes
-    as it goes, so it holds every record at once; ``verify`` holds one
-    family's.
+    This is the family-by-family sweep that ``verify`` writes as it goes,
+    each of its rows wrapped in a ``VerificationReport``; so it holds every
+    record at once, where ``verify`` holds one family's rows.
     """
-    swept = list(_family_sweeps(config, families))
-    records = [r for family_records, _ in swept for r in family_records]
-    return records, _total(part for _, part in swept)
+    records: list[VerificationReport] = []
+    parts = []
+    for rows, part in _family_sweeps(config, families):
+        records += [VerificationReport(family_id, n, w, y, values)
+                    for family_id, n, w, y, values, _ in rows]
+        parts.append(part)
+    return records, _total(parts)
 
 
 # Head, record, list-item separator, value template, record separator, tail.
@@ -244,6 +266,8 @@ _FORMATS = {
     "csv": ("family,n,w,y,values,equal\n", "%s,%s,%s,%s,%s,%s\n", "|", "%s", "", ""),
 }
 _FAMILY_ID = re.compile(r"[A-Za-z0-9_]+")
+# The most records one piece of a report joins.
+_BLOCK = 1024
 
 
 def _family_id(text: str, name: str) -> str:
@@ -254,51 +278,53 @@ def _family_id(text: str, name: str) -> str:
     return text
 
 
-def _report_pieces(chunks: Iterable[Sequence[VerificationReport]], format: str) -> Iterator[str]:
-    """The report of the records of ``chunks``, in order, as pieces of text:
-    the head, then for each non-empty chunk the record separator (none
-    before the first) and the chunk's records as one piece, then the tail.
+def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str]:
+    """The report of the rows of ``chunks``, in order, as pieces of text:
+    the head, then for each block of at most ``_BLOCK`` rows of each chunk
+    the record separator (none before the first block) and the block's
+    records as one piece, then the tail.  ``verify`` hands one family's
+    rows per chunk, so the text of at most one block is held at a time.
 
-    The records of a sweep share their value objects, one per distinct
-    value (see ``identities``), and the records of a (family, w, y) block
-    share their ``w`` and ``y`` tuples, so each distinct object, keyed by
-    ``id``, is written once per chunk: each value through
-    ``format_rational``, and each ``w`` and ``y`` tuple as its list text.
-    The records keep every object alive while this runs, so no id is
-    reused.  Each distinct family id of a chunk is checked against the id
-    grammar once."""
+    The rows of a sweep share their value objects, one per distinct value
+    (see ``identities``), and the rows of a (family, w, y) share their
+    ``w`` and ``y`` tuples, so each distinct object, keyed by ``id``, is
+    written once per chunk: each value through ``format_rational``, and
+    each ``w`` and ``y`` tuple as its list text.  The rows keep every
+    object alive while this runs, so no id is reused.  Each distinct
+    family id of a chunk is checked against the id grammar once."""
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     head, record, item, quote, sep, tail = _FORMATS[format]
     yield head
     before = ""
-    for records in chunks:
-        if records:
-            for family_id in {r.family_id for r in records}:
+    for rows in chunks:
+        if rows:
+            for family_id in {row[0] for row in rows}:
                 _family_id(family_id, "family")
-            ws = {id(r.w): r.w for r in records}
-            ys = {id(r.y): r.y for r in records}
-            objects = {id(v): v for r in records for v in r.variant_values}
+            ws = {id(row[2]): row[2] for row in rows}
+            ys = {id(row[3]): row[3] for row in rows}
+            objects = {id(v): v for row in rows for v in row[4]}
             objects.update((id(v), v) for y in ys.values() for v in y)
             text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
             w_text = {key: item.join(map(str, w)) for key, w in ws.items()}
             y_text = {key: item.join(map(text, map(id, y))) for key, y in ys.items()}
-            yield before
-            yield sep.join([record % (
-                r.family_id, r.n, w_text[id(r.w)], y_text[id(r.y)],
-                item.join(map(text, map(id, r.variant_values))),
-                "true" if r.all_equal else "false",
-            ) for r in records])
-            before = sep
-            del records, ws, ys, objects, text, w_text, y_text  # before the next chunk is made
+            for start in range(0, len(rows), _BLOCK):
+                yield before
+                yield sep.join([record % (
+                    family_id, n, w_text[id(w)], y_text[id(y)],
+                    item.join(map(text, map(id, values))), "true" if equal else "false",
+                ) for family_id, n, w, y, values, equal in rows[start:start + _BLOCK]])
+                before = sep
+            del rows, ws, ys, objects, text, w_text, y_text  # before the next chunk is made
     yield tail
 
 
 def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
     """Serialize records; byte-stable for a fixed record order.  These are
     the bytes ``verify`` writes, family by family, for the same records:
-    the pieces of one ``_report_pieces``, joined."""
-    return "".join(_report_pieces([records], format)).encode("utf-8")
+    the pieces of one ``_report_pieces`` over the records as rows, joined."""
+    rows = [(r.family_id, r.n, r.w, r.y, r.variant_values, r.all_equal) for r in records]
+    return "".join(_report_pieces([rows], format)).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -367,12 +393,12 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         text = isinstance(out, io.TextIOBase)
         parts: list[SweepSummary] = []
 
-        def chunks() -> Iterator[list[VerificationReport]]:
-            # Each family's records are written, then dropped before the next is swept.
-            for records, part in sweeps:
+        def chunks() -> Iterator[list[Row]]:
+            # Each family's rows are written, then dropped before the next is swept.
+            for rows, part in sweeps:
                 parts.append(part)
-                yield records
-                del records
+                yield rows
+                del rows
 
         # writelines keeps no piece past its write, as a loop variable would.
         pieces = _report_pieces(chunks(), args.format)

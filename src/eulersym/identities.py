@@ -13,8 +13,10 @@ beta_b, into which ``orbits.term`` has folded the paper's scale: the
 factor vectors, held as integer numerators over one denominator, are
 rescaled by powers of the bases and folded by the integer binomial
 convolution of ``egf_series``, which the series oracles never run; each
-distinct value is one ``Fraction`` per table (below).  ``check_cases``
-checks all n of one (w, y) at once, as sweeps do; ``check_case`` and
+distinct value is one ``Fraction`` per table (below).  ``_check_cases``
+gives the value rows of one (w, y), one tuple of variant values per n, for
+all n at once: a sweep keeps them as plain tuples, ``check_cases`` wraps
+each in a ``VerificationReport``, and ``check_case`` and
 ``variant_values`` read its row n.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
@@ -48,10 +50,11 @@ folded on its own, but the theorems make almost every value recur, so
 built is that object.  Shifts enter keys as (numerator, denominator)
 pairs, which hash in C where a ``Fraction`` hashes in Python; a sweep
 makes them once per y window, so the term keys of the window share them.
-``cli.run_sweep`` hands one table to each (family, w, y) step of a sweep
-and drops it when the sweep returns; a call of ``check_cases`` has one
-table, shared by its variants, and ``eval_variant`` and the series
-oracles give each call a fresh one.  Nothing is cached at module level.
+``cli._family_sweeps`` hands one table to each (family, w, y) step of a
+sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
+sweep ends; a call of ``check_cases`` has one table, shared by its
+variants, and ``eval_variant`` and the series oracles give each call a
+fresh one.  Nothing is cached at module level.
 
 Every family is a row of terms, built by ``IdentityFamily.from_terms``:
 its weight and shift arities are the slots and shifts the terms read, and
@@ -423,11 +426,11 @@ FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 @dataclass(frozen=True, slots=True, init=False)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
-    ``all_equal`` is always worked out from the values.  A sweep makes one
-    per case, so the class has slots and no ``__dict__``, and its
-    ``__init__`` is written out: it checks the values and sets the six
-    slots itself, which costs less than a generated ``__init__`` that
-    calls a ``__post_init__``."""
+    ``all_equal`` is always worked out from the values.  ``check_cases``
+    and ``cli.run_sweep`` make one per case, so the class has slots and no
+    ``__dict__``, and its ``__init__`` is written out: it checks the values
+    and sets the six slots itself, which costs less than a generated
+    ``__init__`` that calls a ``__post_init__``."""
 
     family_id: str
     n: int
@@ -486,27 +489,30 @@ def check_cases(
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    return _check_cases(fam, wt, yt, _shifts(yt), _Table(n_max))
+    rows = _check_cases(fam, wt, yt, _shifts(yt), _Table(n_max))
+    return [VerificationReport(fam.family_id, n, wt, yt, values)
+            for n, values in enumerate(rows)]
 
 
 def _check_cases(
     fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
     shifts: tuple[Shift, ...], table: _Table,
-) -> list[VerificationReport]:
-    """``check_cases`` at n = 0..table.n_max for a case already validated
-    against ``fam``: wt and yt as ``case_args`` returns them, ``shifts``
-    the ``_shifts`` of yt and ``table`` the ``_Table`` to read and fill.  A
-    sweep whose whole grid is valid by construction calls this directly,
-    with one table for the whole sweep and the shift pairs of each y window
-    made once, so that every term key of the window holds the same pair
-    objects."""
+) -> list[tuple[Fraction, ...]]:
+    """The value rows of ``check_cases``: row n, for n = 0..table.n_max, is
+    the tuple of the variants' values at n, in variant order, for a case
+    already validated against ``fam``: wt and yt as ``case_args`` returns
+    them, ``shifts`` the ``_shifts`` of yt and ``table`` the ``_Table`` to
+    read and fill.  ``check_cases`` wraps the rows in reports; a sweep whose
+    whole grid is valid by construction calls this directly and keeps the
+    rows as they are, with one table for the whole sweep and the shift
+    pairs of each y window made once, so that every term key of the window
+    holds the same pair objects."""
     columns = [
         ev.vector(wt, shifts, table) if hasattr(ev, "vector")
         else [ev(n, wt, yt) for n in range(table.n_max + 1)]
         for ev in fam.variants
     ]
-    return [VerificationReport(fam.family_id, n, wt, yt, values)
-            for n, values in enumerate(zip(*columns))]
+    return list(zip(*columns))
 
 
 def eval_variant(

@@ -333,27 +333,39 @@ def test_verify_writes_each_family_before_sweeping_the_next(monkeypatch):
 
 
 def test_verify_holds_one_familys_records_at_a_time(monkeypatch):
-    # verify drops each family's records once they are written: when a
-    # family's first _check_cases call runs, no report of an earlier family
-    # is alive, beyond those alive before main ran.
-    def live_reports():
-        gc.collect()
-        return [o for o in gc.get_objects() if type(o) is identities.VerificationReport]
+    # verify drops each family's rows once they are written: when a
+    # family's first _check_cases call runs, no row of an earlier family is
+    # alive.  Each value row _check_cases returns, which the sweep keeps in
+    # its record row, is tagged here with its family, in a tuple subclass
+    # that gc finds (gc does not track every plain tuple).
+    class Tagged(tuple):
+        family_id = ""
 
-    before = {id(r): r for r in live_reports()}
+    def live_tags():
+        gc.collect()
+        return {o.family_id for o in gc.get_objects() if type(o) is Tagged}
+
     check_cases = identities._check_cases
-    alive = {}
+    calls = []
 
     def logged(fam, *args):
-        if fam.family_id not in alive:
-            alive[fam.family_id] = {r.family_id for r in live_reports() if id(r) not in before}
-        return check_cases(fam, *args)
+        calls.append((fam.family_id, live_tags()))
+        rows = [Tagged(values) for values in check_cases(fam, *args)]
+        for row in rows:
+            row.family_id = fam.family_id
+        return rows
 
     monkeypatch.setattr(identities, "_check_cases", logged)
     argv = ["verify", "--family", "T1,T2,T8", "--wset", "1,3", "--nmax", "1", "--ys", "0"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert alive == {"T1": set(), "T2": set(), "T8": set()}
+    first = {}
+    for family_id, tags in calls:
+        first.setdefault(family_id, tags)
+    assert first == {"T1": set(), "T2": set(), "T8": set()}
+    assert all(tags <= {family_id} for family_id, tags in calls)
+    # The probe sees the rows it tagged: a family's own rows, while it is swept.
+    assert ("T1", {"T1"}) in calls
 
 
 def test_verify_to_a_text_stdout_without_buffer(tmp_path):

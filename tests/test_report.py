@@ -114,3 +114,24 @@ def test_block_text_is_the_same_for_shared_and_fresh_tuples():
         assert ref.emit_report(fresh, fmt) == expected
         assert emit_report(shared, fmt) == expected
         assert emit_report(fresh, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_is_written_in_blocks(fmt):
+    # 2,500 records, not a multiple of the block size, in chunks of 2,100
+    # and 400: each chunk's records are written in pieces of at most cli._BLOCK records,
+    # with the record separator between pieces, and the bytes are those of
+    # the plain emitter.
+    values = [Fraction(k, 7) for k in range(-3, 4)]
+    records = [
+        VerificationReport(("T2", "C3")[k >= 2100], k % 41, (1, 3, 5)[: 1 + k % 3],
+                           (values[k % 7],), (values[k % 5], values[k % 5 + k % 2]))
+        for k in range(2500)
+    ]
+    rows = [(r.family_id, r.n, r.w, r.y, r.variant_values, r.all_equal) for r in records]
+    pieces = list(cli._report_pieces([rows[:2100], rows[2100:]], fmt))
+    marker = '{"family":' if fmt == "json" else "\n"
+    sizes = [piece.count(marker) for piece in pieces[1:-1]]  # the head and tail hold none
+    assert [size for size in sizes if size] == [1024, 1024, 52, 400]
+    assert max(sizes) <= cli._BLOCK
+    assert "".join(pieces).encode("utf-8") == ref.emit_report(records, fmt)
