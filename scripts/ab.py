@@ -12,8 +12,15 @@ more than a layer's change.  The layers:
 
 * ``sweep``: the criterion-1 grid (the eight theorems at n <= 10) swept
   through ``cli._family_sweeps``;
-* ``writer``: ``cli._report_pieces`` over that sweep's records, one chunk
-  per family as ``verify`` writes them, in JSON;
+* ``shallow``: the grids of the ``accept_grid`` workload of ``perfbench``
+  (n <= 2) and of its ``shift_fanout`` workload at seed 1 (n <= 1), each
+  swept through ``cli._family_sweeps``.  At that depth most of a sweep's
+  time goes to its term-table misses, and a miss's factor keys and bases
+  weigh more against its fold than at n <= 10, where the folds
+  (``_product_vec`` and its binomial convolutions) take most of a sweep;
+  so a change to that part of a miss shows here and barely in ``sweep``;
+* ``writer``: ``cli._report_pieces`` over the ``sweep`` layer's records,
+  one chunk per family as ``verify`` writes them, in JSON;
 * ``series``: ``lambda_series`` on each of the 10 ``series`` calls of the
   ``query`` workload of ``perfbench`` at seed 1.
 
@@ -97,6 +104,9 @@ def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
 
     config = cli._sweep_config(cli._parse_args(CRITERION_1)[1])
     chunks = [records for records, _ in cli._family_sweeps(config)]
+    shallow = [cli._sweep_config(cli._parse_args(call.argv)[1])
+               for workload in ("accept_grid", "shift_fanout")
+               for call in rep_calls(workload, SEED, 0)]
     series = []
     for call in rep_calls("query", SEED, 0):
         if call.kind == "series":
@@ -104,10 +114,15 @@ def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
             series.append((args.family, None if args.i is None else int(args.i),
                            cli._numbers("--w", args.w),
                            cli._numbers("--y", args.y, cli.parse_rational), int(args.order)))
+
+    def rows(swept):
+        return [([_as_row(r) for r in records], dataclasses.astuple(part))
+                for records, part in swept]
+
     return {
-        "sweep": (lambda: list(cli._family_sweeps(config)),
-                  lambda swept: [([_as_row(r) for r in records], dataclasses.astuple(part))
-                                 for records, part in swept]),
+        "sweep": (lambda: list(cli._family_sweeps(config)), rows),
+        "shallow": (lambda: [list(cli._family_sweeps(c)) for c in shallow],
+                    lambda sweeps: list(map(rows, sweeps))),
         "writer": (lambda: "".join(cli._report_pieces(chunks, "json")), lambda text: text),
         "series": (lambda: [egf_series.lambda_series(family, i, w, y, order=order)
                             for family, i, w, y, order in series],

@@ -41,15 +41,18 @@ number of slots, to the term's values: the shape holds each bundle's kind
 and the lengths of its monomial, counts and base, which group the weights
 read at those slots, and each E and A reads its shift.  Equal term keys
 are the same expression at the same numbers.  Only a miss on a term key
-builds the factor keys and bases.  Each miss builds and stores; a hit
-returns the stored values, so nothing is inferred through the
-substitution lemma or the orbit normal form.  Every variant is still
-folded on its own, but the theorems make almost every value recur, so
-``values`` maps each value's reduced (numerator, denominator) pair to one
-``Fraction``: a fold's entry with the same exact integers as one already
-built is that object.  Shifts enter keys as (numerator, denominator)
-pairs, which hash in C where a ``Fraction`` hashes in Python; a sweep
-makes them once per y window, so the term keys of the window share them.
+builds the factor keys and bases, and it takes them from the weights and
+shifts in that key, at the places its term's plan (``_plan``) fixed once
+when the term was compiled, with no walk over the term's tuples.  Each
+miss builds and stores; a hit returns the stored values, so nothing is
+inferred through the substitution lemma or the orbit normal form.  Every
+variant is still folded on its own, but the theorems make almost every
+value recur, so ``values`` maps each value's reduced (numerator,
+denominator) pair to one ``Fraction``: a fold's entry with the same exact
+integers as one already built is that object.  Shifts enter keys as
+(numerator, denominator) pairs, which hash in C where a ``Fraction``
+hashes in Python; a sweep makes them once per y window, so the term keys
+of the window share them.
 ``cli._family_sweeps`` hands one table to each (family, w, y) step of a
 sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
 sweep ends; a call of ``check_cases`` has one table, shared by its
@@ -94,7 +97,7 @@ from . import altsum, euler
 from .egf_series import _binomial_conv, _over_common_denominator, _pascal_rows, lambda_series
 from .exact_arith import RationalLike, case_args, count
 from .orbits import (
-    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Factor, Perm, T, Term,
+    ALL_PERMS, EXPECTED_ORBIT_SIZES, ORBIT_TEMPLATES, A, E, Perm, T, Term,
     substitute, term,
 )
 
@@ -214,7 +217,8 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> 
 
 # --------------------------------------------------------------------------
 # The compiler from terms to evaluators.  A term's key is read by item
-# getters; its factor keys and bases are built only when that key misses.
+# getters; its factor keys and bases are built, from that key and the
+# term's miss plan, only when the key misses.
 
 
 # Key kind -> the table and the key's fields after the kind -> the vector at
@@ -225,28 +229,6 @@ _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
     "E": lambda table, a, s: _euler_vec(a * Fraction(*s), table.n_max),
     "A": lambda table, a, s, *counts: _alt_vec(a * Fraction(*s), a, counts, table.rows),
 }
-
-
-def _factor_key(f: Factor, w: Sequence[int], y: Sequence[Shift]) -> tuple:
-    """The factor's key: everything its vector depends on at a table's
-    n_max, in ints (the kind, the product of the weights in its monomial's
-    slots, the shift as a (numerator, denominator) pair of y, and the count
-    weights of an A, one or two: ``_alt_vec`` of the counts)."""
-    kind, m, j, counts = f
-    a = prod([w[s] for s in m])
-    if kind == "T":  # T_k(a - 1) has no shift
-        return kind, a
-    return (kind, a, y[j], *[w[c] for c in counts])
-
-
-def _form(key: tuple, table: _Table) -> Form:
-    """The factor vector of ``key`` as integer numerators over one
-    denominator, ``(nums, d)``, from ``table.factors``; a miss builds and
-    stores it."""
-    form = table.factors.get(key)
-    if form is None:
-        form = table.factors[key] = _over_common_denominator(_BUILD[key[0]](table, *key[1:]))
-    return form
 
 
 def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
@@ -262,27 +244,64 @@ def _reads(t: Term) -> tuple[list[int], list[int], bool]:
             any(kind != "E" for (kind, *_), _ in t))
 
 
+def _plan(t: Term) -> tuple[tuple[str, int, int, int, int, int], ...]:
+    """The term's miss plan: per bundle, its kind, the bounds m0 <= c0 <=
+    b0 <= b1 of its monomial kw[m0:c0], counts kw[c0:b0] and base kw[b0:b1]
+    in the weights kw that ``_reads`` lists, and the index of its shift in
+    the shifts ky that ``_reads`` lists (0 for a T, which reads none)."""
+    plan, start, shift = [], 0, 0
+    for (kind, m, _, counts), base in t:
+        c0 = start + len(m)
+        b0 = c0 + len(counts)
+        plan.append((kind, start, c0, b0, b0 + len(base), shift))
+        start = b0 + len(base)
+        shift += kind != "T"
+    return tuple(plan)
+
+
 def _compile(t: Term) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.vector`` (w, y, table) -> the
     values at 0..table.n_max for shifts y given by ``_shifts``, the term's
     [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
-    the module docstring gives it, to the values; a miss folds the vectors
-    of the ``_factor_key``s, read from and stored in the same table.  The
+    the module docstring gives it, to the values.  A miss takes each
+    bundle's factor key and base from that key's weights and shifts, at
+    the places ``_plan`` fixed when the term was compiled: a factor key is
+    (kind, the product of the monomial's weights, and for an E or an A the
+    shift pair, and for an A the count weights), everything its vector
+    depends on at the table's n_max, and a base the product of its weights.
+    The miss folds the factor vectors, each read from ``table.factors`` or
+    built through ``_BUILD`` and stored there, and stores the values.  The
     returned list is the table's and is not to be mutated."""
     shape = " ".join(f"{kind}{len(m)}.{len(counts)}.{len(base)}"
                      for (kind, m, _, counts), base in t)
     w_slots, y_slots, _ = _reads(t)
-    # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count).
+    # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
+    # which a miss puts back in a tuple.
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
+    one_w, one_y = len(w_slots) == 1, len(y_slots) == 1
+    plan = _plan(t)
 
     def vector(w: Sequence[int], y: Sequence[Shift], table: _Table) -> list[Fraction]:
         key = (shape, read_w(w), read_y(y))
         values = table.terms.get(key)
         if values is None:
-            forms = [_form(_factor_key(f, w, y), table) for f, _ in t]
-            bases = [prod([w[s] for s in base]) for _, base in t]
+            kw = (key[1],) if one_w else key[1]
+            ky = (key[2],) if one_y else key[2]
+            factors = table.factors
+            forms, bases = [], []
+            for kind, m0, c0, b0, b1, j in plan:
+                if kind == "T":  # T_k(a - 1) has no shift
+                    fkey = kind, prod(kw[m0:c0])
+                else:
+                    fkey = (kind, prod(kw[m0:c0]), ky[j], *kw[c0:b0])
+                form = factors.get(fkey)
+                if form is None:
+                    form = factors[fkey] = _over_common_denominator(
+                        _BUILD[kind](table, *fkey[1:]))
+                forms.append(form)
+                bases.append(prod(kw[b0:b1]))
             values = table.terms[key] = _product_vec(forms, bases, table)
         return values
 

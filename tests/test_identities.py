@@ -1,10 +1,11 @@
 import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
+from eulersym import identities
 from eulersym.egf_series import egf_coeff, lambda_series
 from eulersym.euler import euler_eval
 from eulersym.exact_arith import case_args
@@ -25,7 +26,7 @@ from eulersym.identities import (
     _shifts,
     variant_values,
 )
-from eulersym.orbits import ALL_PERMS, A, E, T, term
+from eulersym.orbits import ALL_PERMS, ORBIT_TEMPLATES, A, E, T, substitute, term
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -466,6 +467,79 @@ def test_three_slot_monomials_compile():
         for y1 in (Fraction(0), THIRD, Fraction(-2, 5)):
             for n in range(5):
                 assert ev(n, w, (y1,)) == big_w**n * euler_eval(n, big_w * y1), (w, y1, n)
+
+
+# ---------------------------------------------------------------- term misses
+
+
+def _reference_factor_key(f, w, y):
+    """A factor's key by a walk over the factor's tuples: its kind, the
+    product of the weights at its monomial's slots and, for an E or an A,
+    its shift pair of y and, for an A, the weights at its count slots."""
+    kind, m, j, counts = f
+    a = prod([w[s] for s in m])
+    if kind == "T":  # T_k(a - 1) has no shift
+        return kind, a
+    return (kind, a, y[j], *[w[c] for c in counts])
+
+
+def _compiled_terms():
+    """(label, term, its compiled evaluator) for every variant of every
+    family, the oracle form of every templated series and the triple
+    alternating sum."""
+    for family_id, fam in FAMILIES.items():
+        if fam.orbit_template:
+            row = [substitute(ORBIT_TEMPLATES[fam.orbit_template], p) for p in fam.perms]
+        elif family_id == "INTRO_CHAIN":
+            row = identities._INTRO_CHAIN
+        else:
+            row = identities._COROLLARIES[family_id][1]
+        assert len(row) == len(fam.variants), family_id
+        for i, (t, ev) in enumerate(zip(row, fam.variants)):
+            yield f"{family_id}[{i}]", t, ev
+    for template, (_, _, perm) in identities._TEMPLATE_SERIES.items():
+        t = substitute(ORBIT_TEMPLATES[template], perm)
+        yield f"{template} oracle", t, _compile(t)
+    yield "ttt", ORBIT_TEMPLATES["ttt"], identities._TRIPLE_ALTSUM
+
+
+def test_a_miss_folds_the_factor_keys_and_bases_of_a_walk_over_the_term(monkeypatch):
+    # A term-key miss takes each bundle's factor key and base from the term
+    # key's own weights and shifts, at places fixed when the term was
+    # compiled.  On a fresh table, the one fold of a miss must get, bundle
+    # for bundle, the vectors stored under the keys that a walk over the
+    # term's tuples gives, at the bases that walk gives, and the table must
+    # hold no other factor key; a second call is a hit and folds nothing.
+    # Repeated, all-1 and distinct weights, and repeated and distinct
+    # shifts, so that a slot or a shift read from the wrong place shows.
+    folds = []
+    product_vec = identities._product_vec
+
+    def logged(forms, bases, table):
+        folds.append((forms, bases))
+        return product_vec(forms, bases, table)
+
+    monkeypatch.setattr(identities, "_product_vec", logged)
+    shift_sets = ((Fraction(123457, 999983), Fraction(-654321, 100003), Fraction(5, 100019)),
+                  (HALF, HALF, -THIRD))
+    compiled = list(_compiled_terms())
+    assert len(compiled) == sum(len(fam.variants) for fam in FAMILIES.values()) + 9
+    for label, t, ev in compiled:
+        for w in ((3, 3, 5), (5, 3, 3), (1, 1, 1), (3, 5, 7), (7, 3, 5)):
+            for y in map(_shifts, shift_sets):
+                keys = [_reference_factor_key(f, w, y) for f, _ in t]
+                bases = [prod([w[s] for s in base]) for _, base in t]
+                table = _Table(2)
+                folds.clear()
+                ev.vector(w, y, table)
+                ev.vector(w, y, table)
+                assert len(folds) == 1, (label, w, y)
+                forms, folded_bases = folds[0]
+                assert list(table.factors) == list(dict.fromkeys(keys)), (label, w, y)
+                assert len(forms) == len(keys), (label, w, y)
+                assert all(form is table.factors[key] for form, key in zip(forms, keys)), \
+                    (label, w, y)
+                assert folded_bases == bases, (label, w, y)
 
 
 # ---------------------------------------------------------------- reports
