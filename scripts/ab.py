@@ -4,7 +4,10 @@
 
 OLD and NEW are each a source checkout (a directory that holds
 ``src/eulersym``) or a git revision of the checkout this script is in,
-which is exported with ``git archive`` to a temporary directory.  Both
+which is exported with ``git archive`` to a temporary directory.  Each
+must be at or after commit ``8dc87ff``, from which a sweep yields its
+records as plain row tuples; older trees yield ``VerificationReport``s,
+which this script does not read.  Both
 trees are imported side by side, as the packages ``ab_old`` and
 ``ab_new``, so both sides share one process, one interpreter and the
 same moment of a shared host; two processes on one host can differ by
@@ -87,15 +90,6 @@ def load(tree: Path, name: str):
     return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.egf_series")
 
 
-def _as_row(record) -> tuple:
-    """A sweep record as a row, whether the tree's sweep yields rows or
-    ``VerificationReport``s."""
-    if isinstance(record, tuple):
-        return record
-    return (record.family_id, record.n, record.w, record.y, record.variant_values,
-            record.all_equal)
-
-
 def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
     """Layer name -> (the timed call, the function that turns its result
     into what the two sides must agree on), with the inputs built by this
@@ -116,8 +110,7 @@ def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
                            cli._numbers("--y", args.y, cli.parse_rational), int(args.order)))
 
     def rows(swept):
-        return [([_as_row(r) for r in records], dataclasses.astuple(part))
-                for records, part in swept]
+        return [(records, dataclasses.astuple(part)) for records, part in swept]
 
     return {
         "sweep": (lambda: list(cli._family_sweeps(config)), rows),

@@ -39,11 +39,13 @@ denominator), count weights), to the vector as ``(nums, d)``.  ``terms``
 maps a term's key, (shape, the weights and the shifts it reads), for any
 number of slots, to the term's values: the shape holds each bundle's kind
 and the lengths of its monomial, counts and base, which group the weights
-read at those slots, and each E and A reads its shift.  Equal term keys
-are the same expression at the same numbers.  Only a miss on a term key
-builds the factor keys and bases, and it takes them from the weights and
-shifts in that key, at the places its term's plan (``_plan``) fixed once
-when the term was compiled, with no walk over the term's tuples.  Each
+read at those slots, and the shifts its factors read: one for each E and
+A, none for a T.  Equal term keys are the same expression at the same
+numbers.  ``_plan`` is the one walk over a term, made when it is compiled:
+it gives the shape, the weight slots and shift indices read, the parity
+rule below and the miss plan.  Only a miss on a term key builds the factor
+keys and bases, and it takes them from the weights and shifts in that key,
+at the places the plan fixed, with no walk over the term's tuples.  Each
 miss builds and stores; a hit returns the stored values, so nothing is
 inferred through the substitution lemma or the orbit normal form.  Every
 variant is still folded on its own, but the theorems make almost every
@@ -59,9 +61,10 @@ sweep ends; a call of ``check_cases`` has one table, shared by its
 variants, and ``eval_variant`` and the series oracles give each call a
 fresh one.  Nothing is cached at module level.
 
-Every family is a row of terms, built by ``IdentityFamily.from_terms``:
-its weight and shift arities are the slots and shifts the terms read, and
-it takes odd weights only if a term has a T or an A factor (``orbits``).
+Every family is a row of terms, built by ``IdentityFamily.from_terms``,
+which reads each term's plan: its weight and shift arities are the slots
+and shifts the terms read, and it takes odd weights only if a term has a
+T or an A factor (``orbits``).
 * A theorem's row is its ``orbits.ORBIT_TEMPLATES`` template at the
   permutations it lists in chain order, one per orbit class, and its orbit
   size is the template's.  The template, not the id, drives the orbit audit
@@ -235,28 +238,25 @@ def _shifts(y: Sequence[Fraction]) -> tuple[Shift, ...]:
     return tuple((s.numerator, s.denominator) for s in y)
 
 
-def _reads(t: Term) -> tuple[list[int], list[int], bool]:
-    """The weight slots of each bundle's monomial, counts and base, in order,
-    the shift index of each E and A (a T's index 0 is a placeholder), and
-    whether a T or an A factor makes the term need odd weights."""
-    return ([s for (_, m, _, counts), base in t for s in (*m, *counts, *base)],
-            [j for (kind, _, j, _), _ in t if kind != "T"],
-            any(kind != "E" for (kind, *_), _ in t))
-
-
-def _plan(t: Term) -> tuple[tuple[str, int, int, int, int, int], ...]:
-    """The term's miss plan: per bundle, its kind, the bounds m0 <= c0 <=
-    b0 <= b1 of its monomial kw[m0:c0], counts kw[c0:b0] and base kw[b0:b1]
-    in the weights kw that ``_reads`` lists, and the index of its shift in
-    the shifts ky that ``_reads`` lists (0 for a T, which reads none)."""
-    plan, start, shift = [], 0, 0
-    for (kind, m, _, counts), base in t:
-        c0 = start + len(m)
+def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
+    """The one walk over a term: its shape, the weight slots and the shift
+    indices it reads, in bundle order, whether a T or an A factor makes it
+    need odd weights, and its miss plan.  The plan holds, per bundle, its
+    kind, the bounds m0 <= c0 <= b0 <= b1 of its monomial kw[m0:c0], counts
+    kw[c0:b0] and base kw[b0:b1] in the weights kw read at those slots, and
+    the index j of its first shift in the shifts ky read (a T reads none,
+    and its factor key holds no shift)."""
+    shape, w_slots, y_slots, plan = [], [], [], []
+    for (kind, m, js, counts), base in t:
+        shape.append(f"{kind}{len(m)}.{len(counts)}.{len(base)}")
+        m0 = len(w_slots)
+        c0 = m0 + len(m)
         b0 = c0 + len(counts)
-        plan.append((kind, start, c0, b0, b0 + len(base), shift))
-        start = b0 + len(base)
-        shift += kind != "T"
-    return tuple(plan)
+        w_slots += (*m, *counts, *base)
+        plan.append((kind, m0, c0, b0, len(w_slots), len(y_slots)))
+        y_slots += js
+    return (" ".join(shape), w_slots, y_slots,
+            any(kind != "E" for kind, *_ in plan), tuple(plan))
 
 
 def _compile(t: Term) -> Evaluator:
@@ -265,23 +265,21 @@ def _compile(t: Term) -> Evaluator:
     [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
-    the module docstring gives it, to the values.  A miss takes each
-    bundle's factor key and base from that key's weights and shifts, at
-    the places ``_plan`` fixed when the term was compiled: a factor key is
-    (kind, the product of the monomial's weights, and for an E or an A the
-    shift pair, and for an A the count weights), everything its vector
-    depends on at the table's n_max, and a base the product of its weights.
-    The miss folds the factor vectors, each read from ``table.factors`` or
-    built through ``_BUILD`` and stored there, and stores the values.  The
+    the module docstring gives it, to the values; the shape, the slots read
+    and the miss plan come from the term's one walk, ``_plan``.  A miss
+    takes each bundle's factor key and base from that key's weights and
+    shifts, at the places the plan fixed: a factor key is (kind, the
+    product of the monomial's weights, and for an E or an A the shift pair,
+    and for an A the count weights), everything its vector depends on at
+    the table's n_max, and a base the product of its weights.  The miss
+    folds the factor vectors, each read from ``table.factors`` or built
+    through ``_BUILD`` and stored there, and stores the values.  The
     returned list is the table's and is not to be mutated."""
-    shape = " ".join(f"{kind}{len(m)}.{len(counts)}.{len(base)}"
-                     for (kind, m, _, counts), base in t)
-    w_slots, y_slots, _ = _reads(t)
+    shape, w_slots, y_slots, _, plan = _plan(t)
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
     # which a miss puts back in a tuple.
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
     one_w, one_y = len(w_slots) == 1, len(y_slots) == 1
-    plan = _plan(t)
 
     def vector(w: Sequence[int], y: Sequence[Shift], table: _Table) -> list[Fraction]:
         key = (shape, read_w(w), read_y(y))
@@ -382,10 +380,11 @@ class IdentityFamily:
     def from_terms(cls, family_id: str, row: Sequence[Term], template: str | None = None,
                    perms: tuple[Perm, ...] = ()) -> IdentityFamily:
         """The family of ``row``, one compiled variant per term: its arities one past
-        the largest weight slot and shift index read, odd-only if a term needs it."""
-        reads = list(map(_reads, row))
-        w_arity, y_arity = (1 + max((ix for r in reads for ix in r[k]), default=-1) for k in (0, 1))
-        return cls(family_id, w_arity, y_arity, any(r[2] for r in reads),
+        the largest weight slot and shift index a term's plan reads, odd-only if a
+        term's plan needs it."""
+        plans = list(map(_plan, row))
+        w_arity, y_arity = (1 + max((ix for p in plans for ix in p[k]), default=-1) for k in (1, 2))
+        return cls(family_id, w_arity, y_arity, any(p[3] for p in plans),
                    tuple(map(_compile, row)), template, perms)
 
     @property
@@ -442,14 +441,12 @@ PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
-    ``all_equal`` is always worked out from the values.  ``check_cases``
-    and ``cli.run_sweep`` make one per case, so the class has slots and no
-    ``__dict__``, and its ``__init__`` is written out: it checks the values
-    and sets the six slots itself, which costs less than a generated
-    ``__init__`` that calls a ``__post_init__``."""
+    ``all_equal`` is always worked out from the values, never given.
+    ``check_cases`` and ``cli.run_sweep`` make one per case, so the class
+    has slots and no ``__dict__``."""
 
     family_id: str
     n: int
@@ -458,21 +455,14 @@ class VerificationReport:
     variant_values: tuple[Fraction, ...]
     all_equal: bool = field(init=False)
 
-    def __init__(self, family_id: str, n: int, w: tuple[int, ...], y: tuple[Fraction, ...],
-                 variant_values: tuple[Fraction, ...]) -> None:
-        if not variant_values:
+    def __post_init__(self) -> None:
+        values = self.variant_values
+        if not values:
             raise ValueError("a report needs at least one variant value")
-        set_slot = object.__setattr__  # the class is frozen
-        set_slot(self, "family_id", family_id)
-        set_slot(self, "n", n)
-        set_slot(self, "w", w)
-        set_slot(self, "y", y)
-        set_slot(self, "variant_values", variant_values)
         # Each value against the first: no Fraction is hashed.  Equal values
         # folded through one table are one object and compare by identity,
         # so Fraction.__eq__ runs only on a value that differs.
-        set_slot(self, "all_equal",
-                 variant_values.count(variant_values[0]) == len(variant_values))
+        object.__setattr__(self, "all_equal", values.count(values[0]) == len(values))
 
 
 def _family(family_id: str) -> IdentityFamily:

@@ -11,6 +11,8 @@ is T_k(w_s - 1); ``A(m, j, c)`` is sum_{i<w_c} (-1)^i E_k(m y_j + (m/w_c) i)
 and ``A(m, j, c1, c2)`` the double alternating sum of
 E_k(m y_j + (m/w_c1) i + (m/w_c2) i').  T's w_s and A's counts must be odd:
 (e^{wt} + 1)/(e^t + 1) is sum_{i<w} (-1)^i e^{it} only then.  E needs none.
+A factor is (kind, monomial, the shift indices it reads, counts): E and A
+read (j,), and T, the quotient's power sum, reads no shift, ().
 
 Templates are written in the roles a, b, c = 0, 1, 2; the permutation p
 puts role r on weight slot p[r].  Renaming bound summation indices maps
@@ -29,21 +31,22 @@ __all__ = ["ORBIT_TEMPLATES", "EXPECTED_ORBIT_SIZES", "orbit_audit", "orbit_form
 
 Perm = tuple[int, int, int]
 Mono = tuple[int, ...]
-Factor = tuple[str, Mono, int, Mono]
+# (kind, monomial, the shift indices it reads, count slots).
+Factor = tuple[str, Mono, tuple[int, ...], Mono]
 Term = tuple[tuple[Factor, Mono], ...]
 
 ALL_PERMS: tuple[Perm, ...] = tuple(permutations((0, 1, 2)))
 a, b, c = 0, 1, 2  # template roles
 
 
-def E(m: Mono, j: int) -> Factor: return ("E", m, j, ())
-def T(s: int) -> Factor: return ("T", (s,), 0, ())
+def E(m: Mono, j: int) -> Factor: return ("E", m, (j,), ())
+def T(s: int) -> Factor: return ("T", (s,), (), ())
 
 
 def A(m: Mono, j: int, *counts: int) -> Factor:
     if not 1 <= len(counts) <= 2:
         raise ValueError(f"A takes one or two counts, got {counts!r}")
-    return ("A", m, j, counts)
+    return ("A", m, (j,), counts)
 
 
 def term(*bundles: tuple[Factor, Mono], scale: Mono = ()) -> Term:
@@ -77,7 +80,7 @@ EXPECTED_ORBIT_SIZES: dict[str, int] = {
 
 
 def _map_monos(t: Term, f: Callable[[Mono], Mono]) -> Term:
-    return tuple(((kind, f(m), j, f(cs)), f(base)) for (kind, m, j, cs), base in t)
+    return tuple(((kind, f(m), js, f(cs)), f(base)) for (kind, m, js, cs), base in t)
 
 
 def substitute(t: Term, perm: Perm) -> Term:
