@@ -22,8 +22,10 @@ more than a layer's change.  The layers:
   weigh more against its fold than at n <= 10, where the folds
   (``_product_vec`` and its binomial convolutions) take most of a sweep;
   so a change to that part of a miss shows here and barely in ``sweep``;
-* ``writer``: ``cli._report_pieces`` over the ``sweep`` layer's records,
-  one chunk per family as ``verify`` writes them, in JSON;
+* ``writer`` and ``writer_csv``: ``cli._report_pieces`` over the
+  ``sweep`` layer's records, one chunk per family as ``verify`` writes
+  them, in JSON and in CSV (its own separator, bare values and no quotes,
+  the format of the ``shift_fanout`` workload);
 * ``series``: ``lambda_series`` on each of the 10 ``series`` calls of the
   ``query`` workload of ``perfbench`` at seed 1.
 
@@ -117,6 +119,7 @@ def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
         "shallow": (lambda: [list(cli._family_sweeps(c)) for c in shallow],
                     lambda sweeps: list(map(rows, sweeps))),
         "writer": (lambda: "".join(cli._report_pieces(chunks, "json")), lambda text: text),
+        "writer_csv": (lambda: "".join(cli._report_pieces(chunks, "csv")), lambda text: text),
         "series": (lambda: [egf_series.lambda_series(family, i, w, y, order=order)
                             for family, i, w, y, order in series],
                    lambda out: [s.coeffs for s in out]),
@@ -161,12 +164,12 @@ def main(argv: list[str]) -> int:
                     differs.add(name)
     print(f"python {platform.python_version()}, {args.rounds} rounds, "
           f"least process_time per side: old {args.old}, new {args.new}")
-    print(f"{'layer':8} {'old ms':>9} {'new ms':>9} {'change':>8} {'new won':>8} {'old won':>8}")
+    print(f"{'layer':10} {'old ms':>9} {'new ms':>9} {'change':>8} {'new won':>8} {'old won':>8}")
     for name, by_side in times.items():
         old, new = by_side["old"], by_side["new"]
         new_won = sum(n < o for o, n in zip(old, new))
         old_won = sum(o < n for o, n in zip(old, new))
-        print(f"{name:8} {min(old) * 1e3:9.1f} {min(new) * 1e3:9.1f} "
+        print(f"{name:10} {min(old) * 1e3:9.1f} {min(new) * 1e3:9.1f} "
               f"{min(new) / min(old) - 1:+8.1%} {new_won:>8} {old_won:>8}")
     for name in sorted(differs):
         print(f"ab.py: {name}: the outputs differ between the sides", file=sys.stderr)

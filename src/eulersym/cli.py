@@ -26,7 +26,9 @@ Reports: ``_FORMATS`` describes each format once (head, record template,
 separators, tail), and one generator, ``_report_pieces``, reads it for
 both ``emit_report`` and ``verify``.  It writes the rows in blocks of at
 most ``_BLOCK`` records, one piece each, so no text of a whole family is
-ever held at once.  Nothing is escaped or quoted, so a
+ever held at once.  A record whose variants agree, as every record of a
+holding identity does, is written from the text of its first value
+alone.  Nothing is escaped or quoted, so a
 family id is one or more ASCII letters, digits and ``_``; the writer and
 ``--family`` refuse any other.
 
@@ -285,13 +287,18 @@ def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str
     records as one piece, then the tail.  ``verify`` hands one family's
     rows per chunk, so the text of at most one block is held at a time.
 
-    The rows of a sweep share their value objects, one per distinct value
-    (see ``identities``), and the rows of a (family, w, y) share their
-    ``w`` and ``y`` tuples, so each distinct object, keyed by ``id``, is
-    written once per chunk: each value through ``format_rational``, and
-    each ``w`` and ``y`` tuple as its list text.  The rows keep every
-    object alive while this runs, so no id is reused.  Each distinct
-    family id of a chunk is checked against the id grammar once."""
+    A row whose ``equal`` flag is true is written from its first value
+    alone, that value's text once per value: the flag says each value is
+    ``==`` to the first, and ``format_rational`` writes equal values alike.
+    The values of a row whose flag is false are each written.  The rows
+    of a sweep share their value objects, one per distinct value (see
+    ``identities``), and the rows of a (family, w, y) share their ``w``
+    and ``y`` tuples, so each object needed, keyed by ``id``, is written
+    once per chunk: each ``y`` value, first value of an agreeing row and
+    value of a disagreeing row through ``format_rational``, and each ``w``
+    and ``y`` tuple as its list text.  The rows keep every object alive
+    while this runs, so no id is reused.  Each distinct family id of a
+    chunk is checked against the id grammar once."""
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     head, record, item, quote, sep, tail = _FORMATS[format]
@@ -303,7 +310,8 @@ def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str
                 _family_id(family_id, "family")
             ws = {id(row[2]): row[2] for row in rows}
             ys = {id(row[3]): row[3] for row in rows}
-            objects = {id(v): v for row in rows for v in row[4]}
+            objects = {id(row[4][0]): row[4][0] for row in rows if row[5]}
+            objects.update((id(v), v) for row in rows if not row[5] for v in row[4])
             objects.update((id(v), v) for y in ys.values() for v in y)
             text = {key: quote % format_rational(v) for key, v in objects.items()}.__getitem__
             w_text = {key: item.join(map(str, w)) for key, w in ws.items()}
@@ -312,7 +320,8 @@ def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str
                 yield before
                 yield sep.join([record % (
                     family_id, n, w_text[id(w)], y_text[id(y)],
-                    item.join(map(text, map(id, values))), "true" if equal else "false",
+                    item.join([text(id(values[0]))] * len(values)) if equal
+                    else item.join(map(text, map(id, values))), "true" if equal else "false",
                 ) for family_id, n, w, y, values, equal in rows[start:start + _BLOCK]])
                 before = sep
             del rows, ws, ys, objects, text, w_text, y_text  # before the next chunk is made

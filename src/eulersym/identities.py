@@ -62,9 +62,10 @@ variants, and ``eval_variant`` and the series oracles give each call a
 fresh one.  Nothing is cached at module level.
 
 Every family is a row of terms, built by ``IdentityFamily.from_terms``,
-which reads each term's plan: its weight and shift arities are the slots
-and shifts the terms read, and it takes odd weights only if a term has a
-T or an A factor (``orbits``).
+which walks each term once, for both its plan and its compiled variant:
+its weight and shift arities are the slots and shifts the terms read,
+and it takes odd weights only if a term has a T or an A factor
+(``orbits``).
 * A theorem's row is its ``orbits.ORBIT_TEMPLATES`` template at the
   permutations it lists in chain order, one per orbit class, and its orbit
   size is the template's.  The template, not the id, drives the orbit audit
@@ -259,10 +260,11 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
             any(kind != "E" for kind, *_ in plan), tuple(plan))
 
 
-def _compile(t: Term) -> Evaluator:
+def _compile(t: Term, walk: tuple | None = None) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.vector`` (w, y, table) -> the
     values at 0..table.n_max for shifts y given by ``_shifts``, the term's
-    [t^n] prod F_b(beta_b t) (any scale is folded into the bases).
+    [t^n] prod F_b(beta_b t) (any scale is folded into the bases).  ``walk``
+    is ``_plan(t)``, made here unless the caller has made it already.
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; the shape, the slots read
@@ -275,7 +277,7 @@ def _compile(t: Term) -> Evaluator:
     folds the factor vectors, each read from ``table.factors`` or built
     through ``_BUILD`` and stored there, and stores the values.  The
     returned list is the table's and is not to be mutated."""
-    shape, w_slots, y_slots, _, plan = _plan(t)
+    shape, w_slots, y_slots, _, plan = _plan(t) if walk is None else walk
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
     # which a miss puts back in a tuple.
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
@@ -381,11 +383,12 @@ class IdentityFamily:
                    perms: tuple[Perm, ...] = ()) -> IdentityFamily:
         """The family of ``row``, one compiled variant per term: its arities one past
         the largest weight slot and shift index a term's plan reads, odd-only if a
-        term's plan needs it."""
+        term's plan needs it.  Each term is walked once: its variant is compiled from
+        the same plan."""
         plans = list(map(_plan, row))
         w_arity, y_arity = (1 + max((ix for p in plans for ix in p[k]), default=-1) for k in (1, 2))
         return cls(family_id, w_arity, y_arity, any(p[3] for p in plans),
-                   tuple(map(_compile, row)), template, perms)
+                   tuple(map(_compile, row, plans)), template, perms)
 
     @property
     def expected_orbit_size(self) -> int | None:  # None without a template

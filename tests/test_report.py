@@ -1,9 +1,11 @@
 """``emit_report`` writes the bytes of the plain emitters in
 ``report_reference``, in both formats, for any id of the family-id
-grammar, refuses any other id, and formats each distinct value object
-once."""
+grammar, refuses any other id, and formats each value object it needs
+once: each ``y`` value, the first value of a record whose values agree,
+and every value of a record whose values do not."""
 
 import string
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import report_reference as ref
 from eulersym import cli
 from eulersym.cli import SweepConfig, emit_report, run_sweep
-from eulersym.identities import FAMILY_IDS, VerificationReport, check_cases
+from eulersym.exact_arith import format_rational
+from eulersym.identities import FAMILIES, FAMILY_IDS, VerificationReport, check_cases
 
 FORMATS = ("json", "csv")
 
@@ -81,19 +84,96 @@ def test_emit_report_refuses_an_id_the_template_cannot_write(fmt, family_id):
         emit_report([record], fmt)
 
 
+def _formatted(records):
+    """The ids of the value objects the writer formats for ``records``,
+    one chunk: each ``y`` value, the first value of each record whose
+    values agree and every value of each record whose values do not."""
+    ids = {id(v) for r in records for v in r.y}
+    for r in records:
+        ids.update(map(id, r.variant_values[:1] if r.all_equal else r.variant_values))
+    return ids
+
+
+def _format_calls(monkeypatch):
+    """The list of values that ``cli`` formats from now on, in order."""
+    calls = []
+    format_rational = cli.format_rational
+    monkeypatch.setattr(cli, "format_rational", lambda v: calls.append(v) or format_rational(v))
+    return calls
+
+
 def test_sweep_report_formats_each_value_object_once(monkeypatch):
+    # The writer formats each object it needs once.  In a sweep the equal
+    # values of a record are one object, so on a sweep that holds, the
+    # objects it needs, the y values and each record's first value, are
+    # every distinct value object of the records.
     config = SweepConfig(families=("T2", "C3", "T14", "INTRO_CHAIN"), w_set=(1, 3, 5), n_max=2,
                          y_samples=(Fraction(0), Fraction(1, 2), Fraction(-1, 3)))
     records, summary = run_sweep(config)
     assert summary.failures == 0
-    objects = {id(v) for r in records for v in r.y + r.variant_values}
-    calls = []
-    format_rational = cli.format_rational
-    monkeypatch.setattr(cli, "format_rational", lambda v: calls.append(v) or format_rational(v))
+    objects = _formatted(records)
+    assert objects == {id(v) for r in records for v in r.y + r.variant_values}
+    calls = _format_calls(monkeypatch)
     for fmt in FORMATS:
         calls.clear()
         assert emit_report(records, fmt) == ref.emit_report(records, fmt)
         assert len(calls) == len(objects) < sum(len(r.y + r.variant_values) for r in records)
+        assert {id(v) for v in calls} == objects
+
+
+HALF, MINUS_THIRD = Fraction(1, 2), Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("records", [
+    # One agreeing record whose values are distinct objects, equal in value.
+    [VerificationReport("T1", 3, (1, 3), (HALF,),
+                        (Fraction(7, 4), Fraction(7, 4), Fraction(-14, -8)))],
+    # Two agreeing records of different lengths whose first value is one object.
+    [VerificationReport("T1", 0, (1,), (), (HALF, HALF)),
+     VerificationReport("C3", 0, (1,), (), (HALF, Fraction(1, 2), HALF))],
+    # A disagreeing record between agreeing ones that hold its objects first.
+    [VerificationReport("C6", 1, (3,), (MINUS_THIRD,), (HALF, HALF)),
+     VerificationReport("C6", 1, (5,), (MINUS_THIRD,), (HALF, MINUS_THIRD, HALF)),
+     VerificationReport("C6", 1, (7,), (MINUS_THIRD,), (MINUS_THIRD,) * 3)],
+], ids=["equal-objects", "shared-first-value", "disagreeing-between"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_agreeing_records_are_written_from_their_first_value(monkeypatch, records, fmt):
+    calls = _format_calls(monkeypatch)
+    assert emit_report(records, fmt) == ref.emit_report(records, fmt)
+    assert len(calls) == len(_formatted(records))
+    assert {id(v) for v in calls} == _formatted(records)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_failing_record_is_written_value_by_value(monkeypatch, fmt):
+    # Negative control: a sweep in which C6's last variant is perturbed by
+    # 1/7919 at every n, next to C7, which holds.  Each C6 record disagrees
+    # and is written value by value, the perturbed one included, and the
+    # bytes are those of the plain emitter.
+    c6 = FAMILIES["C6"]
+    last = c6.variants[-1]
+    delta = Fraction(1, 7919)
+    catalog = {"C6": replace(c6, variants=c6.variants[:-1] + (
+        lambda n, w, y: last(n, w, y) + delta,)), "C7": FAMILIES["C7"]}
+    config = SweepConfig(families=("C6", "C7"), w_set=(1, 3, 5), n_max=2,
+                         y_samples=(Fraction(0), Fraction(1, 2)))
+    chunks = [rows for rows, _ in cli._family_sweeps(config, catalog)]
+    by_chunk = [[VerificationReport(*row[:5]) for row in rows] for rows in chunks]
+    assert [[r.all_equal for r in records] for records in by_chunk] == [
+        [row[5] for row in rows] for rows in chunks]
+    records = [r for records in by_chunk for r in records]
+    failing = [r for r in records if not r.all_equal]
+    assert {r.family_id for r in failing} == {"C6"} and len(failing) == len(by_chunk[0])
+
+    calls = _format_calls(monkeypatch)
+    text = "".join(cli._report_pieces(chunks, fmt))
+    assert text.encode("utf-8") == ref.emit_report(records, fmt)
+    assert len(calls) == sum(len(_formatted(records)) for records in by_chunk)
+    item, quote = cli._FORMATS[fmt][2:4]
+    for r in failing:
+        perturbed = format_rational(r.variant_values[-1])
+        assert perturbed != format_rational(r.variant_values[0])
+        assert item.join(quote % format_rational(v) for v in r.variant_values) in text
 
 
 def test_block_text_is_the_same_for_shared_and_fresh_tuples():
