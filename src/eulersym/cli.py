@@ -28,7 +28,8 @@ both ``emit_report`` and ``verify``.  It writes the rows in blocks of at
 most ``_BLOCK`` records, one piece each, so no text of a whole family is
 ever held at once.  A record whose variants agree, as every record of a
 holding identity does, is written from the text of its first value
-alone.  Nothing is escaped or quoted, so a
+alone; ``emit_report`` first checks that its other values are exact, as
+``format_rational`` checks the first.  Nothing is escaped or quoted, so a
 family id is one or more ASCII letters, digits and ``_``; the writer and
 ``--family`` refuse any other.
 
@@ -69,7 +70,8 @@ from typing import (
 from . import altsum, euler, identities
 from .egf_series import LAMBDA_FAMILIES, lambda_series
 from .exact_arith import (
-    count, format_rational, int_weights, parse_int, parse_rational, rational_shifts,
+    as_rational, count, format_rational, int_weights, parse_int, parse_rational,
+    rational_shifts,
 )
 from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
 from .orbits import orbit_audit
@@ -289,7 +291,9 @@ def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str
 
     A row whose ``equal`` flag is true is written from its first value
     alone, that value's text once per value: the flag says each value is
-    ``==`` to the first, and ``format_rational`` writes equal values alike.
+    ``==`` to the first, and ``format_rational`` writes equal ``int`` and
+    ``Fraction`` values alike (``emit_report`` checks that the others are
+    such values; the sweep makes only such values).
     The values of a row whose flag is false are each written.  The rows
     of a sweep share their value objects, one per distinct value (see
     ``identities``), and the rows of a (family, w, y) share their ``w``
@@ -331,7 +335,18 @@ def _report_pieces(chunks: Iterable[Sequence[Row]], format: str) -> Iterator[str
 def emit_report(records: Sequence[VerificationReport], format: str = "json") -> bytes:
     """Serialize records; byte-stable for a fixed record order.  These are
     the bytes ``verify`` writes, family by family, for the same records:
-    the pieces of one ``_report_pieces`` over the records as rows, joined."""
+    the pieces of one ``_report_pieces`` over the records as rows, joined.
+
+    Every value must be an ``int`` or a ``Fraction``, or ``ValueError`` is
+    raised, as ``format_rational`` raises.  An agreeing record is written
+    from its first value, so the others are checked here: a record's
+    ``all_equal`` holds for ``(Fraction(1, 2), 0.5)`` or
+    ``(Fraction(1), True)``.  ``verify``'s rows need no check: the sweep
+    makes every value."""
+    for r in records:
+        if r.all_equal:
+            for v in r.variant_values[1:]:
+                as_rational(v, "value")
     rows = [(r.family_id, r.n, r.w, r.y, r.variant_values, r.all_equal) for r in records]
     return "".join(_report_pieces([rows], format)).encode("utf-8")
 

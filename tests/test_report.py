@@ -1,6 +1,7 @@
 """``emit_report`` writes the bytes of the plain emitters in
 ``report_reference``, in both formats, for any id of the family-id
-grammar, refuses any other id, and formats each value object it needs
+grammar, refuses any other id and any value that is not an ``int`` or
+a ``Fraction``, and formats each value object it needs
 once: each ``y`` value, the first value of a record whose values agree,
 and every value of a record whose values do not."""
 
@@ -142,6 +143,22 @@ def test_agreeing_records_are_written_from_their_first_value(monkeypatch, record
     assert emit_report(records, fmt) == ref.emit_report(records, fmt)
     assert len(calls) == len(_formatted(records))
     assert {id(v) for v in calls} == _formatted(records)
+
+
+@pytest.mark.parametrize("values", [(HALF, 0.5), (HALF, HALF, 0.5), (Fraction(1), True),
+                                    (Fraction(0), Fraction(0), False)],
+                         ids=["float", "float-last-of-three", "true", "false"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_an_agreeing_record_with_a_float_or_bool_value_is_refused(fmt, values):
+    # Each value is == to the first, so the record agrees, but a float or
+    # a bool is no exact value: both writers refuse it, though the fast
+    # one writes an agreeing record from its first value.
+    record = VerificationReport("T1", 0, (1,), (), values)
+    assert record.all_equal
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        ref.emit_report([record], fmt)
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        emit_report([record], fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
