@@ -186,7 +186,8 @@ def _sweep_family(
     summary.  Each (w, y) is one ``identities._check_cases`` call, whose
     value rows become the family's rows as they are: ``equal`` is worked
     out once per row, by the test ``VerificationReport`` makes, and the
-    failures are counted from those flags."""
+    failures are counted from those flags.  The series spot check reads
+    the value rows of the last (w, y), the values the report holds."""
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
 
@@ -194,17 +195,15 @@ def _sweep_family(
     w_tuples = tuple(product(w_values, repeat=fam.w_arity))
     y_tuples = _y_tuples(config.y_samples, fam.y_arity)
 
-    # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
-    # weight products equal the weights, and L23_i and L13_i coincide.
-    held = identities._oracle_holds(
-        fam, config.n_max, w_tuples[-1], y_tuples[-1]) if w_tuples and y_tuples else None
-
     # The config is validated and the grid admissible for fam, so each
     # (w, y) goes straight to the step check_cases runs after validating,
     # with the shift pairs of each y window made once.
     windows = [(yt, identities._shifts(yt)) for yt in y_tuples]
     cases = [(wt, yt, shifts) for wt in w_tuples for yt, shifts in windows]
     by_case = [identities._check_cases(fam, *case, table) for case in cases]
+    # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
+    # weight products equal the weights, and L23_i and L13_i coincide.
+    held = identities._oracle_holds(fam, *cases[-1][:2], by_case[-1]) if cases else None
     # zip(*by_case) gives, for each n, the value rows of every (w, y) in order.
     # Equal values folded through one table are one object, so count()
     # compares them by identity and no Fraction is hashed.
@@ -245,8 +244,9 @@ def run_sweep(
     checked before any evaluation.  Besides the variant-equality checks,
     each family with an orbit template, in any catalog, gets a one-off
     orbit-size audit of it and, where the template has a series, a
-    series-coefficient spot check at its last admissible parameter tuple,
-    for every n <= ``n_max`` (``identities._oracle_holds``).
+    series-coefficient spot check of every value computed at its last
+    admissible parameter tuple, for every n <= ``n_max``
+    (``identities._oracle_holds``).
 
     This is the family-by-family sweep that ``verify`` writes as it goes,
     each of its rows wrapped in a ``VerificationReport``; so it holds every

@@ -58,8 +58,8 @@ of the window share them.
 ``cli._family_sweeps`` hands one table to each (family, w, y) step of a
 sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
 sweep ends; a call of ``check_cases`` has one table, shared by its
-variants, and ``eval_variant`` and the series oracles give each call a
-fresh one.  Nothing is cached at module level.
+variants, and ``eval_variant``, which the ``SERIES_ORACLES`` evaluators
+call, gives each call a fresh one.  Nothing is cached at module level.
 
 Every family is a row of terms, built by ``IdentityFamily.from_terms``,
 which walks each term once, for both its plan and its compiled variant:
@@ -70,9 +70,10 @@ and it takes odd weights only if a term has a T or an A factor
   permutations it lists in chain order, one per orbit class, and its orbit
   size is the template's.  The template, not the id, drives the orbit audit
   and the series oracle, so a family in any catalog gets both:
-  ``_TEMPLATE_SERIES`` pairs the template with its series and one
-  permutation, whose form, compiled per call, ``_oracle_holds`` folds as
-  one column to n_max and ``SERIES_ORACLES`` gives per n.
+  ``_TEMPLATE_SERIES`` pairs the template with its series: every
+  expression of the family at n is that series' coefficient n.
+  ``_oracle_holds`` checks this on the value rows a sweep has already
+  computed, and ``SERIES_ORACLES`` gives the family's first variant per n.
 * A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
   is w2), never as the parent at pinned weights, so the specialization
   checks compare two computations.  The parent's weights past its own are
@@ -260,11 +261,11 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
             any(kind != "E" for kind, *_ in plan), tuple(plan))
 
 
-def _compile(t: Term, walk: tuple | None = None) -> Evaluator:
+def _compile(walk: tuple) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.vector`` (w, y, table) -> the
-    values at 0..table.n_max for shifts y given by ``_shifts``, the term's
-    [t^n] prod F_b(beta_b t) (any scale is folded into the bases).  ``walk``
-    is ``_plan(t)``, made here unless the caller has made it already.
+    values at 0..table.n_max for shifts y given by ``_shifts``, of the term
+    t whose walk ``_plan(t)`` is: its [t^n] prod F_b(beta_b t) (any scale
+    is folded into the bases).
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; the shape, the slots read
@@ -277,7 +278,7 @@ def _compile(t: Term, walk: tuple | None = None) -> Evaluator:
     folds the factor vectors, each read from ``table.factors`` or built
     through ``_BUILD`` and stored there, and stores the values.  The
     returned list is the table's and is not to be mutated."""
-    shape, w_slots, y_slots, _, plan = _plan(t) if walk is None else walk
+    shape, w_slots, y_slots, _, plan = walk
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
     # which a miss puts back in a tuple.
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
@@ -388,7 +389,7 @@ class IdentityFamily:
         plans = list(map(_plan, row))
         w_arity, y_arity = (1 + max((ix for p in plans for ix in p[k]), default=-1) for k in (1, 2))
         return cls(family_id, w_arity, y_arity, any(p[3] for p in plans),
-                   tuple(map(_compile, row, plans)), template, perms)
+                   tuple(map(_compile, plans)), template, perms)
 
     @property
     def expected_orbit_size(self) -> int | None:  # None without a template
@@ -541,7 +542,7 @@ def eval_variant(
     if type(choice) is int and 0 <= choice < len(fam.variants):
         ev = fam.variants[choice]
     elif fam.orbit_template and isinstance(choice, Sequence) and tuple(choice) in ALL_PERMS:
-        ev = _compile(substitute(ORBIT_TEMPLATES[fam.orbit_template], tuple(choice)))
+        ev = _compile(_plan(substitute(ORBIT_TEMPLATES[fam.orbit_template], tuple(choice))))
     else:
         raise ValueError(f"{family_id} has no variant {choice!r}; it takes an index "
                          f"below {len(fam.variants)} or, for a theorem, a permutation")
@@ -549,45 +550,44 @@ def eval_variant(
     return ev(n, *case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only))
 
 
-# Template -> the generating-function series whose coefficient vector a
-# family of that template expands, together with the template permutation
-# that matches the series expansion literally: (series family, sub-index,
-# perm).  A template without a row ("ttt") has no spot check.
-_TEMPLATE_SERIES: dict[str, tuple[str, int | None, Perm]] = {
-    "eee": ("L23", 0, (0, 1, 2)),
-    "eet": ("L23", 1, (0, 1, 2)),
-    "e-shift": ("L23", 1, (0, 1, 2)),
-    "ett": ("L23", 2, (0, 1, 2)),
-    "shift-t": ("L23", 2, (1, 0, 2)),
-    "double-shift": ("L23", 2, (1, 2, 0)),
-    "eee-cyclic": ("L12_0", None, (1, 2, 0)),
-    "ttt-cyclic": ("L12_1", None, (1, 2, 0)),
+# Template -> the generating-function series, (series family, sub-index),
+# whose coefficient n every expression of a family of that template equals.
+# A template without a row ("ttt") has no spot check.
+_TEMPLATE_SERIES: dict[str, tuple[str, int | None]] = {
+    "eee": ("L23", 0),
+    "eet": ("L23", 1),
+    "e-shift": ("L23", 1),
+    "ett": ("L23", 2),
+    "shift-t": ("L23", 2),
+    "double-shift": ("L23", 2),
+    "eee-cyclic": ("L12_0", None),
+    "ttt-cyclic": ("L12_1", None),
 }
 
-# The catalog's pairings, each form as a per-n evaluator that validates its case.
+# The catalog's pairings, each with its family's first variant as a per-n
+# evaluator that validates its case.
 SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
-    fid: (series, sub_index, partial(eval_variant, fid, perm))
+    fid: (*_TEMPLATE_SERIES[fam.orbit_template], partial(eval_variant, fid, 0))
     for fid, fam in FAMILIES.items() if fam.orbit_template in _TEMPLATE_SERIES
-    for series, sub_index, perm in [_TEMPLATE_SERIES[fam.orbit_template]]
 }
 
 
 def _oracle_holds(
-    fam: IdentityFamily, n_max: int, wt: tuple[int, ...], yt: tuple[Fraction, ...],
+    fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
+    rows: Sequence[tuple[Fraction, ...]],
 ) -> bool | None:
-    """Whether the oracle form of ``fam``'s template, compiled for this call
-    and folded as one column with a fresh table, equals ``lambda_series`` at
-    n = 0..n_max; None, no check, when the template has no series.  wt and
-    yt as ``case_args`` returns them for the family."""
+    """Whether every value of row n of ``rows``, the value rows that
+    ``_check_cases`` gave for ``fam`` at (wt, yt), equals coefficient n of
+    the series of ``fam``'s template; None, no check, when the template has
+    no series.  wt and yt as ``case_args`` returns them for the family."""
     if fam.orbit_template not in _TEMPLATE_SERIES:
         return None
-    series, sub_index, perm = _TEMPLATE_SERIES[fam.orbit_template]
-    form = _compile(substitute(ORBIT_TEMPLATES[fam.orbit_template], perm))
-    column = form.vector(wt, _shifts(yt), _Table(n_max))
-    return tuple(column) == lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
+    series, sub_index = _TEMPLATE_SERIES[fam.orbit_template]
+    coeffs = lambda_series(series, sub_index, wt, yt, order=len(rows) - 1).coeffs
+    return all(value == c for row, c in zip(rows, coeffs, strict=True) for value in row)
 
 
-_TRIPLE_ALTSUM = _compile(ORBIT_TEMPLATES["ttt"])
+_TRIPLE_ALTSUM = _compile(_plan(ORBIT_TEMPLATES["ttt"]))
 
 
 def eval_triple_altsum(n: int, w: Sequence[int]) -> Fraction:

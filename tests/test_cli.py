@@ -600,9 +600,9 @@ def test_sweep_holds_one_object_per_distinct_value():
 
 def test_a_sweep_builds_pascal_rows_once(monkeypatch):
     # A sweep's one table builds Pascal's rows when it is made, and every
-    # fold and every A vector of both families convolves against them, so
-    # the whole sweep builds them once.  Corollaries have no series spot
-    # check, which folds with a table of its own.
+    # fold and every A vector of every family convolves against them, so
+    # the whole sweep builds them once.  A theorem's series spot check
+    # reads the values the sweep computed, and folds nothing of its own.
     pascal_rows = identities._pascal_rows
     calls = []
 
@@ -611,10 +611,11 @@ def test_a_sweep_builds_pascal_rows_once(monkeypatch):
         return pascal_rows(n)
 
     monkeypatch.setattr(identities, "_pascal_rows", counted)
-    config = SweepConfig(families=("C6", "C12"), w_set=(1, 3, 5), n_max=2,
+    config = SweepConfig(families=("T8", "C6", "C12"), w_set=(1, 3, 5), n_max=2,
                          y_samples=(Fraction(0), Fraction(1, 2)))
     records, summary = run_sweep(config)
-    assert summary.failures == 0 and {r.family_id for r in records} == {"C6", "C12"}
+    assert summary.ok and summary.oracle_checks == 1
+    assert {r.family_id for r in records} == {"T8", "C6", "C12"}
     assert calls == [2]
 
 
@@ -652,8 +653,8 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     euler_vec, alt_vec, tval = identities._euler_vec, identities._alt_vec, identities._tval
     monkeypatch.setattr(identities, "_euler_vec",
                         lambda x, n_max: [v + x for v in euler_vec(x, n_max)])
-    monkeypatch.setattr(identities, "_alt_vec", lambda base, m, counts, n_max: [
-        v + base for v in alt_vec(base, m, counts, n_max)])
+    monkeypatch.setattr(identities, "_alt_vec", lambda base, m, counts, rows: [
+        v + base for v in alt_vec(base, m, counts, rows)])
     # T17 and C18 read only T_k.
     monkeypatch.setattr(identities, "_tval", lambda k, upper: tval(k, upper) + upper)
     scaled = (term((E((0,), 0), ())), term((E((0,), 0), ()), scale=(1,)))
@@ -754,10 +755,34 @@ def test_spot_check_reads_the_weights(monkeypatch, capsys):
     # Paired with L13_2 in place of L23_2, the "ett" spot check must fail on
     # the default grid.  At its first weights, w = (1, 1, 1), the two series
     # are equal, so a check run there would pass.
-    monkeypatch.setitem(identities._TEMPLATE_SERIES, "ett", ("L13", 2, (0, 1, 2)))
+    monkeypatch.setitem(identities._TEMPLATE_SERIES, "ett", ("L13", 2))
     code, _, err = run_cli(capsys, "verify", "--family", "T8", "--nmax", "2")
     assert code == 1
     assert "failures=0 orbit_failures=0 oracle_failures=1 " in err
+
+
+@pytest.mark.parametrize("wrong, failures", [((0, 1, 2), 0), ((2,), 54)],
+                         ids=["every variant", "last variant"])
+def test_spot_check_reads_every_value_of_the_sweep(wrong, failures):
+    # The series spot check compares the values the sweep computed, each of
+    # them, with the series.  T8's variants at `wrong` add 1 at n = n_max:
+    # when all three do, they still agree with each other, and only the
+    # spot check can notice; when only the last does, the spot check must
+    # notice it too, though the first two values match the series.
+    n_max = 2
+    fam = identities.FAMILIES["T8"]
+
+    def plus_one_at_top(ev):
+        return lambda n, w, y: ev(n, w, y) + (n == n_max)
+
+    variants = tuple(plus_one_at_top(ev) if i in wrong else ev
+                     for i, ev in enumerate(fam.variants))
+    catalog = {"T8": dataclasses.replace(fam, variants=variants)}
+    config = SweepConfig(families=("T8",), w_set=(1, 3, 5), n_max=n_max,
+                         y_samples=(Fraction(0), Fraction(1, 2)))
+    records, summary = run_sweep(config, families=catalog)
+    assert (summary.failures, summary.oracle_checks, summary.oracle_failures) == (failures, 1, 1)
+    assert all(r.all_equal for r in records if r.n < n_max)
 
 
 @pytest.mark.parametrize("k, argv, oracle_failures", [
@@ -791,8 +816,8 @@ def test_perturbed_alt_vec_fails_d_only_families(monkeypatch, capsys):
     assert run_cli(capsys, *argv)[0] == 0
     alt_vec = identities._alt_vec
 
-    def perturbed(base, m, counts, n_max):
-        vals = alt_vec(base, m, counts, n_max)
+    def perturbed(base, m, counts, rows):
+        vals = alt_vec(base, m, counts, rows)
         return vals[:-1] + [vals[-1] + base]
 
     monkeypatch.setattr(identities, "_alt_vec", perturbed)

@@ -24,6 +24,7 @@ from eulersym.identities import (
     _Table,
     _check_cases,
     _compile,
+    _plan,
     _shifts,
     variant_values,
 )
@@ -474,7 +475,7 @@ def test_three_slot_monomials_compile():
     # No catalog term has a monomial or a base of three slots, but the
     # compiler reads any number: with W = w1 w2 w3, the one bundle E_k(W y1)
     # at base W is W^n E_n(W y1).
-    ev = _compile(term((E((0, 1, 2), 0), (0, 1, 2))))
+    ev = _compile(_plan(term((E((0, 1, 2), 0), (0, 1, 2)))))
     for w in ((1, 3, 5), (3, 3, 7), (5, 7, 9), (1, 1, 1)):
         big_w = w[0] * w[1] * w[2]
         for y1 in (Fraction(0), THIRD, Fraction(-2, 5)):
@@ -505,8 +506,8 @@ T_FIRST = (
 
 def _compiled_terms():
     """(label, term, its compiled evaluator) for every variant of every
-    family, the oracle form of every templated series, the triple
-    alternating sum and the T_FIRST terms."""
+    family, every template at every permutation (the forms ``eval_variant``
+    compiles), the triple alternating sum and the T_FIRST terms."""
     for family_id, fam in FAMILIES.items():
         if fam.orbit_template:
             row = [substitute(ORBIT_TEMPLATES[fam.orbit_template], p) for p in fam.perms]
@@ -517,12 +518,13 @@ def _compiled_terms():
         assert len(row) == len(fam.variants), family_id
         for i, (t, ev) in enumerate(zip(row, fam.variants)):
             yield f"{family_id}[{i}]", t, ev
-    for template, (_, _, perm) in identities._TEMPLATE_SERIES.items():
-        t = substitute(ORBIT_TEMPLATES[template], perm)
-        yield f"{template} oracle", t, _compile(t)
+    for template, form in ORBIT_TEMPLATES.items():
+        for perm in ALL_PERMS:
+            t = substitute(form, perm)
+            yield f"{template} at {perm}", t, _compile(_plan(t))
     yield "ttt", ORBIT_TEMPLATES["ttt"], identities._TRIPLE_ALTSUM
     for i, t in enumerate(T_FIRST):
-        yield f"T_FIRST[{i}]", t, _compile(t)
+        yield f"T_FIRST[{i}]", t, _compile(_plan(t))
 
 
 def test_a_miss_folds_the_factor_keys_and_bases_of_a_walk_over_the_term(monkeypatch):
@@ -546,7 +548,7 @@ def test_a_miss_folds_the_factor_keys_and_bases_of_a_walk_over_the_term(monkeypa
     shift_sets = ((Fraction(123457, 999983), Fraction(-654321, 100003), Fraction(5, 100019)),
                   (HALF, HALF, -THIRD))
     compiled = list(_compiled_terms())
-    assert len(compiled) == sum(len(fam.variants) for fam in FAMILIES.values()) + 12
+    assert len(compiled) == sum(len(fam.variants) for fam in FAMILIES.values()) + 58
     for label, t, ev in compiled:
         for w in ((3, 3, 5), (5, 3, 3), (1, 1, 1), (3, 5, 7), (7, 3, 5)):
             for y in map(_shifts, shift_sets):

@@ -111,7 +111,7 @@ def test_scale_folds_into_the_bases(scaled, folded):
     # sigma^n [t^n] prod F_b(beta_b t) = [t^n] prod F_b(sigma beta_b t).
     for p in ALL_PERMS:
         assert normal_form(scaled, p) == normal_form(folded, p)
-    ev, by_hand = identities._compile(scaled), identities._compile(folded)
+    ev, by_hand = (identities._compile(identities._plan(t)) for t in (scaled, folded))
     y = (Fraction(1, 3), Fraction(-1, 2))
     for w in product((1, 3, 5), repeat=3):
         for n in range(5):
