@@ -35,9 +35,14 @@ first in odd ones, and times each call with ``time.process_time``, after
 a garbage collection and with the collector off, as ``timeit`` does: the
 inputs of both sides stay alive, so a collection during one side's call
 would also walk the other side's objects.  For
-each layer it prints the least time of each side over K rounds and the
-rounds each side won (a tie counts for neither).  The exit code is 1 if
-any layer's output differs between the sides, and 2 on a usage error.
+each layer it prints the least time of each side over K rounds, the
+rounds each side won (a tie counts for neither), and the median and the
+quartiles of the per-round ratio NEW/OLD, as a change.  The two sides of
+a round run back to back, so their ratio cancels most of the drift of a
+shared host, which can move one side's least time by more than a change
+does; the quartiles show how far the ratio itself spreads.  With one
+round, all three are that round's ratio.  The exit code is 1 if any
+layer's output differs between the sides, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import gc
 import importlib
 import importlib.util
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -164,13 +170,18 @@ def main(argv: list[str]) -> int:
                     differs.add(name)
     print(f"python {platform.python_version()}, {args.rounds} rounds, "
           f"least process_time per side: old {args.old}, new {args.new}")
-    print(f"{'layer':10} {'old ms':>9} {'new ms':>9} {'change':>8} {'new won':>8} {'old won':>8}")
+    print(f"{'layer':10} {'old ms':>9} {'new ms':>9} {'change':>8} {'new won':>8} {'old won':>8}"
+          f" {'ratio q1':>9} {'median':>8} {'q3':>8}")
     for name, by_side in times.items():
         old, new = by_side["old"], by_side["new"]
         new_won = sum(n < o for o, n in zip(old, new))
         old_won = sum(o < n for o, n in zip(old, new))
+        ratios = [n / o for o, n in zip(old, new)]
+        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                          if len(ratios) > 1 else ratios * 3)
         print(f"{name:10} {min(old) * 1e3:9.1f} {min(new) * 1e3:9.1f} "
-              f"{min(new) / min(old) - 1:+8.1%} {new_won:>8} {old_won:>8}")
+              f"{min(new) / min(old) - 1:+8.1%} {new_won:>8} {old_won:>8}"
+              f" {q1 - 1:+9.1%} {median - 1:+8.1%} {q3 - 1:+8.1%}")
     for name in sorted(differs):
         print(f"ab.py: {name}: the outputs differ between the sides", file=sys.stderr)
     return 1 if differs else 0

@@ -34,8 +34,9 @@ permutation at w is another at a permuted w), many times.  A *table*, a
 map each.  It also holds Pascal's rows C(k, 0..k), k = 0..n_max, built
 when it is made, which every fold and every A vector of the table
 convolves against.  ``factors`` maps a factor's key, everything its vector
-depends on in ints (kind, monomial value, shift as (numerator,
-denominator), count weights), to the vector as ``(nums, d)``.  ``terms``
+depends on in ints (kind, monomial value, the shifts it reads as
+(numerator, denominator) pairs, count weights), to the vector as
+``(nums, d)``; one rule keys every kind.  ``terms``
 maps a term's key, (shape, the weights and the shifts it reads), for any
 number of slots, to the term's values: the shape holds each bundle's kind
 and the lengths of its monomial, counts and base, which group the weights
@@ -49,12 +50,13 @@ at the places the plan fixed, with no walk over the term's tuples.  Each
 miss builds and stores; a hit returns the stored values, so nothing is
 inferred through the substitution lemma or the orbit normal form.  Every
 variant is still folded on its own, but the theorems make almost every
-value recur, so ``values`` maps each value's reduced (numerator,
-denominator) pair to one ``Fraction``: a fold's entry with the same exact
-integers as one already built is that object.  Shifts enter keys as
-(numerator, denominator) pairs, which hash in C where a ``Fraction``
-hashes in Python; a sweep makes them once per y window, so the term keys
-of the window share them.
+value recur, so ``values`` maps each value's (numerator, denominator) to
+one ``Fraction``: a fold's entry with the same exact integers as one
+already built is that object.  The key is that ``Fraction``'s own
+numerator and denominator ints, so a value holds its integers once.
+Shifts enter keys as (numerator, denominator) pairs, which hash in C
+where a ``Fraction`` hashes in Python; a sweep makes them once per y
+window, so the term keys of the window share them.
 ``cli._family_sweeps`` hands one table to each (family, w, y) step of a
 sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
 sweep ends; a call of ``check_cases`` has one table, shared by its
@@ -135,10 +137,6 @@ def _tval(k: int, upper: int) -> Fraction:
     return altsum.alt_power_sum(k, upper)
 
 
-def _t_vec(upper: int, n_max: int) -> tuple[Fraction, ...]:
-    return tuple(_tval(j, upper) for j in range(n_max + 1))
-
-
 def _alt_vec(base: Fraction, m: int, counts: Sequence[int],
              rows: Sequence[list[int]]) -> list[Fraction]:
     """Entry k, for k = 0..n_max, is
@@ -169,8 +167,9 @@ class _Table:
     """The exact store of one sweep, or of one call, at one ``n_max``:
     ``rows``, Pascal's rows C(k, 0..k) for k = 0..n_max, built here, and
     the maps ``factors`` (factor key -> ``(nums, d)``), ``terms`` (term
-    key -> values) and ``values`` (reduced (numerator, denominator) -> its
-    one ``Fraction``), as the module docstring gives them."""
+    key -> values) and ``values`` ((numerator, denominator), the
+    ``Fraction``'s own ints -> that ``Fraction``), as the module docstring
+    gives them."""
 
     __slots__ = ("n_max", "rows", "factors", "terms", "values")
 
@@ -190,7 +189,9 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> 
     the product so far, cut to n_max + 1 entries, by ``_binomial_conv``,
     against ``table.rows``.  Each entry is reduced to its (numerator,
     denominator) pair, which ``table.values`` maps to the one ``Fraction``
-    of that value; a miss builds it.
+    of that value; a miss builds it and stores it under its own numerator
+    and denominator ints, not the pair it was looked up by, so the value
+    holds its integers once.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
@@ -212,10 +213,10 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> 
     values = []
     for c in product:
         g = gcd(c, den)
-        key = (c // g, den // g)
-        value = known.get(key)
+        value = known.get((c // g, den // g))
         if value is None:
-            value = known[key] = Fraction(c, den)
+            value = Fraction(c, den)
+            known[value.numerator, value.denominator] = value
         values.append(value)
     return values
 
@@ -227,10 +228,12 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> 
 
 
 # Key kind -> the table and the key's fields after the kind -> the vector at
-# 0..table.n_max, through the seams above; the shift comes as its
-# (numerator, denominator).
+# 0..table.n_max, through the seams above.  Every kind's fields follow one
+# rule (``_plan``): the monomial value, the shifts the factor reads, each as
+# (numerator, denominator), then its count weights.  A new kind needs only
+# a row here.
 _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
-    "T": lambda table, a: _t_vec(a - 1, table.n_max),
+    "T": lambda table, a: [_tval(k, a - 1) for k in range(table.n_max + 1)],
     "E": lambda table, a, s: _euler_vec(a * Fraction(*s), table.n_max),
     "A": lambda table, a, s, *counts: _alt_vec(a * Fraction(*s), a, counts, table.rows),
 }
@@ -246,8 +249,9 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
     need odd weights, and its miss plan.  The plan holds, per bundle, its
     kind, the bounds m0 <= c0 <= b0 <= b1 of its monomial kw[m0:c0], counts
     kw[c0:b0] and base kw[b0:b1] in the weights kw read at those slots, and
-    the index j of its first shift in the shifts ky read (a T reads none,
-    and its factor key holds no shift)."""
+    the bounds j0 <= j1 of its shifts ky[j0:j1] in the shifts ky read.  For
+    every kind the factor key is (kind, prod(kw[m0:c0]), *ky[j0:j1],
+    *kw[c0:b0]) and the base prod(kw[b0:b1])."""
     shape, w_slots, y_slots, plan = [], [], [], []
     for (kind, m, js, counts), base in t:
         shape.append(f"{kind}{len(m)}.{len(counts)}.{len(base)}")
@@ -255,8 +259,9 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
         c0 = m0 + len(m)
         b0 = c0 + len(counts)
         w_slots += (*m, *counts, *base)
-        plan.append((kind, m0, c0, b0, len(w_slots), len(y_slots)))
+        j0 = len(y_slots)
         y_slots += js
+        plan.append((kind, m0, c0, b0, len(w_slots), j0, len(y_slots)))
     return (" ".join(shape), w_slots, y_slots,
             any(kind != "E" for kind, *_ in plan), tuple(plan))
 
@@ -271,13 +276,14 @@ def _compile(walk: tuple) -> Evaluator:
     the module docstring gives it, to the values; the shape, the slots read
     and the miss plan come from the term's one walk, ``_plan``.  A miss
     takes each bundle's factor key and base from that key's weights and
-    shifts, at the places the plan fixed: a factor key is (kind, the
-    product of the monomial's weights, and for an E or an A the shift pair,
-    and for an A the count weights), everything its vector depends on at
-    the table's n_max, and a base the product of its weights.  The miss
-    folds the factor vectors, each read from ``table.factors`` or built
-    through ``_BUILD`` and stored there, and stores the values.  The
-    returned list is the table's and is not to be mutated."""
+    shifts, at the ranges the plan fixed, by one rule for every kind: a
+    factor key is (kind, the product of the monomial's weights, the shift
+    pairs the factor reads, its count weights), everything its vector
+    depends on at the table's n_max, and a base the product of its
+    weights.  The miss folds the factor vectors, each read from
+    ``table.factors`` or built through ``_BUILD`` and stored there, and
+    stores the values.  The returned list is the table's and is not to be
+    mutated."""
     shape, w_slots, y_slots, _, plan = walk
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
     # which a miss puts back in a tuple.
@@ -292,11 +298,8 @@ def _compile(walk: tuple) -> Evaluator:
             ky = (key[2],) if one_y else key[2]
             factors = table.factors
             forms, bases = [], []
-            for kind, m0, c0, b0, b1, j in plan:
-                if kind == "T":  # T_k(a - 1) has no shift
-                    fkey = kind, prod(kw[m0:c0])
-                else:
-                    fkey = (kind, prod(kw[m0:c0]), ky[j], *kw[c0:b0])
+            for kind, m0, c0, b0, b1, j0, j1 in plan:
+                fkey = (kind, prod(kw[m0:c0]), *ky[j0:j1], *kw[c0:b0])
                 form = factors.get(fkey)
                 if form is None:
                     form = factors[fkey] = _over_common_denominator(

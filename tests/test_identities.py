@@ -7,6 +7,7 @@ from math import comb, prod
 import pytest
 
 from eulersym import identities
+from eulersym.altsum import alt_power_sum
 from eulersym.egf_series import egf_coeff, lambda_series
 from eulersym.euler import euler_eval
 from eulersym.exact_arith import case_args
@@ -483,6 +484,21 @@ def test_three_slot_monomials_compile():
                 assert ev(n, w, (y1,)) == big_w**n * euler_eval(n, big_w * y1), (w, y1, n)
 
 
+def test_a_t_over_a_two_slot_monomial_compiles():
+    # No catalog term has one, but ROADMAP item 17's L13 terms will: the
+    # one factor-key rule gives the raw factor T over the monomial w1 w2 the
+    # key ("T", w1 w2), which reads no shift, and the one bundle T_k(w1 w2 - 1)
+    # at base w3 is T_n(w1 w2 - 1) w3^n.
+    ev = _compile(_plan(term((("T", (0, 1), (), ()), (2,)))))
+    for w in ((1, 3, 5), (3, 3, 7), (5, 7, 9), (1, 1, 1)):
+        table = _Table(5)
+        values = ev.vector(w, (), table)
+        assert list(table.factors) == [("T", w[0] * w[1])], w
+        for n in range(6):
+            expected = alt_power_sum(n, w[0] * w[1] - 1) * w[2]**n
+            assert values[n] == ev(n, w, ()) == expected, (w, n)
+
+
 # ---------------------------------------------------------------- term misses
 
 
@@ -679,6 +695,26 @@ def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
     assert {len(nums) for nums, _ in table.factors.values()} == {4}
     assert {len(values) for values in table.terms.values()} == {4}
     assert table.rows == [[comb(k, j) for j in range(k + 1)] for k in range(4)]
+
+
+def test_each_value_is_stored_under_its_own_integers():
+    # table.values maps (numerator, denominator) to the one Fraction of that
+    # value, and the key is made of that Fraction's own int objects, so a
+    # distinct value holds its integers once.  CPython caches the ints up to
+    # 256, so only larger ones show whether the key shares them.
+    table = _Table(8)
+    for family_id in ("T1", "T14", "C6"):
+        fam = FAMILIES[family_id]
+        for w in ((1, 3, 5), (5, 3, 7), (7, 7, 3)):
+            for y in ((HALF, -THIRD, Fraction(2, 7)), (0, Fraction(123457, 999983), 1)):
+                wt, yt = case_args(w[: fam.w_arity], y[: fam.y_arity],
+                                   fam.w_arity, fam.y_arity, fam.odd_only)
+                _check_cases(fam, wt, yt, _shifts(yt), table)
+    large = [(key, value) for key, value in table.values.items()
+             if abs(value.numerator) > 256 or value.denominator > 256]
+    assert len(large) > 100
+    for key, value in large:
+        assert key[0] is value.numerator and key[1] is value.denominator, key
 
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
