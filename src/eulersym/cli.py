@@ -62,6 +62,7 @@ from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
@@ -183,11 +184,13 @@ def _sweep_family(
     fam: IdentityFamily, config: SweepConfig, table: identities._Table,
 ) -> tuple[list[Row], SweepSummary]:
     """The rows of one family, in report order (n, then w, then y), and its
-    summary.  Each (w, y) is one ``identities._check_cases`` call, whose
-    value rows become the family's rows as they are: ``equal`` is worked
-    out once per row, by the test ``VerificationReport`` makes, and the
-    failures are counted from those flags.  The series spot check reads
-    the value rows of the last (w, y), the values the report holds."""
+    summary.  The family's whole (w, y) grid is one
+    ``identities._check_grid`` call, whose variant columns hold each
+    cell's values for all n; row (n, w, y) takes each variant's value at n
+    from the column's cell (w, y).  ``equal`` is worked out once per row,
+    by the test ``VerificationReport`` makes, and the failures are counted
+    from those flags.  The series spot check reads the last cell of each
+    column, the values the report holds."""
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
 
@@ -195,23 +198,24 @@ def _sweep_family(
     w_tuples = tuple(product(w_values, repeat=fam.w_arity))
     y_tuples = _y_tuples(config.y_samples, fam.y_arity)
 
-    # The config is validated and the grid admissible for fam, so each
-    # (w, y) goes straight to the step check_cases runs after validating,
-    # with the shift pairs of each y window made once.
-    windows = [(yt, identities._shifts(yt)) for yt in y_tuples]
-    cases = [(wt, yt, shifts) for wt in w_tuples for yt, shifts in windows]
-    by_case = [identities._check_cases(fam, *case, table) for case in cases]
+    # The config is validated and the grid admissible for fam, so the grid
+    # goes straight to the step check_cases runs after validating, with the
+    # shift pairs of each y window made once.
+    windows = tuple(map(identities._shifts, y_tuples))
+    columns = identities._check_grid(fam, w_tuples, y_tuples, windows, table)
+    cases = [(wt, yt) for wt in w_tuples for yt in y_tuples]
     # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
     # weight products equal the weights, and L23_i and L13_i coincide.
-    held = identities._oracle_holds(fam, *cases[-1][:2], by_case[-1]) if cases else None
-    # zip(*by_case) gives, for each n, the value rows of every (w, y) in order.
+    held = (identities._oracle_holds(fam, *cases[-1], [column[-1] for column in columns])
+            if cases else None)
     # Equal values folded through one table are one object, so count()
     # compares them by identity and no Fraction is hashed.
     family_id = fam.family_id
     rows = [
         (family_id, n, wt, yt, values, values.count(values[0]) == len(values))
-        for n, at_n in enumerate(zip(*by_case))
-        for (wt, yt, _), values in zip(cases, at_n)
+        for n in range(config.n_max + 1)
+        for (wt, yt), values in zip(cases, zip(*[map(itemgetter(n), column)
+                                                 for column in columns]))
     ]
     return rows, SweepSummary(
         families_run=1,

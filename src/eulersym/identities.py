@@ -3,8 +3,9 @@
 Each family bundles the finitely many expressions ("variants") that one
 theorem or corollary asserts equal.  Every variant is described once, as a
 term of the vocabulary in ``orbits``, and compiled at import into its own
-evaluator ``(n, w, y) -> Fraction`` whose ``.vector`` form gives the
-values at n = 0..n_max in one call.  No variant's value is derived from
+evaluator ``(n, w, y) -> Fraction`` whose ``.grid`` form gives, in one
+call, the values at n = 0..n_max of every cell (w, y) of a grid of weight
+tuples and y windows.  No variant's value is derived from
 another's, because independent computation of the allegedly equal
 expressions is the point: two variants share a value only when they are
 the same expression at the same numbers (below).  Every term, of one to
@@ -13,11 +14,14 @@ beta_b, into which ``orbits.term`` has folded the paper's scale: the
 factor vectors, held as integer numerators over one denominator, are
 rescaled by powers of the bases and folded by the integer binomial
 convolution of ``egf_series``, which the series oracles never run; each
-distinct value is one ``Fraction`` per table (below).  ``_check_cases``
-gives the value rows of one (w, y), one tuple of variant values per n, for
-all n at once: a sweep keeps them as plain tuples, ``check_cases`` wraps
-each in a ``VerificationReport``, and ``check_case`` and
-``variant_values`` read its row n.
+distinct value is one ``Fraction`` per table (below).  ``_check_grid``
+gives a family's variant columns over a whole grid, each variant's values
+at every cell for all n at once, from one ``.grid`` call per variant: a
+sweep makes one call per family and builds its rows from the columns.
+``_check_cases`` is the grid of one (w, y), as value rows, one tuple of
+variant values per n: ``check_cases`` wraps each in a
+``VerificationReport``, and ``check_case`` and ``variant_values`` read
+its row n.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
 sums.  A, an alternating sum of E_k over a grid of shifted arguments of
@@ -56,8 +60,9 @@ already built is that object.  The key is that ``Fraction``'s own
 numerator and denominator ints, so a value holds its integers once.
 Shifts enter keys as (numerator, denominator) pairs, which hash in C
 where a ``Fraction`` hashes in Python; a sweep makes them once per y
-window, so the term keys of the window share them.
-``cli._family_sweeps`` hands one table to each (family, w, y) step of a
+window, so the term keys of the window share them, and a ``.grid`` call
+reads each weight tuple and each window once, not once per cell.
+``cli._family_sweeps`` hands one table to each family's step of a
 sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
 sweep ends; a call of ``check_cases`` has one table, shared by its
 variants, and ``eval_variant``, which the ``SERIES_ORACLES`` evaluators
@@ -74,7 +79,7 @@ and it takes odd weights only if a term has a T or an A factor
   and the series oracle, so a family in any catalog gets both:
   ``_TEMPLATE_SERIES`` pairs the template with its series: every
   expression of the family at n is that series' coefficient n.
-  ``_oracle_holds`` checks this on the value rows a sweep has already
+  ``_oracle_holds`` checks this on the values a sweep has already
   computed, and ``SERIES_ORACLES`` gives the family's first variant per n.
 * A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
   is w2), never as the parent at pinned weights, so the specialization
@@ -267,10 +272,12 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
 
 
 def _compile(walk: tuple) -> Evaluator:
-    """(n, w, y) -> the value at n, with ``.vector`` (w, y, table) -> the
-    values at 0..table.n_max for shifts y given by ``_shifts``, of the term
-    t whose walk ``_plan(t)`` is: its [t^n] prod F_b(beta_b t) (any scale
-    is folded into the bases).
+    """(n, w, y) -> the value at n, with ``.grid`` (w_tuples, windows, table)
+    -> the values at 0..table.n_max of every cell (w, y) of a grid, in
+    report order (w outer, y inner), for shift windows given by ``_shifts``,
+    of the term t whose walk ``_plan(t)`` is: its [t^n] prod F_b(beta_b t)
+    (any scale is folded into the bases).  ``.grid`` reads each weight
+    tuple and each window once, and the per-n form is a grid of one cell.
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; the shape, the slots read
@@ -282,37 +289,44 @@ def _compile(walk: tuple) -> Evaluator:
     depends on at the table's n_max, and a base the product of its
     weights.  The miss folds the factor vectors, each read from
     ``table.factors`` or built through ``_BUILD`` and stored there, and
-    stores the values.  The returned list is the table's and is not to be
-    mutated."""
+    stores the values.  The returned lists are the table's and are not to
+    be mutated."""
     shape, w_slots, y_slots, _, plan = walk
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
-    # which a miss puts back in a tuple.
+    # which a miss reads back in a tuple.
     read_w, read_y = (itemgetter(*ix) if ix else lambda seq: () for ix in (w_slots, y_slots))
     one_w, one_y = len(w_slots) == 1, len(y_slots) == 1
 
-    def vector(w: Sequence[int], y: Sequence[Shift], table: _Table) -> list[Fraction]:
-        key = (shape, read_w(w), read_y(y))
-        values = table.terms.get(key)
-        if values is None:
-            kw = (key[1],) if one_w else key[1]
-            ky = (key[2],) if one_y else key[2]
-            factors = table.factors
-            forms, bases = [], []
-            for kind, m0, c0, b0, b1, j0, j1 in plan:
-                fkey = (kind, prod(kw[m0:c0]), *ky[j0:j1], *kw[c0:b0])
-                form = factors.get(fkey)
-                if form is None:
-                    form = factors[fkey] = _over_common_denominator(
-                        _BUILD[kind](table, *fkey[1:]))
-                forms.append(form)
-                bases.append(prod(kw[b0:b1]))
-            values = table.terms[key] = _product_vec(forms, bases, table)
-        return values
+    def grid(w_tuples: Sequence[Sequence[int]], windows: Sequence[Sequence[Shift]],
+             table: _Table) -> list[list[Fraction]]:
+        terms, factors = table.terms, table.factors
+        # Each window's read shifts, as the key holds them and as a miss reads them.
+        ys = [(ky, (ky,) if one_y else ky) for ky in map(read_y, windows)]
+        cells = []
+        for w in w_tuples:
+            kw = read_w(w)
+            kws = (kw,) if one_w else kw
+            for ky, kys in ys:
+                key = (shape, kw, ky)
+                values = terms.get(key)
+                if values is None:
+                    forms, bases = [], []
+                    for kind, m0, c0, b0, b1, j0, j1 in plan:
+                        fkey = (kind, prod(kws[m0:c0]), *kys[j0:j1], *kws[c0:b0])
+                        form = factors.get(fkey)
+                        if form is None:
+                            form = factors[fkey] = _over_common_denominator(
+                                _BUILD[kind](table, *fkey[1:]))
+                        forms.append(form)
+                        bases.append(prod(kws[b0:b1]))
+                    values = terms[key] = _product_vec(forms, bases, table)
+                cells.append(values)
+        return cells
 
     def evaluate(n: int, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-        return vector(w, _shifts(y), _Table(n))[n]
+        return grid((w,), (_shifts(y),), _Table(n))[0][n]
 
-    evaluate.vector = vector  # type: ignore[attr-defined]
+    evaluate.grid = grid  # type: ignore[attr-defined]
     return evaluate
 
 
@@ -499,9 +513,10 @@ def check_cases(
     family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
 ) -> list[VerificationReport]:
     """The reports at n = 0..n_max, validated once.  A compiled variant
-    computes all n in one call of its ``.vector``, reading its values, or
-    else its factor vectors, from a table of this call's own, which the
-    family's variants share; any other callable is called once per n."""
+    computes all n in one call of its ``.grid``, on the one cell (w, y),
+    reading its values, or else its factor vectors, from a table of this
+    call's own, which the family's variants share; any other callable is
+    called once per n."""
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
@@ -510,25 +525,38 @@ def check_cases(
             for n, values in enumerate(rows)]
 
 
+def _check_grid(
+    fam: IdentityFamily, w_tuples: Sequence[tuple[int, ...]],
+    y_tuples: Sequence[tuple[Fraction, ...]], windows: Sequence[tuple[Shift, ...]],
+    table: _Table,
+) -> list[list[Sequence[Fraction]]]:
+    """The variant columns of ``fam`` over a grid already validated against
+    it: column i holds, for every cell (w, y) in report order (w outer, y
+    inner), variant i's values at n = 0..table.n_max.  w_tuples and y_tuples
+    hold tuples as ``case_args`` returns them, ``windows`` the ``_shifts``
+    of each y tuple and ``table`` is the ``_Table`` to read and fill.  A
+    compiled variant gives its column in one call of its ``.grid``; any
+    other callable is called once per (n, cell).  A sweep calls this once
+    per family, with one table for the whole sweep and the shift pairs of
+    each window made once, so that every term key of the window holds the
+    same pair objects."""
+    n_range = range(table.n_max + 1)
+    return [
+        ev.grid(w_tuples, windows, table) if hasattr(ev, "grid")
+        else [[ev(n, wt, yt) for n in n_range] for wt in w_tuples for yt in y_tuples]
+        for ev in fam.variants
+    ]
+
+
 def _check_cases(
     fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
     shifts: tuple[Shift, ...], table: _Table,
 ) -> list[tuple[Fraction, ...]]:
     """The value rows of ``check_cases``: row n, for n = 0..table.n_max, is
-    the tuple of the variants' values at n, in variant order, for a case
-    already validated against ``fam``: wt and yt as ``case_args`` returns
-    them, ``shifts`` the ``_shifts`` of yt and ``table`` the ``_Table`` to
-    read and fill.  ``check_cases`` wraps the rows in reports; a sweep whose
-    whole grid is valid by construction calls this directly and keeps the
-    rows as they are, with one table for the whole sweep and the shift
-    pairs of each y window made once, so that every term key of the window
-    holds the same pair objects."""
-    columns = [
-        ev.vector(wt, shifts, table) if hasattr(ev, "vector")
-        else [ev(n, wt, yt) for n in range(table.n_max + 1)]
-        for ev in fam.variants
-    ]
-    return list(zip(*columns))
+    the tuple of the variants' values at n, in variant order, from the
+    ``_check_grid`` of the one cell (wt, yt), whose ``_shifts`` are
+    ``shifts``."""
+    return list(zip(*[cells[0] for cells in _check_grid(fam, (wt,), (yt,), (shifts,), table)]))
 
 
 def eval_variant(
@@ -577,17 +605,18 @@ SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
 
 def _oracle_holds(
     fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
-    rows: Sequence[tuple[Fraction, ...]],
+    cells: Sequence[Sequence[Fraction]],
 ) -> bool | None:
-    """Whether every value of row n of ``rows``, the value rows that
-    ``_check_cases`` gave for ``fam`` at (wt, yt), equals coefficient n of
-    the series of ``fam``'s template; None, no check, when the template has
-    no series.  wt and yt as ``case_args`` returns them for the family."""
+    """Whether each list of ``cells``, one variant's values at n = 0..n_max
+    at (wt, yt), its cell of a column that ``_check_grid`` gave for
+    ``fam``, equals the coefficients 0..n_max of the series of ``fam``'s
+    template; None, no check, when the template has no series.  wt and yt
+    as ``case_args`` returns them for the family."""
     if fam.orbit_template not in _TEMPLATE_SERIES:
         return None
     series, sub_index = _TEMPLATE_SERIES[fam.orbit_template]
-    coeffs = lambda_series(series, sub_index, wt, yt, order=len(rows) - 1).coeffs
-    return all(value == c for row, c in zip(rows, coeffs, strict=True) for value in row)
+    coeffs = list(lambda_series(series, sub_index, wt, yt, order=len(cells[0]) - 1).coeffs)
+    return all(values == coeffs for values in cells)
 
 
 _TRIPLE_ALTSUM = _compile(_plan(ORBIT_TEMPLATES["ttt"]))

@@ -166,7 +166,7 @@ def test_verify_output_file(tmp_path, capsys):
 def test_verify_output_to_missing_directory(monkeypatch, tmp_path, capsys):
     # The output is opened before the sweep: a sweep that ran would fail
     # with a TypeError, not the i/o error.
-    monkeypatch.setattr(identities, "_check_cases", None)
+    monkeypatch.setattr(identities, "_check_grid", None)
     target = tmp_path / "missing" / "r.json"
     code, out, err = run_cli(
         capsys, "verify", "--family", "C10", "--wset", "3", "--nmax", "0",
@@ -308,64 +308,56 @@ def test_streamed_report_equals_emit_report(tmp_path, capsysbinary, grid, fmt):
 
 
 def test_verify_writes_each_family_before_sweeping_the_next(monkeypatch):
-    # Each (family, w, y) is checked by one _check_cases call.  When T2's
-    # first call runs, T1's records are already in the output, and nothing
-    # of T2's.
+    # Each family's grid is checked by one _check_grid call.  When T2's
+    # call runs, T1's records are already in the output, and nothing of
+    # T2's.
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    check_cases = identities._check_cases
+    check_grid = identities._check_grid
     seen = []
 
     def logged(fam, *args):
         seen.append((fam.family_id, len(stdout.buffer.getvalue())))
-        return check_cases(fam, *args)
+        return check_grid(fam, *args)
 
-    monkeypatch.setattr(identities, "_check_cases", logged)
+    monkeypatch.setattr(identities, "_check_grid", logged)
     grid = dict(w_set=(1, 3), n_max=1, y_samples=(Fraction(0),))
     t1 = emit_report(run_sweep(SweepConfig(families=("T1",), **grid))[0])
     seen.clear()
     with contextlib.redirect_stdout(stdout):
         code = main(["verify", "--family", "T2,T1", "--wset", "1,3", "--nmax", "1", "--ys", "0"])
     assert code == 0
-    first_t2 = next(length for fid, length in seen if fid == "T2")
-    assert {length for fid, length in seen if fid == "T1"} == {len("[")}
-    assert first_t2 == len(t1) - len("]")
+    assert seen == [("T1", len("[")), ("T2", len(t1) - len("]"))]
     assert stdout.buffer.getvalue().startswith(t1[:-1] + b",")
 
 
 def test_verify_holds_one_familys_records_at_a_time(monkeypatch):
     # verify drops each family's rows once they are written: when a
-    # family's first _check_cases call runs, no row of an earlier family is
-    # alive.  Each value row _check_cases returns, which the sweep keeps in
-    # its record row, is tagged here with its family, in a tuple subclass
-    # that gc finds (gc does not track every plain tuple).
-    class Tagged(tuple):
-        family_id = ""
-
-    def live_tags():
+    # family's _check_grid call runs, no row of an earlier family is
+    # alive.  A row is a tuple (family_id, n, w, y, values, equal); gc
+    # tracks it, as its values are Fractions, which gc tracks.
+    def live_rows():
         gc.collect()
-        return {o.family_id for o in gc.get_objects() if type(o) is Tagged}
+        return {o[0] for o in gc.get_objects()
+                if type(o) is tuple and len(o) == 6 and o[0] in ("T1", "T2", "T8")
+                and type(o[1]) is int and type(o[5]) is bool}
 
-    check_cases = identities._check_cases
+    check_grid = identities._check_grid
     calls = []
 
     def logged(fam, *args):
-        calls.append((fam.family_id, live_tags()))
-        rows = [Tagged(values) for values in check_cases(fam, *args)]
-        for row in rows:
-            row.family_id = fam.family_id
-        return rows
+        calls.append((fam.family_id, live_rows()))
+        return check_grid(fam, *args)
 
-    monkeypatch.setattr(identities, "_check_cases", logged)
+    monkeypatch.setattr(identities, "_check_grid", logged)
     argv = ["verify", "--family", "T1,T2,T8", "--wset", "1,3", "--nmax", "1", "--ys", "0"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    first = {}
-    for family_id, tags in calls:
-        first.setdefault(family_id, tags)
-    assert first == {"T1": set(), "T2": set(), "T8": set()}
-    assert all(tags <= {family_id} for family_id, tags in calls)
-    # The probe sees the rows it tagged: a family's own rows, while it is swept.
-    assert ("T1", {"T1"}) in calls
+    assert calls == [("T1", set()), ("T2", set()), ("T8", set())]
+    # The probe sees rows that are alive: run_sweep's loop still holds a
+    # family's rows while the next family is swept.
+    calls.clear()
+    run_sweep(cli._sweep_config(cli._parse_args(argv)[1]))
+    assert calls == [("T1", set()), ("T2", {"T1"}), ("T8", {"T2"})]
 
 
 def test_verify_to_a_text_stdout_without_buffer(tmp_path):
@@ -383,7 +375,7 @@ def test_verify_to_a_text_stdout_without_buffer(tmp_path):
 def test_run_sweep_rejects_unknown_family_before_evaluating(monkeypatch):
     # run_sweep is the one check of family ids, for the CLI and for callers
     # alike; no family is evaluated when any id is unknown.
-    monkeypatch.setattr(identities, "_check_cases", None)
+    monkeypatch.setattr(identities, "_check_grid", None)
     config = SweepConfig(families=("T8", "T99", "C0"), w_set=(1, 3), n_max=1,
                          y_samples=(Fraction(0),))
     with pytest.raises(ValueError, match=r"^unknown families: C0, T99 \(choose from T1, T2, "):
@@ -394,7 +386,7 @@ def test_run_sweep_rejects_a_family_under_another_id_before_evaluating(monkeypat
     # A catalog maps each family's own id to it: records carry the family's
     # id and the spot check follows its template, so T8 filed under T2 is
     # refused before any family is evaluated or spot-checked.
-    monkeypatch.setattr(identities, "_check_cases", None)
+    monkeypatch.setattr(identities, "_check_grid", None)
     monkeypatch.setattr(identities, "_oracle_holds", None)
     config = SweepConfig(families=("T2",), w_set=(1, 3), n_max=2,
                          y_samples=(Fraction(0), Fraction(1, 2)))
@@ -540,7 +532,7 @@ def test_sweep_order_is_lexicographic():
 
 
 def test_sweep_runs_plain_variants_per_n():
-    # A variant without a vector form is called once per n, so one wrong only
+    # A variant without a grid form is called once per n, so one wrong only
     # at n = n_max fails exactly the n_max records.
     n_max = 3
     fam = identities.FAMILIES["C9"]

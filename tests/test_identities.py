@@ -24,6 +24,7 @@ from eulersym.identities import (
     eval_variant,
     _Table,
     _check_cases,
+    _check_grid,
     _compile,
     _plan,
     _shifts,
@@ -492,7 +493,7 @@ def test_a_t_over_a_two_slot_monomial_compiles():
     ev = _compile(_plan(term((("T", (0, 1), (), ()), (2,)))))
     for w in ((1, 3, 5), (3, 3, 7), (5, 7, 9), (1, 1, 1)):
         table = _Table(5)
-        values = ev.vector(w, (), table)
+        [values] = ev.grid((w,), ((),), table)
         assert list(table.factors) == [("T", w[0] * w[1])], w
         for n in range(6):
             expected = alt_power_sum(n, w[0] * w[1] - 1) * w[2]**n
@@ -572,8 +573,8 @@ def test_a_miss_folds_the_factor_keys_and_bases_of_a_walk_over_the_term(monkeypa
                 bases = [prod([w[s] for s in base]) for _, base in t]
                 table = _Table(2)
                 folds.clear()
-                ev.vector(w, y, table)
-                ev.vector(w, y, table)
+                ev.grid((w,), (y,), table)
+                ev.grid((w,), (y,), table)
                 assert len(folds) == 1, (label, w, y)
                 forms, folded_bases = folds[0]
                 assert list(table.factors) == list(dict.fromkeys(keys)), (label, w, y)
@@ -733,6 +734,82 @@ def test_check_cases_match_check_case(family_id):
             tuple(eval_variant(family_id, i, n, w, y) for i in range(len(fam.variants)))
             for n in range(5)
         ]
+
+
+def _grid(fam):
+    """A grid valid for ``fam``: two weight tuples and two y windows (one
+    when the family reads no shift), each window with its ``_shifts``.  For
+    a theorem the second weight tuple is the first at its second variant's
+    permutation, so that each variant's cells share term keys with another
+    variant's."""
+    w = (3, 5, 7)
+    second = tuple(w[k] for k in fam.perms[1]) if fam.perms else (5, 3, 7)[: fam.w_arity]
+    y_tuples = list(dict.fromkeys(
+        tuple(map(Fraction, y[: fam.y_arity])) for y in ((123457, -THIRD, 2), (HALF, 0, -THIRD))))
+    return [w[: fam.w_arity], second], y_tuples, [_shifts(yt) for yt in y_tuples]
+
+
+def _counted_folds(monkeypatch):
+    """The list to which each later ``_product_vec`` call appends its bases."""
+    folds = []
+    product_vec = identities._product_vec
+
+    def counted(forms, bases, table):
+        folds.append(bases)
+        return product_vec(forms, bases, table)
+
+    monkeypatch.setattr(identities, "_product_vec", counted)
+    return folds
+
+
+@pytest.mark.parametrize("family_id", FAMILY_IDS)
+def test_a_grid_call_gives_each_cells_check_cases_rows_and_folds_each_term_once(
+        monkeypatch, family_id):
+    # One _check_grid call over a family's whole grid gives, cell by cell in
+    # report order (w outer, y inner), the rows check_cases gives for that
+    # (w, y) alone.  Counted at _product_vec, the call folds each term key
+    # it adds to the table exactly once, and a second call on the same
+    # table, a hit on every key, folds nothing.
+    fam = FAMILIES[family_id]
+    w_tuples, y_tuples, windows = _grid(fam)
+    folds = _counted_folds(monkeypatch)
+    table = _Table(3)
+    columns = _check_grid(fam, w_tuples, y_tuples, windows, table)
+    assert 0 < len(folds) == len(table.terms)
+    if fam.perms:  # the permuted weights meet stored keys
+        assert len(table.terms) < len(fam.variants) * len(w_tuples) * len(y_tuples)
+    cells = [(wt, yt) for wt in w_tuples for yt in y_tuples]
+    assert [len(column) for column in columns] == [len(cells)] * len(fam.variants)
+    for i, (wt, yt) in enumerate(cells):
+        assert list(zip(*[column[i] for column in columns])) == [
+            r.variant_values for r in check_cases(family_id, 3, wt, yt)], (wt, yt)
+    folds.clear()
+    assert _check_grid(fam, w_tuples, y_tuples, windows, table) == columns
+    assert folds == []
+
+
+def test_a_grid_calls_a_plain_variant_per_n_and_cell_beside_compiled_ones(monkeypatch):
+    # A family whose middle variant is a plain callable, a stand-in as the
+    # negative controls make: it is called once per (n, cell), in report
+    # order, and its column holds what it returned; the compiled variants
+    # beside it give their own columns and fold each of their term keys once.
+    fam = FAMILIES["C9"]
+    calls = []
+
+    def plain(n, w, y):
+        calls.append((n, w, y))
+        return Fraction(n, 7)
+
+    mixed = replace(fam, variants=(fam.variants[0], plain, fam.variants[2]))
+    w_tuples, y_tuples, windows = _grid(fam)
+    expected = _check_grid(fam, w_tuples, y_tuples, windows, _Table(3))
+    folds = _counted_folds(monkeypatch)
+    table = _Table(3)
+    columns = _check_grid(mixed, w_tuples, y_tuples, windows, table)
+    assert calls == [(n, wt, yt) for wt in w_tuples for yt in y_tuples for n in range(4)]
+    assert columns[1] == [[Fraction(n, 7) for n in range(4)]] * len(w_tuples) * len(y_tuples)
+    assert columns[::2] == expected[::2]
+    assert 0 < len(folds) == len(table.terms)
 
 
 def test_variant_values_validation():
