@@ -40,9 +40,13 @@ rounds each side won (a tie counts for neither), and the median and the
 quartiles of the per-round ratio NEW/OLD, as a change.  The two sides of
 a round run back to back, so their ratio cancels most of the drift of a
 shared host, which can move one side's least time by more than a change
-does; the quartiles show how far the ratio itself spreads.  With one
-round, all three are that round's ratio.  The exit code is 1 if any
-layer's output differs between the sides, and 2 on a usage error.
+does; the quartiles show how far the ratio itself spreads.  It then
+prints each side's own median time and interquartile range (q3 - q1):
+a change counts as a gain only when the medians differ by more than the
+OLD side's interquartile range, and a ratio that spreads widely can be
+read against how far OLD spreads on its own.  With one round, each
+quartile is that round's value and each range 0.  The exit code is 1 if
+any layer's output differs between the sides, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -132,6 +136,11 @@ def layers(cli, egf_series) -> dict[str, tuple[Callable[[], object], Callable]]:
     }
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3 of ``values``; with one value, that value thrice."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="One-process A/B of two eulersym trees.")
     parser.add_argument("old", help="source checkout or git revision")
@@ -176,12 +185,16 @@ def main(argv: list[str]) -> int:
         old, new = by_side["old"], by_side["new"]
         new_won = sum(n < o for o, n in zip(old, new))
         old_won = sum(o < n for o, n in zip(old, new))
-        ratios = [n / o for o, n in zip(old, new)]
-        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                          if len(ratios) > 1 else ratios * 3)
+        q1, median, q3 = quartiles([n / o for o, n in zip(old, new)])
         print(f"{name:10} {min(old) * 1e3:9.1f} {min(new) * 1e3:9.1f} "
               f"{min(new) / min(old) - 1:+8.1%} {new_won:>8} {old_won:>8}"
               f" {q1 - 1:+9.1%} {median - 1:+8.1%} {q3 - 1:+8.1%}")
+    print("each side's own spread, ms:")
+    print(f"{'layer':10} {'old p50':>9} {'old iqr':>9} {'new p50':>9} {'new iqr':>9}")
+    for name, by_side in times.items():
+        (o1, old_median, o3), (n1, new_median, n3) = (
+            quartiles([t * 1e3 for t in by_side[side]]) for side in SIDES)
+        print(f"{name:10} {old_median:9.1f} {o3 - o1:9.1f} {new_median:9.1f} {n3 - n1:9.1f}")
     for name in sorted(differs):
         print(f"ab.py: {name}: the outputs differ between the sides", file=sys.stderr)
     return 1 if differs else 0

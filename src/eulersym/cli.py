@@ -10,7 +10,8 @@ Subcommands:
   check runs at its last admissible (w, y), for every n <= ``--nmax``.
   Each family's records are written as soon as that family is swept and
   then dropped, so memory holds one family's records, not the report.  A
-  record is a *row*, a plain tuple ``(family_id, n, w, y, values, equal)``,
+  record is an ``identities.Row``, a plain tuple ``(family_id, n, w, y,
+  values, equal)``, as ``identities._check_grid`` gives a family's rows,
   from the sweep to the writer; ``run_sweep`` and ``emit_report`` keep
   ``VerificationReport``s for their callers and convert at their edges.
 
@@ -62,7 +63,6 @@ from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
@@ -74,16 +74,12 @@ from .exact_arith import (
     as_rational, count, format_rational, int_weights, parse_int, parse_rational,
     rational_shifts,
 )
-from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, VerificationReport
+from .identities import FAMILIES, FAMILY_IDS, IdentityFamily, Row, VerificationReport
 from .orbits import orbit_audit
 
 __all__ = ["SweepConfig", "SweepSummary", "run_sweep", "emit_report", "main"]
 
 DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
-
-# One case of a sweep, as the sweep hands it to the writer: (family_id, n,
-# w, y, the variant values, whether they are all equal).
-Row = tuple[str, int, tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -183,14 +179,11 @@ def _family_sweeps(
 def _sweep_family(
     fam: IdentityFamily, config: SweepConfig, table: identities._Table,
 ) -> tuple[list[Row], SweepSummary]:
-    """The rows of one family, in report order (n, then w, then y), and its
-    summary.  The family's whole (w, y) grid is one
-    ``identities._check_grid`` call, whose variant columns hold each
-    cell's values for all n; row (n, w, y) takes each variant's value at n
-    from the column's cell (w, y).  ``equal`` is worked out once per row,
-    by the test ``VerificationReport`` makes, and the failures are counted
-    from those flags.  The series spot check reads the last cell of each
-    column, the values the report holds."""
+    """The rows of one family, in report order (n, then w, then y), from
+    one ``identities._check_grid`` call over its whole (w, y) grid, and its
+    summary, whose failures are counted from the rows' ``equal`` flags.
+    The series spot check reads the rows of the last cell (w, y), the
+    values the report holds."""
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
 
@@ -199,24 +192,14 @@ def _sweep_family(
     y_tuples = _y_tuples(config.y_samples, fam.y_arity)
 
     # The config is validated and the grid admissible for fam, so the grid
-    # goes straight to the step check_cases runs after validating, with the
-    # shift pairs of each y window made once.
-    windows = tuple(map(identities._shifts, y_tuples))
-    columns = identities._check_grid(fam, w_tuples, y_tuples, windows, table)
-    cases = [(wt, yt) for wt in w_tuples for yt in y_tuples]
+    # goes straight to the step check_cases runs after validating.
+    rows = identities._check_grid(fam, w_tuples, y_tuples, table)
+    cells = len(w_tuples) * len(y_tuples)
     # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
     # weight products equal the weights, and L23_i and L13_i coincide.
-    held = (identities._oracle_holds(fam, *cases[-1], [column[-1] for column in columns])
-            if cases else None)
-    # Equal values folded through one table are one object, so count()
-    # compares them by identity and no Fraction is hashed.
-    family_id = fam.family_id
-    rows = [
-        (family_id, n, wt, yt, values, values.count(values[0]) == len(values))
-        for n in range(config.n_max + 1)
-        for (wt, yt), values in zip(cases, zip(*[map(itemgetter(n), column)
-                                                 for column in columns]))
-    ]
+    held = (identities._oracle_holds(fam, w_tuples[-1], y_tuples[-1],
+                                     [row[4] for row in rows[cells - 1::cells]])
+            if cells else None)
     return rows, SweepSummary(
         families_run=1,
         cases_run=len(rows),

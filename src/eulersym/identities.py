@@ -15,13 +15,10 @@ factor vectors, held as integer numerators over one denominator, are
 rescaled by powers of the bases and folded by the integer binomial
 convolution of ``egf_series``, which the series oracles never run; each
 distinct value is one ``Fraction`` per table (below).  ``_check_grid``
-gives a family's variant columns over a whole grid, each variant's values
-at every cell for all n at once, from one ``.grid`` call per variant: a
-sweep makes one call per family and builds its rows from the columns.
-``_check_cases`` is the grid of one (w, y), as value rows, one tuple of
-variant values per n: ``check_cases`` wraps each in a
-``VerificationReport``, and ``check_case`` and ``variant_values`` read
-its row n.
+gives a family's report rows over a whole grid, from one ``.grid`` call
+per variant: a sweep makes one call per family.  ``check_cases`` is the
+grid of one (w, y), each row wrapped in a ``VerificationReport``, and
+``check_case`` and ``variant_values`` read its row n.
 
 Factor vectors: E is ``euler.euler_values`` and T the alternating power
 sums.  A, an alternating sum of E_k over a grid of shifted arguments of
@@ -59,8 +56,8 @@ one ``Fraction``: a fold's entry with the same exact integers as one
 already built is that object.  The key is that ``Fraction``'s own
 numerator and denominator ints, so a value holds its integers once.
 Shifts enter keys as (numerator, denominator) pairs, which hash in C
-where a ``Fraction`` hashes in Python; a sweep makes them once per y
-window, so the term keys of the window share them, and a ``.grid`` call
+where a ``Fraction`` hashes in Python; ``_check_grid`` makes them once per
+y window, so the term keys of the window share them, and a ``.grid`` call
 reads each weight tuple and each window once, not once per cell.
 ``cli._family_sweeps`` hands one table to each family's step of a
 sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
@@ -273,11 +270,12 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
 
 def _compile(walk: tuple) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.grid`` (w_tuples, windows, table)
-    -> the values at 0..table.n_max of every cell (w, y) of a grid, in
-    report order (w outer, y inner), for shift windows given by ``_shifts``,
-    of the term t whose walk ``_plan(t)`` is: its [t^n] prod F_b(beta_b t)
-    (any scale is folded into the bases).  ``.grid`` reads each weight
-    tuple and each window once, and the per-n form is a grid of one cell.
+    -> the values at 0..table.n_max of every cell (w, y) of a grid, w outer
+    and y inner as in ``_check_grid``'s rows, for the ``_shifts`` of each y
+    window, of the term t whose walk ``_plan(t)`` is: its [t^n] prod
+    F_b(beta_b t) (any scale is folded into the bases).  ``.grid`` reads
+    each weight tuple and each window once, and the per-n form is a grid of
+    one cell.
 
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; the shape, the slots read
@@ -462,6 +460,11 @@ PARENT_SPECIALIZATIONS: dict[str, tuple[str, int]] = {
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
 
+# One case as a sweep gives it: (family_id, n, w, y, the variant values,
+# whether they are all equal), the fields of a ``VerificationReport``.
+Row = tuple[str, int, tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...], bool]
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of one (family, parameters) case: all variant values, exact.
@@ -512,51 +515,46 @@ def check_case(
 def check_cases(
     family_id: str, n_max: int, w: Sequence[int], y: Sequence[RationalLike] = (),
 ) -> list[VerificationReport]:
-    """The reports at n = 0..n_max, validated once.  A compiled variant
-    computes all n in one call of its ``.grid``, on the one cell (w, y),
-    reading its values, or else its factor vectors, from a table of this
-    call's own, which the family's variants share; any other callable is
-    called once per n."""
+    """The reports at n = 0..n_max, validated once: the ``_check_grid``
+    rows of the one cell (w, y), on a table of this call's own, which the
+    family's variants share."""
     fam = _family(family_id)
     count(n_max, "n_max")
     wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-    rows = _check_cases(fam, wt, yt, _shifts(yt), _Table(n_max))
-    return [VerificationReport(fam.family_id, n, wt, yt, values)
-            for n, values in enumerate(rows)]
+    return [VerificationReport(*row[:5]) for row in _check_grid(fam, (wt,), (yt,), _Table(n_max))]
 
 
 def _check_grid(
     fam: IdentityFamily, w_tuples: Sequence[tuple[int, ...]],
-    y_tuples: Sequence[tuple[Fraction, ...]], windows: Sequence[tuple[Shift, ...]],
-    table: _Table,
-) -> list[list[Sequence[Fraction]]]:
-    """The variant columns of ``fam`` over a grid already validated against
-    it: column i holds, for every cell (w, y) in report order (w outer, y
-    inner), variant i's values at n = 0..table.n_max.  w_tuples and y_tuples
-    hold tuples as ``case_args`` returns them, ``windows`` the ``_shifts``
-    of each y tuple and ``table`` is the ``_Table`` to read and fill.  A
-    compiled variant gives its column in one call of its ``.grid``; any
-    other callable is called once per (n, cell).  A sweep calls this once
-    per family, with one table for the whole sweep and the shift pairs of
-    each window made once, so that every term key of the window holds the
-    same pair objects."""
+    y_tuples: Sequence[tuple[Fraction, ...]], table: _Table,
+) -> list[Row]:
+    """The rows of ``fam`` over the grid of every cell (w, y), w in
+    w_tuples and y in y_tuples, tuples as ``case_args`` returns them for
+    ``fam``, at n = 0..table.n_max, in report order (n, then w, then y),
+    reading and filling ``table``.  A compiled variant gives its values at
+    every cell in one call of its ``.grid``, on the ``_shifts`` of each y
+    window, made here once, so that every term key of the window holds the
+    same pair objects; any other callable is called once per (n, cell).
+    Each row is made in one pass over the variants' values, and ``equal``
+    is ``VerificationReport``'s test.  A sweep calls this once per family,
+    with one table for the whole sweep."""
+    windows = tuple(map(_shifts, y_tuples))
     n_range = range(table.n_max + 1)
-    return [
+    columns = [
         ev.grid(w_tuples, windows, table) if hasattr(ev, "grid")
         else [[ev(n, wt, yt) for n in n_range] for wt in w_tuples for yt in y_tuples]
         for ev in fam.variants
     ]
-
-
-def _check_cases(
-    fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
-    shifts: tuple[Shift, ...], table: _Table,
-) -> list[tuple[Fraction, ...]]:
-    """The value rows of ``check_cases``: row n, for n = 0..table.n_max, is
-    the tuple of the variants' values at n, in variant order, from the
-    ``_check_grid`` of the one cell (wt, yt), whose ``_shifts`` are
-    ``shifts``."""
-    return list(zip(*[cells[0] for cells in _check_grid(fam, (wt,), (yt,), (shifts,), table)]))
+    cells = [(wt, yt) for wt in w_tuples for yt in y_tuples]
+    family_id = fam.family_id
+    # Equal values folded through one table are one object, so count()
+    # compares them by identity and no Fraction is hashed.
+    return [
+        (family_id, n, wt, yt, values, values.count(values[0]) == len(values))
+        for n in n_range
+        for (wt, yt), values in zip(cells, zip(*[map(itemgetter(n), column)
+                                                 for column in columns]))
+    ]
 
 
 def eval_variant(
@@ -605,18 +603,18 @@ SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
 
 def _oracle_holds(
     fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
-    cells: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[Fraction]],
 ) -> bool | None:
-    """Whether each list of ``cells``, one variant's values at n = 0..n_max
-    at (wt, yt), its cell of a column that ``_check_grid`` gave for
-    ``fam``, equals the coefficients 0..n_max of the series of ``fam``'s
-    template; None, no check, when the template has no series.  wt and yt
-    as ``case_args`` returns them for the family."""
+    """Whether every value of ``rows``, the variant values of the
+    ``_check_grid`` rows of ``fam`` at (wt, yt) for n = 0..n_max, row n at
+    n, equals coefficient n of the series of ``fam``'s template; None, no
+    check, when the template has no series.  wt and yt as ``case_args``
+    returns them for the family."""
     if fam.orbit_template not in _TEMPLATE_SERIES:
         return None
     series, sub_index = _TEMPLATE_SERIES[fam.orbit_template]
-    coeffs = list(lambda_series(series, sub_index, wt, yt, order=len(cells[0]) - 1).coeffs)
-    return all(values == coeffs for values in cells)
+    coeffs = lambda_series(series, sub_index, wt, yt, order=len(rows) - 1).coeffs
+    return all(value == c for values, c in zip(rows, coeffs) for value in values)
 
 
 _TRIPLE_ALTSUM = _compile(_plan(ORBIT_TEMPLATES["ttt"]))

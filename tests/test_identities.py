@@ -23,7 +23,6 @@ from eulersym.identities import (
     eval_triple_altsum,
     eval_variant,
     _Table,
-    _check_cases,
     _check_grid,
     _compile,
     _plan,
@@ -670,8 +669,9 @@ def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
     ):
         fam = FAMILIES[family_id]
         wt, yt = case_args(w, y, fam.w_arity, fam.y_arity, fam.odd_only)
-        rows = _check_cases(fam, wt, yt, _shifts(yt), table)
-        assert len(rows) == 4 and all(values.count(values[0]) == len(values) for values in rows)
+        rows = _check_grid(fam, (wt,), (yt,), table)
+        assert len(rows) == 4 and all(values.count(values[0]) == len(values)
+                                      for *_, values, _ in rows)
 
     def pair(part):
         return type(part) is tuple and len(part) == 2 and all(type(x) is int for x in part)
@@ -710,7 +710,7 @@ def test_each_value_is_stored_under_its_own_integers():
             for y in ((HALF, -THIRD, Fraction(2, 7)), (0, Fraction(123457, 999983), 1)):
                 wt, yt = case_args(w[: fam.w_arity], y[: fam.y_arity],
                                    fam.w_arity, fam.y_arity, fam.odd_only)
-                _check_cases(fam, wt, yt, _shifts(yt), table)
+                _check_grid(fam, (wt,), (yt,), table)
     large = [(key, value) for key, value in table.values.items()
              if abs(value.numerator) > 256 or value.denominator > 256]
     assert len(large) > 100
@@ -736,17 +736,15 @@ def test_check_cases_match_check_case(family_id):
         ]
 
 
-def _grid(fam):
-    """A grid valid for ``fam``: two weight tuples and two y windows (one
-    when the family reads no shift), each window with its ``_shifts``.  For
-    a theorem the second weight tuple is the first at its second variant's
-    permutation, so that each variant's cells share term keys with another
-    variant's."""
+def _grid(fam, y_pools=((123457, -THIRD, 2), (HALF, 0, -THIRD))):
+    """A grid valid for ``fam``: two weight tuples and the y windows of
+    ``y_pools`` (one when the family reads no shift).  For a theorem the
+    second weight tuple is the first at its second variant's permutation,
+    so that each variant's cells share term keys with another variant's."""
     w = (3, 5, 7)
     second = tuple(w[k] for k in fam.perms[1]) if fam.perms else (5, 3, 7)[: fam.w_arity]
-    y_tuples = list(dict.fromkeys(
-        tuple(map(Fraction, y[: fam.y_arity])) for y in ((123457, -THIRD, 2), (HALF, 0, -THIRD))))
-    return [w[: fam.w_arity], second], y_tuples, [_shifts(yt) for yt in y_tuples]
+    y_tuples = list(dict.fromkeys(tuple(map(Fraction, y[: fam.y_arity])) for y in y_pools))
+    return [w[: fam.w_arity], second], y_tuples
 
 
 def _counted_folds(monkeypatch):
@@ -765,27 +763,49 @@ def _counted_folds(monkeypatch):
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
 def test_a_grid_call_gives_each_cells_check_cases_rows_and_folds_each_term_once(
         monkeypatch, family_id):
-    # One _check_grid call over a family's whole grid gives, cell by cell in
-    # report order (w outer, y inner), the rows check_cases gives for that
-    # (w, y) alone.  Counted at _product_vec, the call folds each term key
-    # it adds to the table exactly once, and a second call on the same
-    # table, a hit on every key, folds nothing.
+    # One _check_grid call over a family's whole grid gives, in report
+    # order (n, then w, then y), the rows check_cases gives for each (w, y)
+    # alone, and each row's equal flag is VerificationReport's.  Counted at
+    # _product_vec, the call folds each term key it adds to the table
+    # exactly once, and a second call on the same table, a hit on every
+    # key, folds nothing.
     fam = FAMILIES[family_id]
-    w_tuples, y_tuples, windows = _grid(fam)
+    w_tuples, y_tuples = _grid(fam)
     folds = _counted_folds(monkeypatch)
     table = _Table(3)
-    columns = _check_grid(fam, w_tuples, y_tuples, windows, table)
+    rows = _check_grid(fam, w_tuples, y_tuples, table)
     assert 0 < len(folds) == len(table.terms)
     if fam.perms:  # the permuted weights meet stored keys
         assert len(table.terms) < len(fam.variants) * len(w_tuples) * len(y_tuples)
-    cells = [(wt, yt) for wt in w_tuples for yt in y_tuples]
-    assert [len(column) for column in columns] == [len(cells)] * len(fam.variants)
-    for i, (wt, yt) in enumerate(cells):
-        assert list(zip(*[column[i] for column in columns])) == [
-            r.variant_values for r in check_cases(family_id, 3, wt, yt)], (wt, yt)
+    reports = {(wt, yt): check_cases(family_id, 3, wt, yt) for wt in w_tuples for yt in y_tuples}
+    assert [VerificationReport(*row[:5]) for row in rows] == [
+        reports[cell][n] for n in range(4) for cell in reports]
+    assert all(row[5] == VerificationReport(*row[:5]).all_equal for row in rows)
     folds.clear()
-    assert _check_grid(fam, w_tuples, y_tuples, windows, table) == columns
+    assert _check_grid(fam, w_tuples, y_tuples, table) == rows
     assert folds == []
+
+
+@pytest.mark.parametrize("family_id", [fid for fid in FAMILY_IDS if FAMILIES[fid].y_arity])
+def test_a_grid_call_makes_each_windows_shift_pairs_once(family_id):
+    # One _check_grid call makes the shift pairs of each y window once:
+    # every term key it adds holds, for a shift value, the one pair object
+    # of that value, whichever variant and weight tuple added the key.  No
+    # value is in two windows, so each value is one window's.  The third
+    # weight tuple is no permutation of another, so that every variant adds
+    # keys.
+    fam = FAMILIES[family_id]
+    w_tuples, y_tuples = _grid(fam, ((HALF, -THIRD, Fraction(2, 7)),
+                                     (Fraction(123457, 999983), 5, Fraction(-654321, 100003))))
+    w_tuples.append((7, 5, 3)[: fam.w_arity])
+    table = _Table(2)
+    _check_grid(fam, w_tuples, y_tuples, table)
+    pairs = {}
+    for _, _, ky in table.terms:
+        for pair in (ky,) if ky and type(ky[0]) is int else ky:
+            pairs.setdefault(pair, set()).add(id(pair))
+    assert len(pairs) == len({y for yt in y_tuples for y in yt})
+    assert all(len(ids) == 1 for ids in pairs.values()), pairs
 
 
 def test_a_grid_calls_a_plain_variant_per_n_and_cell_beside_compiled_ones(monkeypatch):
@@ -801,15 +821,19 @@ def test_a_grid_calls_a_plain_variant_per_n_and_cell_beside_compiled_ones(monkey
         return Fraction(n, 7)
 
     mixed = replace(fam, variants=(fam.variants[0], plain, fam.variants[2]))
-    w_tuples, y_tuples, windows = _grid(fam)
-    expected = _check_grid(fam, w_tuples, y_tuples, windows, _Table(3))
+    w_tuples, y_tuples = _grid(fam)
+    expected = _check_grid(fam, w_tuples, y_tuples, _Table(3))
     folds = _counted_folds(monkeypatch)
     table = _Table(3)
-    columns = _check_grid(mixed, w_tuples, y_tuples, windows, table)
+    rows = _check_grid(mixed, w_tuples, y_tuples, table)
     assert calls == [(n, wt, yt) for wt in w_tuples for yt in y_tuples for n in range(4)]
-    assert columns[1] == [[Fraction(n, 7) for n in range(4)]] * len(w_tuples) * len(y_tuples)
-    assert columns[::2] == expected[::2]
+    assert [row[4][1] for row in rows] == [
+        Fraction(n, 7) for n in range(4) for _ in w_tuples for _ in y_tuples]
+    assert [(row[:4], row[4][::2]) for row in rows] == [(row[:4], row[4][::2]) for row in expected]
     assert 0 < len(folds) == len(table.terms)
+    # The stand-in disagrees with the compiled variants on some rows.
+    assert not all(row[5] for row in rows)
+    assert all(row[5] == VerificationReport(*row[:5]).all_equal for row in rows)
 
 
 def test_variant_values_validation():
