@@ -85,12 +85,13 @@ DEFAULT_Y_SAMPLES = "0,1,-1,1/2,-1/3,2/7"
 @dataclass(frozen=True)
 class SweepConfig:
     """A sweep's grid, checked when it is made: ``families`` a tuple or list
-    of ``str`` ids, ``n_max`` a count, ``w_set`` positive ints, ``y_samples``
-    ints or Fractions and ``include_even_w`` a ``bool``.  Nothing is coerced;
-    a bad field raises ``ValueError`` naming it.  Each sequence is stored as
-    a tuple, ``w_set`` and ``y_samples`` as ``int_weights`` and
-    ``rational_shifts`` return them, so every case the sweep builds from them
-    is valid as it stands; ``run_sweep`` checks the ids."""
+    of ``str`` ids, ``n_max`` a count, ``w_set`` a sequence of positive ints,
+    ``y_samples`` a sequence of ints or Fractions and ``include_even_w`` a
+    ``bool``.  Nothing is coerced; a bad field, a bare number given for a
+    sequence among them, raises ``ValueError`` naming it.  Each sequence is
+    stored as a tuple, ``w_set`` and ``y_samples`` as ``int_weights`` and
+    ``rational_shifts`` return them, so every case the sweep builds from
+    them is valid as it stands; ``run_sweep`` checks the ids."""
 
     families: tuple[str, ...]
     w_set: tuple[int, ...]
@@ -107,7 +108,7 @@ class SweepConfig:
             raise ValueError(f"include_even_w must be a bool, got {self.include_even_w!r}")
         count(self.n_max, "n_max")
         object.__setattr__(self, "w_set", int_weights(self.w_set, "w_set"))
-        object.__setattr__(self, "y_samples", rational_shifts(self.y_samples, "each of y_samples"))
+        object.__setattr__(self, "y_samples", rational_shifts(self.y_samples, "y_samples"))
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,8 @@ def _sweep_family(
     """The rows of one family, in report order (n, then w, then y), from
     one ``identities._check_grid`` call over its whole (w, y) grid, and its
     summary, whose failures are counted from the rows' ``equal`` flags.
-    The series spot check reads the rows of the last cell (w, y), the
-    values the report holds."""
+    The series spot check, ``identities._oracle_holds``, reads those rows,
+    the values the report holds, and finds its cell (w, y) in them."""
     audited = fam.orbit_template is not None
     orbit_failed = audited and orbit_audit(fam.orbit_template) != fam.expected_orbit_size
 
@@ -194,12 +195,7 @@ def _sweep_family(
     # The config is validated and the grid admissible for fam, so the grid
     # goes straight to the step check_cases runs after validating.
     rows = identities._check_grid(fam, w_tuples, y_tuples, table)
-    cells = len(w_tuples) * len(y_tuples)
-    # At the last (w, y): at w = (1, 1, 1), first on most grids, the pairwise
-    # weight products equal the weights, and L23_i and L13_i coincide.
-    held = (identities._oracle_holds(fam, w_tuples[-1], y_tuples[-1],
-                                     [row[4] for row in rows[cells - 1::cells]])
-            if cells else None)
+    held = identities._oracle_holds(fam, rows)
     return rows, SweepSummary(
         families_run=1,
         cases_run=len(rows),
@@ -232,8 +228,8 @@ def run_sweep(
     each family with an orbit template, in any catalog, gets a one-off
     orbit-size audit of it and, where the template has a series, a
     series-coefficient spot check of every value computed at its last
-    admissible parameter tuple, for every n <= ``n_max``
-    (``identities._oracle_holds``).
+    admissible parameter tuple, for every n <= ``n_max``, which
+    ``identities._oracle_holds`` reads off the family's rows.
 
     This is the family-by-family sweep that ``verify`` writes as it goes,
     each of its rows wrapped in a ``VerificationReport``; so it holds every

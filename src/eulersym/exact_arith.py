@@ -12,7 +12,8 @@ weight a positive non-``bool`` ``int`` (``int_weights``), odd wherever a
 T or an A factor appears; a shift, point or series value an ``int`` or a
 ``Fraction`` (``as_rational``); a case has fixed weight and shift arities
 (``case_args``).  Nothing is coerced: ``2.0``, ``True``, ``0.1`` and
-``'1/2'`` raise ``ValueError`` naming the argument.
+``'1/2'`` raise ``ValueError`` naming the argument, as a bare number or
+``None`` does where a sequence of weights or shifts belongs.
 
 Text is parsed by one grammar, in ASCII only: an integer is
 ``[+-]?[0-9]+`` (``parse_int``) and a rational ``[+-]?[0-9]+(/[0-9]+)?``
@@ -99,35 +100,51 @@ def as_rational(v: object, name: str) -> Fraction:
     raise ValueError(f"{name} must be an int or a Fraction, got {v!r}")
 
 
+def _items(seq: object, name: str) -> tuple:
+    """The items of seq as a tuple; seq must be iterable, so that a bare
+    number or ``None`` raises ``ValueError`` naming ``name``, not a
+    ``TypeError``."""
+    try:
+        items = iter(seq)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {seq!r}") from None
+    return tuple(items)
+
+
 def int_weights(w: Sequence[object], name: str = "weights") -> tuple[int, ...]:
-    """The weights w as a tuple of ints; each must be a positive ``int``.
+    """The weights w, a sequence, as a tuple of ints; each must be a
+    positive ``int``.
 
     Nothing is coerced: ``Fraction(5, 2)``, ``2.9`` and ``True`` raise
     ``ValueError`` naming ``name`` rather than being truncated or read as 1.
     """
-    for v in w:
+    wt = _items(w, name)
+    for v in wt:
         if not is_int(v) or v < 1:
-            raise ValueError(f"{name} must be positive integers, got {tuple(w)!r}")
-    return tuple(int(v) for v in w)
+            raise ValueError(f"{name} must be positive integers, got {wt!r}")
+    return tuple(int(v) for v in wt)
 
 
-def rational_shifts(y: Sequence[object], name: str = "a shift value") -> tuple[Fraction, ...]:
-    """The shift values y as a tuple of Fractions; each must be an ``int``
-    or a ``Fraction`` (``as_rational``, with ``name`` for each value)."""
-    return tuple(as_rational(v, name) for v in y)
+def rational_shifts(y: Sequence[object], name: str = "shifts") -> tuple[Fraction, ...]:
+    """The shift values y, a sequence, as a tuple of Fractions; each must
+    be an ``int`` or a ``Fraction`` (``as_rational``, naming each of
+    ``name``)."""
+    return tuple(as_rational(v, f"each of {name}") for v in _items(y, name))
 
 
 def case_args(
     w: Sequence[object], y: Sequence[object], w_arity: int, y_arity: int, odd: bool
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """The weights and shifts of one case, checked in this order: w_arity
-    weights, each a positive ``int`` and, if ``odd``, odd; y_arity shift
-    values, each an ``int`` or a ``Fraction``."""
-    if len(w) != w_arity:
-        raise ValueError(f"expected {w_arity} weight(s), got {len(w)}")
-    wt = int_weights(w)
+    """The weights ``w`` and shifts ``y`` of one case, checked in this
+    order: a sequence of positive ``int``s, w_arity of them and, if
+    ``odd``, odd; a sequence of ``int``s or ``Fraction``s, y_arity of
+    them.  Each error names ``w`` or ``y``."""
+    wt = int_weights(w, "w")
+    if len(wt) != w_arity:
+        raise ValueError(f"expected {w_arity} weight(s) in w, got {len(wt)}")
     if odd and any(v % 2 == 0 for v in wt):
-        raise ValueError(f"weights must be odd, got {wt}")
-    if len(y) != y_arity:
-        raise ValueError(f"expected {y_arity} shift value(s), got {len(y)}")
-    return wt, rational_shifts(y)
+        raise ValueError(f"w must be odd, got {wt}")
+    yt = rational_shifts(y, "y")
+    if len(yt) != y_arity:
+        raise ValueError(f"expected {y_arity} shift value(s) in y, got {len(yt)}")
+    return wt, yt

@@ -76,8 +76,9 @@ and it takes odd weights only if a term has a T or an A factor
   and the series oracle, so a family in any catalog gets both:
   ``_TEMPLATE_SERIES`` pairs the template with its series: every
   expression of the family at n is that series' coefficient n.
-  ``_oracle_holds`` checks this on the values a sweep has already
-  computed, and ``SERIES_ORACLES`` gives the family's first variant per n.
+  ``_oracle_holds`` checks this on the rows a sweep has already
+  computed, at their last cell (w, y), which it finds in them, and
+  ``SERIES_ORACLES`` gives the family's first variant per n.
 * A corollary's row is written at the pinned weights (slot 0 is w1, slot 1
   is w2), never as the parent at pinned weights, so the specialization
   checks compare two computations.  The parent's weights past its own are
@@ -601,20 +602,23 @@ SERIES_ORACLES: dict[str, tuple[str, int | None, Evaluator]] = {
 }
 
 
-def _oracle_holds(
-    fam: IdentityFamily, wt: tuple[int, ...], yt: tuple[Fraction, ...],
-    rows: Sequence[Sequence[Fraction]],
-) -> bool | None:
-    """Whether every value of ``rows``, the variant values of the
-    ``_check_grid`` rows of ``fam`` at (wt, yt) for n = 0..n_max, row n at
-    n, equals coefficient n of the series of ``fam``'s template; None, no
-    check, when the template has no series.  wt and yt as ``case_args``
-    returns them for the family."""
-    if fam.orbit_template not in _TEMPLATE_SERIES:
+def _oracle_holds(fam: IdentityFamily, rows: Sequence[Row]) -> bool | None:
+    """Whether every value of the last cell (w, y) of ``rows``, the
+    ``_check_grid`` rows of ``fam``, equals coefficient n of the series of
+    ``fam``'s template at that (w, y), row n at n; None, no check, when the
+    template has no series or there are no rows.  In ``_check_grid``'s
+    order (n, then w, then y) the last row holds n_max and the last cell's
+    w and y, and with C = len(rows) // (n_max + 1) cells, rows[C-1::C] are
+    that cell's rows at n = 0..n_max.  The last cell, not the first: at
+    w = (1, 1, 1), first on most grids, the pairwise weight products equal
+    the weights, and the L23_i and L13_i series coincide."""
+    if fam.orbit_template not in _TEMPLATE_SERIES or not rows:
         return None
+    _, n_max, wt, yt, _, _ = rows[-1]
+    cells = len(rows) // (n_max + 1)
     series, sub_index = _TEMPLATE_SERIES[fam.orbit_template]
-    coeffs = lambda_series(series, sub_index, wt, yt, order=len(rows) - 1).coeffs
-    return all(value == c for values, c in zip(rows, coeffs) for value in values)
+    coeffs = lambda_series(series, sub_index, wt, yt, order=n_max).coeffs
+    return all(value == c for row, c in zip(rows[cells - 1::cells], coeffs) for value in row[4])
 
 
 _TRIPLE_ALTSUM = _compile(_plan(ORBIT_TEMPLATES["ttt"]))

@@ -614,7 +614,7 @@ def test_a_sweep_builds_pascal_rows_once(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("w_set", (1.5, 3)), ("include_even_w", "no"), ("n_max", 1.5), ("y_samples", (0.5,)),
     ("families", "T8"), ("families", (1,)), ("families", ("T8", 3)), ("families", None),
-    ("include_even_w", 1),
+    ("include_even_w", 1), ("w_set", 5), ("y_samples", Fraction(1, 2)),
 ])
 def test_sweep_config_rejects_non_exact_fields(field, value):
     # Nothing is coerced or dropped: a float weight is not filtered out as
@@ -623,6 +623,14 @@ def test_sweep_config_rejects_non_exact_fields(field, value):
     fields = dict(families=("T8",), w_set=(1, 3), n_max=2, y_samples=(Fraction(0),))
     with pytest.raises(ValueError, match=field):
         SweepConfig(**{**fields, field: value})
+
+
+def test_sweep_config_reads_a_one_pass_iterable_whole():
+    # A generator of weights is read once, not checked and then found empty,
+    # which swept no case and passed.
+    config = SweepConfig(families=("T8",), w_set=(w for w in (1, 3)), n_max=1,
+                         y_samples=iter([Fraction(0)]))
+    assert (config.w_set, config.y_samples) == ((1, 3), (Fraction(0),))
 
 
 def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
@@ -781,7 +789,9 @@ def test_spot_check_reads_every_value_of_the_sweep(wrong, failures):
     (3, ("--family", "T8,T17,C9", "--wset", "1,3", "--nmax", "3", "--ys", "0"), 2),
     # Past n = 24, where the spot check used to stop.
     (30, ("--family", "T8", "--nmax", "30"), 1),
-], ids=["coefficient 3", "coefficient 30"])
+    # Below n_max: every coefficient is compared, not only the last.
+    (1, ("--family", "T8,T17,C9", "--wset", "1,3", "--nmax", "3", "--ys", "0"), 2),
+], ids=["coefficient 3", "coefficient 30", "coefficient 1"])
 def test_perturbed_series_fails_the_oracle(monkeypatch, capsys, k, argv, oracle_failures):
     # Coefficient k of every quotient series off by 1: the identities still
     # hold, and the series spot check of each theorem swept must notice.

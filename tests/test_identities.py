@@ -883,6 +883,20 @@ def test_non_int_n_rejected(bad):
         eval_variant("T8", (0, 1, 2), bad, (3, 5, 7), (HALF,))
 
 
+@pytest.mark.parametrize("one_w, three_w, y", [(3, 3, (0,)), ((3,), (3, 5, 7), None)],
+                         ids=["w=3", "y=None"])
+def test_a_bare_number_or_none_for_a_sequence_rejected(one_w, three_w, y):
+    # A ValueError naming the argument, never a TypeError from len() or
+    # from iteration.
+    message = f"^{'y' if y is None else 'w'} must be a sequence"
+    with pytest.raises(ValueError, match=message):
+        check_case("C10", 1, one_w, y)
+    with pytest.raises(ValueError, match=message):
+        eval_variant("C10", 0, 1, one_w, y)
+    with pytest.raises(ValueError, match=message):
+        lambda_series("L12_0", None, three_w, y)
+
+
 def test_eval_variant_choice():
     n, w, y = 3, (3, 5, 7), (HALF, THIRD)
     for index, perm in enumerate(FAMILIES["T5"].perms):
