@@ -29,10 +29,10 @@ both ``emit_report`` and ``verify``.  It writes the rows in blocks of at
 most ``_BLOCK`` records, one piece each, so no text of a whole family is
 ever held at once.  A record whose variants agree, as every record of a
 holding identity does, is written from the text of its first value
-alone; ``emit_report`` first checks that its other values are exact, as
-``format_rational`` checks the first.  Nothing is escaped or quoted, so a
-family id is one or more ASCII letters, digits and ``_``; the writer and
-``--family`` refuse any other.
+alone; ``emit_report`` first checks each record's ``n``, ``w`` and ``y``,
+and that its other values are exact, as ``format_rational`` checks the
+first.  Nothing is escaped or quoted, so a family id is one or more ASCII
+letters, digits and ``_``; the writer and ``--family`` refuse any other.
 
 Exit codes: 0 when every checked identity holds, 1 when at least one case
 fails, 2 on usage or configuration errors, before any computation starts.
@@ -320,17 +320,26 @@ def emit_report(records: Sequence[VerificationReport], format: str = "json") -> 
     the bytes ``verify`` writes, family by family, for the same records:
     the pieces of one ``_report_pieces`` over the records as rows, joined.
 
-    Every value must be an ``int`` or a ``Fraction``, or ``ValueError`` is
-    raised, as ``format_rational`` raises.  An agreeing record is written
-    from its first value, so the others are checked here: a record's
-    ``all_equal`` holds for ``(Fraction(1, 2), 0.5)`` or
-    ``(Fraction(1), True)``.  ``verify``'s rows need no check: the sweep
-    makes every value."""
+    Each record's ``n`` must be a count, its ``w`` a sequence of positive
+    ``int``s and its ``y`` a sequence of ``int``s or ``Fraction``s, checked
+    here by ``count``, ``int_weights`` and ``rational_shifts``, or
+    ``ValueError`` naming the field is raised: a ``VerificationReport``
+    does not check them, and the template would write ``True`` or ``2.5``
+    as it stands, which is not JSON.  What those return is written, so a
+    one-pass iterator is read once and written whole.  Every value must be
+    an ``int`` or a ``Fraction``, or ``ValueError`` is raised, as
+    ``format_rational`` raises.  An agreeing record is written from its
+    first value, so the others are checked here: a record's ``all_equal``
+    holds for ``(Fraction(1, 2), 0.5)`` or ``(Fraction(1), True)``.
+    ``verify``'s rows need none of these checks: the sweep makes every
+    field."""
+    rows = []
     for r in records:
+        n, w, y = count(r.n, "n"), int_weights(r.w, "w"), rational_shifts(r.y, "y")
         if r.all_equal:
             for v in r.variant_values[1:]:
                 as_rational(v, "value")
-    rows = [(r.family_id, r.n, r.w, r.y, r.variant_values, r.all_equal) for r in records]
+        rows.append((r.family_id, n, w, y, r.variant_values, r.all_equal))
     return "".join(_report_pieces([rows], format)).encode("utf-8")
 
 

@@ -29,7 +29,7 @@ a ratio of two sums of at most eight exponentials.  ``_quotient`` divides
 first, then shifts.  Expanding each product gives sum_r c_r e^{a_r t} at
 integer rates a_r, whose coefficient k is the integer sum_r c_r a_r^k, so
 one ``egf_div`` divides integers; only then is the quotient multiplied by
-e^{rate t}, by an integer Horner sum per coefficient, with no power of
+e^{rate t}, by the integer Taylor-shift recurrence, with no power of
 rate's denominator inside the division.  The two families built this way:
 
 * ``quotient_alternating(w, N)``: (e^{wt} + 1)/(e^t + 1) for odd w, which
@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import product
 from math import lcm
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -112,12 +112,8 @@ def egf_exp(a: RationalLike, order: int) -> TruncatedEGF:
     return TruncatedEGF(tuple(coeffs))
 
 
-def _common_order(lhs: TruncatedEGF, rhs: TruncatedEGF) -> int:
-    return min(lhs.order, rhs.order)
-
-
 def egf_add(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
-    n = _common_order(lhs, rhs)
+    n = min(lhs.order, rhs.order)
     return TruncatedEGF(tuple(lhs.coeffs[k] + rhs.coeffs[k] for k in range(n + 1)))
 
 
@@ -148,7 +144,7 @@ def _binomial_conv(a: Sequence[int], b: Sequence[int], rows: Sequence[list[int]]
 
 
 def egf_mul(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
-    n = _common_order(lhs, rhs)
+    n = min(lhs.order, rhs.order)
     a, da = _over_common_denominator(lhs.coeffs[: n + 1])
     b, db = _over_common_denominator(rhs.coeffs[: n + 1])
     d = da * db
@@ -168,7 +164,7 @@ def egf_div(lhs: TruncatedEGF, rhs: TruncatedEGF) -> TruncatedEGF:
     """
     if rhs.coeffs[0] == 0:
         raise NonInvertibleSeriesError("non-invertible series: constant term is zero")
-    n = _common_order(lhs, rhs)
+    n = min(lhs.order, rhs.order)
     f, df = _over_common_denominator(lhs.coeffs[: n + 1])
     g, dg = _over_common_denominator(rhs.coeffs[: n + 1])
     g0 = g[0]
@@ -212,29 +208,25 @@ def _quotient(
 
     Divides first, then shifts.  ``egf_div`` divides the two integer series
     of ``_exp_sum``; with that quotient r_j = R_j / d and rate = p/q,
-    coefficient k of e^{rate t} r is
-
-        (sum_j C(k, j) (R_j q^j) p^{k-j}) / (d q^k),
-
-    summed by homogeneous Horner in p over Pascal's row k, so that each step
-    multiplies the running sum by the small p.  At rate 0 the quotient is
-    the series.  Dividing the other way round would put every coefficient
-    of the dividend over q^order.
+    coefficient k of e^{rate t} r is ((qE + p)^k R)_0 / (d q^k), E the
+    shift R_j -> R_{j+1}.  So the integer row R is shifted once per k by
+    the Taylor recurrence row'_j = q row_{j+1} + p row_j, one entry shorter
+    each time, which sums sum_j C(k, j) R_j q^j p^{k-j} with no binomial.
+    At rate 0 the quotient is the series, returned as it is: the
+    recurrence would still cost a triangle of integer steps.  Dividing the
+    other way round would put every coefficient of the dividend over
+    q^order.
     """
     count(order, "order")
     quotient = egf_div(_exp_sum(scale, ups, order), _exp_sum(1, downs, order))
     if not rate:
         return quotient
-    big_r, d = _over_common_denominator(quotient.coeffs)
+    row, d = _over_common_denominator(quotient.coeffs)
     p, q = rate.numerator, rate.denominator
-    q_pows = list(accumulate(repeat(q, order), mul, initial=1))
-    scaled = list(map(mul, big_r, q_pows))  # R_j q^j
     coeffs = []
-    for k, row in enumerate(_pascal_rows(order)):
-        acc = 0
-        for c, r in zip(row, scaled):
-            acc = acc * p + c * r
-        coeffs.append(Fraction(acc, d * q_pows[k]))
+    for k in range(order + 1):
+        coeffs.append(Fraction(row[0], d * q ** k))
+        row = [q * b + p * a for a, b in zip(row, row[1:])]
     return TruncatedEGF(tuple(coeffs))
 
 

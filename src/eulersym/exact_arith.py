@@ -13,7 +13,10 @@ T or an A factor appears; a shift, point or series value an ``int`` or a
 ``Fraction`` (``as_rational``); a case has fixed weight and shift arities
 (``case_args``).  Nothing is coerced: ``2.0``, ``True``, ``0.1`` and
 ``'1/2'`` raise ``ValueError`` naming the argument, as a bare number or
-``None`` does where a sequence of weights or shifts belongs.
+``None`` does where a sequence of weights or shifts belongs.  So do a set
+or a mapping there, whose order is not the caller's, and ``bytes`` or a
+``bytearray``, whose items are byte values; a tuple, a list, a ``range``
+or a one-pass iterator is read once, in its order.
 
 Text is parsed by one grammar, in ASCII only: an integer is
 ``[+-]?[0-9]+`` (``parse_int``) and a rational ``[+-]?[0-9]+(/[0-9]+)?``
@@ -26,6 +29,7 @@ naming the option the text came from when the caller gives one.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -101,10 +105,14 @@ def as_rational(v: object, name: str) -> Fraction:
 
 
 def _items(seq: object, name: str) -> tuple:
-    """The items of seq as a tuple; seq must be iterable, so that a bare
-    number or ``None`` raises ``ValueError`` naming ``name``, not a
-    ``TypeError``."""
+    """The items of seq as a tuple, read once; seq must be an ordered
+    iterable of items, so that a bare number or ``None`` raises
+    ``ValueError`` naming ``name``, not a ``TypeError``, and so do a set or
+    a mapping, whose order is not the caller's, and ``bytes`` or a
+    ``bytearray``, whose items are byte values."""
     try:
+        if isinstance(seq, (bytes, bytearray, Set, Mapping)):
+            raise TypeError
         items = iter(seq)
     except TypeError:
         raise ValueError(f"{name} must be a sequence, got {seq!r}") from None

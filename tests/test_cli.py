@@ -615,6 +615,7 @@ def test_a_sweep_builds_pascal_rows_once(monkeypatch):
     ("w_set", (1.5, 3)), ("include_even_w", "no"), ("n_max", 1.5), ("y_samples", (0.5,)),
     ("families", "T8"), ("families", (1,)), ("families", ("T8", 3)), ("families", None),
     ("include_even_w", 1), ("w_set", 5), ("y_samples", Fraction(1, 2)),
+    ("w_set", {1, 3}), ("y_samples", b"\x00"),
 ])
 def test_sweep_config_rejects_non_exact_fields(field, value):
     # Nothing is coerced or dropped: a float weight is not filtered out as

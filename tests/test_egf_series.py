@@ -97,7 +97,7 @@ def test_coeff_access():
     assert egf_coeff(quotient_alternating(3, 4), 1) == 1  # T_1(2)
     zero = egf_scale(egf_one(5), 0)
     assert egf_coeff(zero, 4) == 0
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="outside truncation order"):
         egf_coeff(egf_exp(1, 3), 4)
     with pytest.raises(IndexError):
         egf_coeff(egf_exp(1, 3), -1)
@@ -208,8 +208,10 @@ def test_lambda_series_validation():
         lambda_series("L99", 0, (1, 1, 1), (Fraction(0),) * 3)
     with pytest.raises(ValueError):
         lambda_series("L23", None, (1, 1, 1), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sub-index"):
         lambda_series("L23", 4, (1, 1, 1), ())
+    with pytest.raises(ValueError, match="sub-index"):
+        lambda_series("L23", -1, (1, 1, 1), (Fraction(0),) * 4)
     with pytest.raises(ValueError):
         lambda_series("L23", 1, (1, 2, 3), (Fraction(0), Fraction(0)))  # even w
     with pytest.raises(ValueError):

@@ -883,12 +883,16 @@ def test_non_int_n_rejected(bad):
         eval_variant("T8", (0, 1, 2), bad, (3, 5, 7), (HALF,))
 
 
-@pytest.mark.parametrize("one_w, three_w, y", [(3, 3, (0,)), ((3,), (3, 5, 7), None)],
-                         ids=["w=3", "y=None"])
-def test_a_bare_number_or_none_for_a_sequence_rejected(one_w, three_w, y):
+@pytest.mark.parametrize("one_w, three_w, y, name", [
+    (3, 3, (0,), "w"), ((3,), (3, 5, 7), None, "y"),
+    (b"\x03", b"\x03\x05\x07", (0,), "w"), ((3,), (3, 5, 7), {0}, "y"),
+    ({3: "x"}, {3: "x", 5: "x", 7: "x"}, (0,), "w"),
+], ids=["w=3", "y=None", "w=bytes", "y=set", "w=dict"])
+def test_a_bare_number_or_none_for_a_sequence_rejected(one_w, three_w, y, name):
     # A ValueError naming the argument, never a TypeError from len() or
-    # from iteration.
-    message = f"^{'y' if y is None else 'w'} must be a sequence"
+    # from iteration.  Bytes are not read as their byte values, a mapping
+    # not as its keys and a set not in its own order.
+    message = f"^{name} must be a sequence"
     with pytest.raises(ValueError, match=message):
         check_case("C10", 1, one_w, y)
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """``emit_report`` writes the bytes of the plain emitters in
 ``report_reference``, in both formats, for any id of the family-id
-grammar, refuses any other id and any value that is not an ``int`` or
+grammar, refuses any other id, any record whose ``n``, ``w`` or ``y`` is
+not a count, weights or shifts, and any value that is not an ``int`` or
 a ``Fraction``, and formats each value object it needs
 once: each ``y`` value, the first value of a record whose values agree,
 and every value of a record whose values do not."""
@@ -83,6 +84,29 @@ def test_emit_report_refuses_an_id_the_template_cannot_write(fmt, family_id):
     record = VerificationReport(family_id, 0, (1,), (), (Fraction(1),))
     with pytest.raises(ValueError, match="malformed id"):
         emit_report([record], fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("field, n, w, y", [
+    ("n", True, (1,), ()), ("w", 1, (True, 2.5), ()), ("w", 1, 5, ()), ("y", 1, (1,), None),
+], ids=["n=True", "w=(True, 2.5)", "w=5", "y=None"])
+def test_emit_report_refuses_a_record_whose_n_w_or_y_it_cannot_write(fmt, field, n, w, y):
+    # A bool n or weight would be written as True, not JSON; a float weight
+    # as 2.5; and a bare number or None raised a TypeError from iteration.
+    record = VerificationReport("T1", n, w, y, (Fraction(1),))
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        emit_report([record], fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_emit_report_writes_one_pass_weights_and_shifts_whole(fmt):
+    # Checked and written from one reading: a second pass over an iterator
+    # would find it empty and write [].
+    records = [VerificationReport("T1", 1, iter(w), iter(y), (Fraction(1),))
+               for w, y in (((1, 3), (0, HALF)), ((5,), (HALF,)))]
+    expected = [VerificationReport("T1", 1, (1, 3), (0, HALF), (Fraction(1),)),
+                VerificationReport("T1", 1, (5,), (HALF,), (Fraction(1),))]
+    assert emit_report(records, fmt) == ref.emit_report(expected, fmt)
 
 
 def _formatted(records):
