@@ -18,10 +18,11 @@ more than a layer's change.  The layers:
 * ``shallow``: the grids of the ``accept_grid`` workload of ``perfbench``
   (n <= 2) and of its ``shift_fanout`` workload at seed 1 (n <= 1), each
   swept through ``cli._family_sweeps``.  At that depth most of a sweep's
-  time goes to its term-table misses, and a miss's factor keys and bases
-  weigh more against its fold than at n <= 10, where the folds
-  (``_product_vec`` and its binomial convolutions) take most of a sweep;
-  so a change to that part of a miss shows here and barely in ``sweep``;
+  time goes to its term-table misses, and a miss's rate, factor keys and
+  bases weigh more against its fold (``_fold`` and its binomial
+  convolutions) and its shift (``_shift``'s Taylor steps) than at
+  n <= 10, where those two take most of a sweep; so a change to that part
+  of a miss shows here and barely in ``sweep``;
 * ``writer`` and ``writer_csv``: ``cli._report_pieces`` over the
   ``sweep`` layer's records, one chunk per family as ``verify`` writes
   them, in JSON and in CSV (its own separator, bare values and no quotes,

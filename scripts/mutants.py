@@ -45,6 +45,24 @@ MUTANTS = [
     ("shift: last entry read", "eulersym/egf_series.py",
      "coeffs.append(Fraction(row[0], d * q ** k))",
      "coeffs.append(Fraction(row[-1], d * q ** k))"),
+    # A term's values: its shift-free fold shifted by its rate R = p/q, which
+    # sums base * (monomial * shift - anchor) over its E and A bundles.
+    ("term rate: p negated", "eulersym/identities.py",
+     "_shift(folded, p // g, q // g, table)", "_shift(folded, -p // g, q // g, table)"),
+    ("term shift: q dropped", "eulersym/identities.py",
+     "row = [q * b + p * a for a, b in zip(row, row[1:])]",
+     "row = [b + p * a for a, b in zip(row, row[1:])]"),
+    ("term rate: first bundle left out", "eulersym/identities.py",
+     "for _, m0, c0, b0, b1, j, j1 in plan:", "for _, m0, c0, b0, b1, j, j1 in plan[1:]:"),
+    ("term rate: anchor dropped", "eulersym/identities.py",
+     "* sn * dx0 - x0 * sd)", "* sn * dx0)"),
+    ("term rate: first shift read for every bundle", "eulersym/identities.py",
+     "sn, sd = kys[j]", "sn, sd = kys[0]"),
+    # Repeated --wset and --ys values collapse.
+    ("grid: repeated shifts kept", "eulersym/cli.py",
+     "pool = tuple(dict.fromkeys(samples))", "pool = tuple(samples)"),
+    ("grid: repeated weights kept", "eulersym/cli.py",
+     "values = sorted(set(config.w_set))", "values = sorted(config.w_set)"),
     # Range checks that a later line would otherwise fail with the same class.
     ("range: sub-index up to 4", "eulersym/egf_series.py",
      "not 0 <= i <= 3", "not 0 <= i <= 4"),

@@ -11,10 +11,11 @@ expressions is the point: two variants share a value only when they are
 the same expression at the same numbers (below).  Every term, of one to
 three factors, is [t^n] prod_b F_b(beta_b t) for its base monomials
 beta_b, into which ``orbits.term`` has folded the paper's scale: the
-factor vectors, held as integer numerators over one denominator, are
-rescaled by powers of the bases and folded by the integer binomial
-convolution of ``egf_series``, which the series oracles never run; each
-distinct value is one ``Fraction`` per table (below).  ``_check_grid``
+factor vectors, held as integer numerators over one denominator and built
+with no shift, are rescaled by powers of the bases and folded by the
+integer binomial convolution of ``egf_series``, which the series oracles
+never run, and the fold is shifted to each y by the term's rate (below);
+each distinct value is one ``Fraction`` per table (below).  ``_check_grid``
 gives a family's report rows over a whole grid, from one ``.grid`` call
 per variant: a sweep makes one call per family.  ``check_cases`` is the
 grid of one (w, y), each row wrapped in a ``VerificationReport``, and
@@ -27,43 +28,62 @@ one denominator and computes the whole signed sum as one integer binomial
 convolution of the scaled Euler numbers 2^k E_k with the signed power sums
 of the arguments' numerators.
 
+Fold once, shift per y.  This is the fermionic integral's
+int e^{(x+y)t} dmu_{-1}(y) = e^{xt} int e^{yt} dmu_{-1}(y): E_k(x + s) has
+the generating function of E_k(x) times e^{st}, and an A is a signed sum
+of such, so a factor of monomial value m at base beta that reads the
+shift y_j is its vector at the anchor x0 times e^{beta (m y_j - x0) t},
+and a T reads no shift.  A term's values at (w, y) are therefore its
+shift-free fold, the product of its factor vectors at the anchor, times
+e^{R t}, with its rate R = sum_b beta_b (m_b y_{j_b} - x0) over its E and
+A bundles.  ``_fold`` builds the fold once per (shape, weights read), and
+``_shift`` reaches each y by R = p/q in integers, by the Taylor step
+row'_j = q row_{j+1} + p row_j: the term's own loop, which neither calls
+nor shares ``egf_series._quotient``.  The anchor is x0 = 1/2, not 0: the
+negative controls, and the benchmark's corrupted-program gate, perturb an
+E vector by its own argument x in ``_euler_vec``, which at 0 would
+perturb nothing and let a corrupted run pass.
+
 One table per sweep.  Each factor depends on one or two of the weights,
 and a sweep's weight grid is closed under permutation, so a sweep meets
-the same factor vector, and the same resolved term (one template
-permutation at w is another at a permuted w), many times.  A *table*, a
-``_Table``, serves one ``n_max`` and holds both, and the values, in one
-map each.  It also holds Pascal's rows C(k, 0..k), k = 0..n_max, built
-when it is made, which every fold and every A vector of the table
-convolves against.  ``factors`` maps a factor's key, everything its vector
-depends on in ints (kind, monomial value, the shifts it reads as
-(numerator, denominator) pairs, count weights), to the vector as
-``(nums, d)``; one rule keys every kind.  ``terms``
+the same factor vector, the same fold and the same resolved term (one
+template permutation at w is another at a permuted w) many times.  A
+*table*, a ``_Table``, serves one ``n_max`` and holds them, and the
+values, in one map each.  It also holds Pascal's rows C(k, 0..k),
+k = 0..n_max, built when it is made, which every fold and every A vector
+of the table convolves against.  ``factors`` maps a factor's key,
+everything its vector at the anchor depends on in ints (kind, monomial
+value, count weights), to the vector as ``(nums, d)``; one rule keys
+every kind, and no factor key holds a shift.  ``folds`` maps (shape, the
+weights read) to the term's shift-free fold as ``(nums, d)``.  ``terms``
 maps a term's key, (shape, the weights and the shifts it reads), for any
 number of slots, to the term's values: the shape holds each bundle's kind
 and the lengths of its monomial, counts and base, which group the weights
 read at those slots, and the shifts its factors read: one for each E and
 A, none for a T.  Equal term keys are the same expression at the same
-numbers.  ``_plan`` is the one walk over a term, made when it is compiled:
-it gives the shape, the weight slots and shift indices read, the parity
-rule below and the miss plan.  Only a miss on a term key builds the factor
-keys and bases, and it takes them from the weights and shifts in that key,
-at the places the plan fixed, with no walk over the term's tuples.  Each
-miss builds and stores; a hit returns the stored values, so nothing is
-inferred through the substitution lemma or the orbit normal form.  Every
-variant is still folded on its own, but the theorems make almost every
-value recur, so ``values`` maps each value's (numerator, denominator) to
-one ``Fraction``: a fold's entry with the same exact integers as one
-already built is that object.  The key is that ``Fraction``'s own
-numerator and denominator ints, so a value holds its integers once.
-Shifts enter keys as (numerator, denominator) pairs, which hash in C
-where a ``Fraction`` hashes in Python; ``_check_grid`` makes them once per
-y window, so the term keys of the window share them, and a ``.grid`` call
-reads each weight tuple and each window once, not once per cell.
-``cli._family_sweeps`` hands one table to each family's step of a
-sweep, for ``verify`` and ``cli.run_sweep`` alike, and drops it when the
-sweep ends; a call of ``check_cases`` has one table, shared by its
-variants, and ``eval_variant``, which the ``SERIES_ORACLES`` evaluators
-call, gives each call a fresh one.  Nothing is cached at module level.
+numbers, and equal fold keys the same product.  ``_plan`` is the one walk
+over a term, made when it is compiled: it gives the shape, the weight
+slots and shift indices read, the parity rule below and the miss plan.
+Only a miss on a term key works out the rate, and only a miss on its fold
+key builds the factor keys and bases; each takes them from the weights
+and shifts in the key, at the places the plan fixed, with no walk over
+the term's tuples.  Each miss builds and stores; a hit returns the stored
+values, so nothing is inferred through the substitution lemma or the
+orbit normal form.  Every variant is still folded and shifted on its own,
+but the theorems make almost every value recur, so ``values`` maps each
+value's (numerator, denominator) to one ``Fraction``: a shifted entry
+with the same exact integers as one already built is that object.  The
+key is that ``Fraction``'s own numerator and denominator ints, so a value
+holds its integers once.  Shifts enter keys as (numerator, denominator)
+pairs, which hash in C where a ``Fraction`` hashes in Python;
+``_check_grid`` makes them once per y window, so the term keys of the
+window share them, and a ``.grid`` call reads each weight tuple and each
+window once, not once per cell.  ``cli._family_sweeps`` hands one table
+to each family's step of a sweep, for ``verify`` and ``cli.run_sweep``
+alike, and drops it when the sweep ends; a call of ``check_cases`` has
+one table, shared by its variants, and ``eval_variant``, which the
+``SERIES_ORACLES`` evaluators call, gives each call a fresh one.  Nothing
+is cached at module level.
 
 Every family is a row of terms, built by ``IdentityFamily.from_terms``,
 which walks each term once, for both its plan and its compiled variant:
@@ -169,38 +189,35 @@ def _alt_vec(base: Fraction, m: int, counts: Sequence[int],
 class _Table:
     """The exact store of one sweep, or of one call, at one ``n_max``:
     ``rows``, Pascal's rows C(k, 0..k) for k = 0..n_max, built here, and
-    the maps ``factors`` (factor key -> ``(nums, d)``), ``terms`` (term
-    key -> values) and ``values`` ((numerator, denominator), the
-    ``Fraction``'s own ints -> that ``Fraction``), as the module docstring
-    gives them."""
+    the maps ``factors`` (factor key -> ``(nums, d)``, the vector at the
+    anchor), ``folds`` ((shape, weights read) -> the shift-free fold as
+    ``(nums, d)``), ``terms`` (term key -> values) and ``values``
+    ((numerator, denominator), the ``Fraction``'s own ints -> that
+    ``Fraction``), as the module docstring gives them."""
 
-    __slots__ = ("n_max", "rows", "factors", "terms", "values")
+    __slots__ = ("n_max", "rows", "factors", "folds", "terms", "values")
 
     def __init__(self, n_max: int) -> None:
         self.n_max = n_max
         self.rows = list(_pascal_rows(n_max))
         self.factors: dict[tuple, Form] = {}
+        self.folds: dict[tuple, Form] = {}
         self.terms: dict[tuple, list[Fraction]] = {}
         self.values: dict[tuple[int, int], Fraction] = {}
 
 
-def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> list[Fraction]:
-    """Coefficients 0..table.n_max of prod_b F_b(base_b t) in t^n/n!,
-    forms[b] holding at least those coefficients of F_b as integer
-    numerators over one denominator, ``(nums, d)``: in one pass over the
-    factors, each numerator vector is rescaled by base^k and convolved into
-    the product so far, cut to n_max + 1 entries, by ``_binomial_conv``,
-    against ``table.rows``.  Each entry is reduced to its (numerator,
-    denominator) pair, which ``table.values`` maps to the one ``Fraction``
-    of that value; a miss builds it and stores it under its own numerator
-    and denominator ints, not the pair it was looked up by, so the value
-    holds its integers once.
+def _fold(forms: Sequence[Form], bases: Sequence[int], rows: Sequence[list[int]]) -> Form:
+    """Coefficients 0..n_max of prod_b F_b(base_b t) in t^n/n!, as integer
+    numerators over one denominator, ``(nums, d)``; forms[b] holds at least
+    those coefficients of F_b the same way, and ``rows`` lists Pascal's rows
+    C(k, 0..k) for k = 0..n_max.  In one pass over the factors, each
+    numerator vector is rescaled by base^k and convolved into the product
+    so far, cut to n_max + 1 entries, by ``_binomial_conv``.
 
     Any linear exponent pattern in the weights factors into one integer
     base per factor, which is how callers encode patterns like
     w1^{l+m} w2^{k+m} w3^{k+l} (there the bases are w2*w3, w1*w3, w1*w2).
     """
-    rows = table.rows
     product: list[int] | None = None
     den = 1
     for (nums, d), base in zip(forms, bases):
@@ -212,33 +229,52 @@ def _product_vec(forms: Sequence[Form], bases: Sequence[int], table: _Table) -> 
             nums = scaled
         product = nums[:len(rows)] if product is None else _binomial_conv(product, nums, rows)
         den *= d
+    return product, den
+
+
+def _shift(fold: Form, p: int, q: int, table: _Table) -> list[Fraction]:
+    """Coefficients 0..n_max of e^{(p/q) t} F(t) in t^n/n!, for the fold F
+    as ``(nums, d)`` and q > 0: coefficient k is sum_j C(k, j) F_j
+    (p/q)^{k-j}, which is row[0] / (d q^k) after k integer Taylor steps
+    row'_j = q row_{j+1} + p row_j from row = nums.  Each entry is reduced
+    to its (numerator, denominator) pair, which ``table.values`` maps to
+    the one ``Fraction`` of that value; a miss builds it and stores it
+    under its own numerator and denominator ints, not the pair it was
+    looked up by, so the value holds its integers once."""
+    row, den = fold
     known = table.values
     values = []
-    for c in product:
+    while row:
+        c = row[0]
         g = gcd(c, den)
         value = known.get((c // g, den // g))
         if value is None:
             value = Fraction(c, den)
             known[value.numerator, value.denominator] = value
         values.append(value)
+        row = [q * b + p * a for a, b in zip(row, row[1:])]
+        den *= q
     return values
 
 
 # --------------------------------------------------------------------------
 # The compiler from terms to evaluators.  A term's key is read by item
-# getters; its factor keys and bases are built, from that key and the
+# getters; its factor keys, bases and rate are built, from that key and the
 # term's miss plan, only when the key misses.
 
+# The argument every E and A factor vector is built at, as (numerator,
+# denominator).  Not 0: the negative controls perturb a vector by its own
+# argument, which at 0 perturbs nothing.
+_ANCHOR: Shift = (1, 2)
 
 # Key kind -> the table and the key's fields after the kind -> the vector at
-# 0..table.n_max, through the seams above.  Every kind's fields follow one
-# rule (``_plan``): the monomial value, the shifts the factor reads, each as
-# (numerator, denominator), then its count weights.  A new kind needs only
-# a row here.
+# 0..table.n_max, at the anchor, through the seams above.  Every kind's
+# fields follow one rule (``_plan``): the monomial value, then the count
+# weights; no key holds a shift.  A new kind needs only a row here.
 _BUILD: dict[str, Callable[..., Sequence[Fraction]]] = {
     "T": lambda table, a: [_tval(k, a - 1) for k in range(table.n_max + 1)],
-    "E": lambda table, a, s: _euler_vec(a * Fraction(*s), table.n_max),
-    "A": lambda table, a, s, *counts: _alt_vec(a * Fraction(*s), a, counts, table.rows),
+    "E": lambda table, a: _euler_vec(Fraction(*_ANCHOR), table.n_max),
+    "A": lambda table, a, *counts: _alt_vec(Fraction(*_ANCHOR), a, counts, table.rows),
 }
 
 
@@ -253,8 +289,8 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
     kind, the bounds m0 <= c0 <= b0 <= b1 of its monomial kw[m0:c0], counts
     kw[c0:b0] and base kw[b0:b1] in the weights kw read at those slots, and
     the bounds j0 <= j1 of its shifts ky[j0:j1] in the shifts ky read.  For
-    every kind the factor key is (kind, prod(kw[m0:c0]), *ky[j0:j1],
-    *kw[c0:b0]) and the base prod(kw[b0:b1])."""
+    every kind the factor key is (kind, prod(kw[m0:c0]), *kw[c0:b0]) and
+    the base prod(kw[b0:b1]); an E or an A reads the one shift ky[j0]."""
     shape, w_slots, y_slots, plan = [], [], [], []
     for (kind, m, js, counts), base in t:
         shape.append(f"{kind}{len(m)}.{len(counts)}.{len(base)}")
@@ -269,6 +305,24 @@ def _plan(t: Term) -> tuple[str, list[int], list[int], bool, tuple[tuple, ...]]:
             any(kind != "E" for kind, *_ in plan), tuple(plan))
 
 
+def _factor_forms(plan: tuple[tuple, ...], kws: Sequence[int],
+                  table: _Table) -> tuple[list[Form], list[int]]:
+    """Each bundle's factor vector at the anchor and its base, for the
+    weights kws a term reads and its miss plan (``_plan``): the vector is
+    read from ``table.factors`` under its factor key, or built through
+    ``_BUILD`` and stored there."""
+    factors = table.factors
+    forms, bases = [], []
+    for kind, m0, c0, b0, b1, _, _ in plan:
+        fkey = (kind, prod(kws[m0:c0]), *kws[c0:b0])
+        form = factors.get(fkey)
+        if form is None:
+            form = factors[fkey] = _over_common_denominator(_BUILD[kind](table, *fkey[1:]))
+        forms.append(form)
+        bases.append(prod(kws[b0:b1]))
+    return forms, bases
+
+
 def _compile(walk: tuple) -> Evaluator:
     """(n, w, y) -> the value at n, with ``.grid`` (w_tuples, windows, table)
     -> the values at 0..table.n_max of every cell (w, y) of a grid, w outer
@@ -281,15 +335,17 @@ def _compile(walk: tuple) -> Evaluator:
     ``table.terms`` maps the term's key (shape, read_w(w), read_y(y)), as
     the module docstring gives it, to the values; the shape, the slots read
     and the miss plan come from the term's one walk, ``_plan``.  A miss
-    takes each bundle's factor key and base from that key's weights and
-    shifts, at the ranges the plan fixed, by one rule for every kind: a
-    factor key is (kind, the product of the monomial's weights, the shift
-    pairs the factor reads, its count weights), everything its vector
-    depends on at the table's n_max, and a base the product of its
-    weights.  The miss folds the factor vectors, each read from
-    ``table.factors`` or built through ``_BUILD`` and stored there, and
-    stores the values.  The returned lists are the table's and are not to
-    be mutated."""
+    shifts the term's fold, ``table.folds``' entry under (shape, read_w(w)),
+    by its rate at y.  A fold miss takes each bundle's factor key and base
+    from the weights read, at the ranges the plan fixed, by one rule for
+    every kind (``_factor_forms``): a factor key is (kind, the product of
+    the monomial's weights, its count weights), everything its vector at
+    the anchor depends on at the table's n_max, and a base the product of
+    its weights; it folds the factor vectors.  The rate is R = sum_b
+    beta_b (m_b y_{j_b} - x0) over the E and A bundles b, with beta_b the
+    base, m_b the monomial value, y_{j_b} the shift read and x0 the
+    anchor, reduced to p/q.  The returned lists are the table's and are
+    not to be mutated."""
     shape, w_slots, y_slots, _, plan = walk
     # itemgetter() raises on no index; on one it gives the bare item (the shape fixes the count),
     # which a miss reads back in a tuple.
@@ -298,7 +354,7 @@ def _compile(walk: tuple) -> Evaluator:
 
     def grid(w_tuples: Sequence[Sequence[int]], windows: Sequence[Sequence[Shift]],
              table: _Table) -> list[list[Fraction]]:
-        terms, factors = table.terms, table.factors
+        terms, folds = table.terms, table.folds
         # Each window's read shifts, as the key holds them and as a miss reads them.
         ys = [(ky, (ky,) if one_y else ky) for ky in map(read_y, windows)]
         cells = []
@@ -309,16 +365,21 @@ def _compile(walk: tuple) -> Evaluator:
                 key = (shape, kw, ky)
                 values = terms.get(key)
                 if values is None:
-                    forms, bases = [], []
-                    for kind, m0, c0, b0, b1, j0, j1 in plan:
-                        fkey = (kind, prod(kws[m0:c0]), *kys[j0:j1], *kws[c0:b0])
-                        form = factors.get(fkey)
-                        if form is None:
-                            form = factors[fkey] = _over_common_denominator(
-                                _BUILD[kind](table, *fkey[1:]))
-                        forms.append(form)
-                        bases.append(prod(kws[b0:b1]))
-                    values = terms[key] = _product_vec(forms, bases, table)
+                    folded = folds.get((shape, kw))
+                    if folded is None:
+                        folded = folds[shape, kw] = _fold(
+                            *_factor_forms(plan, kws, table), table.rows)
+                    # R = p/q, summed over the E and A bundles, which read a shift: with
+                    # y = sn/sd, beta (m y - x0) = beta (m sn dx0 - x0 sd) / (sd dx0).
+                    p, q = 0, 1
+                    x0, dx0 = _ANCHOR
+                    for _, m0, c0, b0, b1, j, j1 in plan:
+                        if j < j1:
+                            sn, sd = kys[j]
+                            r = prod(kws[b0:b1]) * (prod(kws[m0:c0]) * sn * dx0 - x0 * sd)
+                            p, q = p * sd * dx0 + r * q, q * sd * dx0
+                    g = gcd(p, q)
+                    values = terms[key] = _shift(folded, p // g, q // g, table)
                 cells.append(values)
         return cells
 

@@ -1,5 +1,6 @@
 """Plain ``Fraction`` versions of the Euler table, EGF mul/div, the quotient
-series and the identity-term kernels, the alternating shifted sums included.
+series and the identity-term kernels, the alternating shifted sums and the
+shift by e^{rate t} included.
 
 These are the straightforward loops the integer kernels in ``eulersym.euler``,
 ``eulersym.egf_series`` and ``eulersym.identities`` replace: a fresh
@@ -125,3 +126,11 @@ def alt_vec(base: Fraction, m: int, counts: Sequence[int], n_max: int) -> list[F
             sign = -1 if (i + j) & 1 else 1
             total = [t + sign * horner(table[k], x) for k, t in enumerate(total)]
     return total
+
+
+def shift(vec: Sequence[Fraction], rate: Fraction) -> list[Fraction]:
+    """Coefficients of e^{rate t} F(t) for F's coefficients ``vec``: entry k
+    is sum_j C(k, j) vec[j] rate^(k - j), each product a fresh ``Fraction``."""
+    rate = Fraction(rate)
+    return [sum((comb(k, j) * vec[j] * rate ** (k - j) for j in range(k + 1)), Fraction(0))
+            for k in range(len(vec))]

@@ -207,6 +207,18 @@ def test_verify_without_shift_samples_sweeps_shift_free_families(capsys):
     assert "families=2 " in err
 
 
+def test_repeated_weights_and_shifts_sweep_what_their_distinct_values_sweep(capsys):
+    # A repeated value in --wset or --ys collapses: it adds no weight tuple,
+    # no shift window and no record, and the report and the summary are
+    # byte for byte those of the distinct values.
+    grid = ("verify", "--family", "T5,C13", "--nmax", "1")
+    distinct = run_cli(capsys, *grid, "--wset", "1,3", "--ys", "0,1")
+    assert distinct[0] == 0 and json.loads(distinct[1])
+    for argv in (("--wset", "1,1,3", "--ys", "0,1"), ("--wset", "1,3", "--ys", "0,0,1"),
+                 ("--wset", "1,1,3", "--ys", "0,0,1")):
+        assert run_cli(capsys, *grid, *argv) == distinct, argv
+
+
 def test_emit_report_empty():
     assert emit_report([], "json") == b"[]"
     assert emit_report([], "csv") == b"family,n,w,y,values,equal\n"
@@ -640,22 +652,36 @@ def test_term_table_shares_values_only_between_identical_terms(monkeypatch):
     # let two different expressions share values would show as a variant
     # differing from its value computed alone, with a table of its own;
     # with the identities intact the borrowed value would be right anyway.
-    # Repeated weights (3, 3, 5) make variants of one family coincide.  A
-    # single shift value gives every slot the same shift, so that T1's and
-    # T16's factor keys coincide while their bases differ.  Every scale in
-    # the catalog is the product of its term's count weights, which the
-    # factor keys hold; SCALE adds two terms whose one factor is the same
-    # and whose bases differ, () against the folded scale (1,).  KIND adds
-    # two terms with the same slot counts and the same reads, (w1, w2, w3)
-    # and y1, whose bundles differ only in kind.  SLOTS adds pairs of terms
+    # Every E and A vector is built at the one anchor, whatever its shift,
+    # so each factor's stand-in perturbs by its monomial value, which
+    # differs between the factors of a term, not by its argument, the
+    # anchor, which does not.  T1's variants fold the same three (factor,
+    # base) pairs in permuted bundle order at the same rate, so no factor's
+    # perturbation can split them; the fold's stand-in adds its first
+    # bundle's base, which tells the orders apart.  Repeated weights
+    # (3, 3, 5) make variants of one family coincide.  A single shift value
+    # gives every slot the same shift, so that T1's and T16's term keys
+    # read the same shifts while their bases differ.  Every scale in the
+    # catalog is the product of its term's count weights, which the factor
+    # keys hold; SCALE adds two terms whose one factor is the same and
+    # whose bases differ, () against the folded scale (1,).  KIND adds two
+    # terms with the same slot counts and the same reads, (w1, w2, w3) and
+    # y1, whose bundles differ only in kind.  SLOTS adds pairs of terms
     # whose reads agree, at w2 = w3 or at any w, and whose bundles differ
     # only in how those reads group: a slot moves from one bundle's
     # monomial, counts or base to the other's.
-    euler_vec, alt_vec, tval = identities._euler_vec, identities._alt_vec, identities._tval
-    monkeypatch.setattr(identities, "_euler_vec",
-                        lambda x, n_max: [v + x for v in euler_vec(x, n_max)])
+    build_e, alt_vec, tval = identities._BUILD["E"], identities._alt_vec, identities._tval
+    fold = identities._fold
+    monkeypatch.setitem(identities._BUILD, "E",
+                        lambda table, a: [v + a for v in build_e(table, a)])
     monkeypatch.setattr(identities, "_alt_vec", lambda base, m, counts, rows: [
-        v + base for v in alt_vec(base, m, counts, rows)])
+        v + m for v in alt_vec(base, m, counts, rows)])
+
+    def first_base_added(forms, bases, rows):
+        nums, d = fold(forms, bases, rows)
+        return [c + bases[0] * d for c in nums], d
+
+    monkeypatch.setattr(identities, "_fold", first_base_added)
     # T17 and C18 read only T_k.
     monkeypatch.setattr(identities, "_tval", lambda k, upper: tval(k, upper) + upper)
     scaled = (term((E((0,), 0), ())), term((E((0,), 0), ()), scale=(1,)))

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -502,13 +503,19 @@ def test_a_t_over_a_two_slot_monomial_compiles():
 # ---------------------------------------------------------------- term misses
 
 
-def _reference_factor_key(f, w, y):
+def _reference_factor_key(f, w):
     """A factor's key by a walk over the factor's tuples: its kind, the
-    product of the weights at its monomial's slots, the shift pairs of y it
-    reads (one for an E or an A, none for a T) and, for an A, the weights
-    at its count slots."""
-    kind, m, js, counts = f
-    return (kind, prod([w[s] for s in m]), *[y[j] for j in js], *[w[c] for c in counts])
+    product of the weights at its monomial's slots and, for an A, the
+    weights at its count slots.  No factor key holds a shift."""
+    kind, m, _, counts = f
+    return (kind, prod([w[s] for s in m]), *[w[c] for c in counts])
+
+
+def _reference_rate(t, w, y, anchor=Fraction(0)):
+    """A term's rate by a walk over its tuples: sum over its E and A
+    bundles of base * (monomial * the shift it reads - anchor)."""
+    return sum((prod([w[s] for s in base]) * (prod([w[s] for s in m]) * y[js[0]] - anchor)
+                for (_, m, js, _), base in t if js), Fraction(0))
 
 
 # No catalog term has a T bundle before an E or an A bundle, so no catalog
@@ -544,43 +551,95 @@ def _compiled_terms():
 
 
 def test_a_miss_folds_the_factor_keys_and_bases_of_a_walk_over_the_term(monkeypatch):
-    # A term-key miss takes each bundle's factor key and base from the term
-    # key's own weights and shifts, at places fixed when the term was
-    # compiled.  On a fresh table, the one fold of a miss must get, bundle
-    # for bundle, the vectors stored under the keys that a walk over the
-    # term's tuples gives, at the bases that walk gives, and the table must
-    # hold no other factor key; a second call is a hit and folds nothing.
+    # A term-key miss takes each bundle's factor key and base, and its
+    # rate, from the term key's own weights and shifts, at places fixed
+    # when the term was compiled.  On a fresh table, the one fold of a miss
+    # must get, bundle for bundle, the vectors stored under the keys that a
+    # walk over the term's tuples gives, at the bases that walk gives, and
+    # the table must hold no other factor key; the one shift of the miss
+    # must get that fold and the walk's rate at the anchor, in lowest
+    # terms.  A second call is a hit and folds and shifts nothing.
     # Repeated, all-1 and distinct weights, and repeated and distinct
     # shifts, so that a slot or a shift read from the wrong place shows;
     # the T_FIRST terms read shifts after a T, which reads none.
-    folds = []
-    product_vec = identities._product_vec
+    folds, shifts = [], []
+    fold, shift = identities._fold, identities._shift
 
-    def logged(forms, bases, table):
+    def logged_fold(forms, bases, rows):
         folds.append((forms, bases))
-        return product_vec(forms, bases, table)
+        return fold(forms, bases, rows)
 
-    monkeypatch.setattr(identities, "_product_vec", logged)
+    def logged_shift(folded, p, q, table):
+        shifts.append((folded, p, q))
+        return shift(folded, p, q, table)
+
+    monkeypatch.setattr(identities, "_fold", logged_fold)
+    monkeypatch.setattr(identities, "_shift", logged_shift)
     shift_sets = ((Fraction(123457, 999983), Fraction(-654321, 100003), Fraction(5, 100019)),
                   (HALF, HALF, -THIRD))
     compiled = list(_compiled_terms())
     assert len(compiled) == sum(len(fam.variants) for fam in FAMILIES.values()) + 58
     for label, t, ev in compiled:
         for w in ((3, 3, 5), (5, 3, 3), (1, 1, 1), (3, 5, 7), (7, 3, 5)):
-            for y in map(_shifts, shift_sets):
-                keys = [_reference_factor_key(f, w, y) for f, _ in t]
+            for y in shift_sets:
+                keys = [_reference_factor_key(f, w) for f, _ in t]
                 bases = [prod([w[s] for s in base]) for _, base in t]
+                rate = _reference_rate(t, w, y, Fraction(*identities._ANCHOR))
                 table = _Table(2)
                 folds.clear()
-                ev.grid((w,), (y,), table)
-                ev.grid((w,), (y,), table)
-                assert len(folds) == 1, (label, w, y)
+                shifts.clear()
+                ev.grid((w,), (_shifts(y),), table)
+                ev.grid((w,), (_shifts(y),), table)
+                assert len(folds) == len(shifts) == 1, (label, w, y)
                 forms, folded_bases = folds[0]
                 assert list(table.factors) == list(dict.fromkeys(keys)), (label, w, y)
                 assert len(forms) == len(keys), (label, w, y)
                 assert all(form is table.factors[key] for form, key in zip(forms, keys)), \
                     (label, w, y)
                 assert folded_bases == bases, (label, w, y)
+                folded, p, q = shifts[0]
+                assert list(table.folds.values()) == [folded], (label, w, y)
+                assert (p, q) == (rate.numerator, rate.denominator), (label, w, y)
+
+
+def test_every_variant_is_its_shift_free_values_times_its_rate():
+    # By the Appell property of every factor kind, each variant's values
+    # at y are its values at y = 0 times e^{R t}: V(n, w, y) =
+    # sum_k C(n, k) V(k, w, 0) R^(n - k), with R = sum over the term's E and
+    # A bundles of base * monomial * the shift read, here read off the term's
+    # own tuples, not from its compiled plan.  Three seeded (w, y) per
+    # family, n <= 8.  A term that reads another shift than its tuples say
+    # fails the check.
+    n_max = 8
+
+    def tie_holds(t, ev, w, y):
+        rate = _reference_rate(t, w, y)
+        [at_y] = ev.grid((w,), (_shifts(y),), _Table(n_max))
+        [at_0] = ev.grid((w,), (_shifts((Fraction(0),) * len(y)),), _Table(n_max))
+        return at_y == [sum(comb(n, k) * at_0[k] * rate ** (n - k) for k in range(n + 1))
+                        for n in range(n_max + 1)]
+
+    cells = {}
+    for family_id, fam in FAMILIES.items():
+        rng = random.Random(family_id)
+        cells[family_id] = [
+            (tuple(rng.choice((1, 3, 5, 7, 9)) for _ in range(fam.w_arity)),
+             tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(fam.y_arity)))
+            for _ in range(3)]
+    checked = 0
+    for label, t, ev in _compiled_terms():
+        family_id = label.split("[")[0]
+        for w, y in cells.get(family_id, ()):
+            assert tie_holds(t, ev, w, y), (label, w, y)
+            checked += 1
+    assert checked == 3 * sum(len(fam.variants) for fam in FAMILIES.values())
+
+    # T1's first variant with its first E reading y2 in place of y1, its
+    # rate still read off the unchanged term: every cell fails.
+    t = substitute(ORBIT_TEMPLATES["eee"], FAMILIES["T1"].perms[0])
+    (kind, m, _, counts), base = t[0]
+    misread = _compile(_plan((((kind, m, (1,), counts), base), *t[1:])))
+    assert not any(tie_holds(t, misread, w, y) for w, y in cells["T1"])
 
 
 # ---------------------------------------------------------------- reports
@@ -654,11 +713,13 @@ def _holds_a_fraction(item):
 
 def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
     # One _Table(3) filled by five families, as a sweep fills it.  Each map
-    # holds only its own kind of key.  The table fixes n_max, so no factor
-    # or term key holds it: a factor key is its kind, its monomial value,
-    # the shift pair of an E or an A and the one or two count weights of an
-    # A, and a term key is (shape, the weights read, the shifts read).  No
-    # key holds a Fraction: shifts enter as (numerator, denominator) pairs.
+    # holds only its own kind of key.  The table fixes n_max, so no factor,
+    # fold or term key holds it: a factor key is its kind, its monomial
+    # value and the one or two count weights of an A, and holds no shift; a
+    # fold key is (shape, the weights read) and a term key is (shape, the
+    # weights read, the shifts read), and every term key's first two fields
+    # are a fold key.  No key holds a Fraction: shifts enter as (numerator,
+    # denominator) pairs.
     table = _Table(3)
     for family_id, w, y in (
         ("T1", (3, 1, 5), (HALF, -THIRD, 0)),
@@ -677,23 +738,28 @@ def test_table_keys_are_of_four_kinds_and_hold_no_fraction():
         return type(part) is tuple and len(part) == 2 and all(type(x) is int for x in part)
 
     def factor_key(key):
-        kind, a, *rest = key
-        if kind == "T":
-            return type(a) is int and not rest
-        shift, *counts = rest
-        return (kind in ("E", "A") and type(a) is int and pair(shift)
-                and len(counts) in ((0,) if kind == "E" else (1, 2))
+        kind, a, *counts = key
+        return (kind in ("T", "E", "A") and type(a) is int
+                and len(counts) in ((1, 2) if kind == "A" else (0,))
                 and all(type(c) is int for c in counts))
+
+    def weights_read(kw):
+        return type(kw) is int or type(kw) is tuple and all(type(x) is int for x in kw)
 
     for key in table.factors:
         assert factor_key(key) and not _holds_a_fraction(key), key
+    for key in table.folds:
+        assert len(key) == 2 and type(key[0]) is str and SHAPE.fullmatch(key[0]), key
+        assert weights_read(key[1]), key
     for key in table.terms:
         assert len(key) == 3 and type(key[0]) is str and SHAPE.fullmatch(key[0]), key
         assert not _holds_a_fraction(key), key
+    assert {key[:2] for key in table.terms} == set(table.folds)
     for key, value in table.values.items():
         assert pair(key) and key == (value.numerator, value.denominator), key
-    assert table.factors and table.terms and table.values
+    assert table.factors and table.folds and table.terms and table.values
     assert {len(nums) for nums, _ in table.factors.values()} == {4}
+    assert {len(nums) for nums, _ in table.folds.values()} == {4}
     assert {len(values) for values in table.terms.values()} == {4}
     assert table.rows == [[comb(k, j) for j in range(k + 1)] for k in range(4)]
 
@@ -748,16 +814,22 @@ def _grid(fam, y_pools=((123457, -THIRD, 2), (HALF, 0, -THIRD))):
 
 
 def _counted_folds(monkeypatch):
-    """The list to which each later ``_product_vec`` call appends its bases."""
-    folds = []
-    product_vec = identities._product_vec
+    """The lists to which each later ``_fold`` call appends its bases and
+    each later ``_shift`` call its rate."""
+    folds, shifts = [], []
+    fold, shift = identities._fold, identities._shift
 
-    def counted(forms, bases, table):
+    def counted_fold(forms, bases, rows):
         folds.append(bases)
-        return product_vec(forms, bases, table)
+        return fold(forms, bases, rows)
 
-    monkeypatch.setattr(identities, "_product_vec", counted)
-    return folds
+    def counted_shift(folded, p, q, table):
+        shifts.append((p, q))
+        return shift(folded, p, q, table)
+
+    monkeypatch.setattr(identities, "_fold", counted_fold)
+    monkeypatch.setattr(identities, "_shift", counted_shift)
+    return folds, shifts
 
 
 @pytest.mark.parametrize("family_id", FAMILY_IDS)
@@ -766,15 +838,20 @@ def test_a_grid_call_gives_each_cells_check_cases_rows_and_folds_each_term_once(
     # One _check_grid call over a family's whole grid gives, in report
     # order (n, then w, then y), the rows check_cases gives for each (w, y)
     # alone, and each row's equal flag is VerificationReport's.  Counted at
-    # _product_vec, the call folds each term key it adds to the table
-    # exactly once, and a second call on the same table, a hit on every
-    # key, folds nothing.
+    # _fold and _shift, the call folds each (shape, weights read) it adds
+    # to the table exactly once and shifts each term key it adds exactly
+    # once; a family that reads shifts reuses each fold across its two
+    # windows.  A second call on the same table, a hit on every key, folds
+    # and shifts nothing.
     fam = FAMILIES[family_id]
     w_tuples, y_tuples = _grid(fam)
-    folds = _counted_folds(monkeypatch)
+    folds, shifts = _counted_folds(monkeypatch)
     table = _Table(3)
     rows = _check_grid(fam, w_tuples, y_tuples, table)
-    assert 0 < len(folds) == len(table.terms)
+    assert 0 < len(folds) == len(table.folds) == len({key[:2] for key in table.terms})
+    assert len(shifts) == len(table.terms)
+    if fam.y_arity:
+        assert len(table.folds) < len(table.terms)
     if fam.perms:  # the permuted weights meet stored keys
         assert len(table.terms) < len(fam.variants) * len(w_tuples) * len(y_tuples)
     reports = {(wt, yt): check_cases(family_id, 3, wt, yt) for wt in w_tuples for yt in y_tuples}
@@ -782,8 +859,9 @@ def test_a_grid_call_gives_each_cells_check_cases_rows_and_folds_each_term_once(
         reports[cell][n] for n in range(4) for cell in reports]
     assert all(row[5] == VerificationReport(*row[:5]).all_equal for row in rows)
     folds.clear()
+    shifts.clear()
     assert _check_grid(fam, w_tuples, y_tuples, table) == rows
-    assert folds == []
+    assert folds == shifts == []
 
 
 @pytest.mark.parametrize("family_id", [fid for fid in FAMILY_IDS if FAMILIES[fid].y_arity])
@@ -812,7 +890,8 @@ def test_a_grid_calls_a_plain_variant_per_n_and_cell_beside_compiled_ones(monkey
     # A family whose middle variant is a plain callable, a stand-in as the
     # negative controls make: it is called once per (n, cell), in report
     # order, and its column holds what it returned; the compiled variants
-    # beside it give their own columns and fold each of their term keys once.
+    # beside it give their own columns, fold each of their (shape, weights
+    # read) once and shift each of their term keys once.
     fam = FAMILIES["C9"]
     calls = []
 
@@ -823,14 +902,14 @@ def test_a_grid_calls_a_plain_variant_per_n_and_cell_beside_compiled_ones(monkey
     mixed = replace(fam, variants=(fam.variants[0], plain, fam.variants[2]))
     w_tuples, y_tuples = _grid(fam)
     expected = _check_grid(fam, w_tuples, y_tuples, _Table(3))
-    folds = _counted_folds(monkeypatch)
+    folds, shifts = _counted_folds(monkeypatch)
     table = _Table(3)
     rows = _check_grid(mixed, w_tuples, y_tuples, table)
     assert calls == [(n, wt, yt) for wt in w_tuples for yt in y_tuples for n in range(4)]
     assert [row[4][1] for row in rows] == [
         Fraction(n, 7) for n in range(4) for _ in w_tuples for _ in y_tuples]
     assert [(row[:4], row[4][::2]) for row in rows] == [(row[:4], row[4][::2]) for row in expected]
-    assert 0 < len(folds) == len(table.terms)
+    assert 0 < len(folds) == len(table.folds) < len(shifts) == len(table.terms)
     # The stand-in disagrees with the compiled variants on some rows.
     assert not all(row[5] for row in rows)
     assert all(row[5] == VerificationReport(*row[:5]).all_equal for row in rows)

@@ -2,8 +2,9 @@
 
 ``fraction_reference`` holds the straightforward ``Fraction`` versions of the
 Euler table, Horner evaluation, EGF mul/div, the quotient series, the two-
-and three-factor identity-term sums and the alternating shifted sums of the
-A/D factors; every result here must be equal to them, not merely close.
+and three-factor identity-term sums, the shift of a term's fold by its rate
+and the alternating shifted sums of the A/D factors; every result here must
+be equal to them, not merely close.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from eulersym.egf_series import (
     egf_mul,
 )
 from eulersym.euler import euler_eval, euler_number, euler_polynomial
-from eulersym.identities import _Table, _alt_vec, _product_vec
+from eulersym.identities import _Table, _alt_vec, _fold, _shift
 
 TABLE_MAX = 60
 
@@ -124,9 +125,11 @@ def test_quotient_matches_reference(scale, rate, ups, downs, order):
 # The first two factors run past the table's n_max, the third does not.
 @example((0, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)], [Fraction(5)]], [1, 1, 1]))
 def test_product_vec_matches_reference(case):
+    # A term's shift-free fold, the product of its rescaled factors.
     n, vecs, bases = case
     table = _Table(min(map(len, vecs)) - 1)
-    out = _product_vec([_over_common_denominator(vec) for vec in vecs], bases, table)
+    nums, d = _fold([_over_common_denominator(vec) for vec in vecs], bases, table.rows)
+    out = [Fraction(c, d) for c in nums]
     assert len(out) == min(map(len, vecs)) >= n + 1
     if len(vecs) == 1:
         expected = [vecs[0][k] * bases[0] ** k for k in range(len(out))]
@@ -135,6 +138,26 @@ def test_product_vec_matches_reference(case):
     else:
         expected = [ref.tri_sum(k, *vecs, *bases) for k in range(len(out))]
     assert out == expected
+
+
+# Shift numerators: 0 and either sign; denominators up to 6 digits.
+shift_ps = st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6))
+shift_qs = st.integers(min_value=1, max_value=999_999)
+
+
+@given(st.lists(entries, min_size=1, max_size=13), shift_ps, shift_qs)
+@example([Fraction(-7, 3), Fraction(2), Fraction(5, 7)], 0, 1)
+@example([Fraction(1)] * 9, -1, 1)  # e^{-t}: entry k is (-1)^k
+@example([Fraction(-1, 3), Fraction(0), Fraction(9, 10**9 - 1), Fraction(4)], -654321, 100003)
+@example([Fraction(5)] * 13, 123457, 999983 - 1)
+@example([Fraction(1, 2)] * 5, 6, 4)  # p/q not in lowest terms
+def test_shift_matches_reference(vec, p, q):
+    # The integer Taylor step gives e^{(p/q) t} times the fold, entry for
+    # entry, and interns each value under its own integers.
+    table = _Table(len(vec) - 1)
+    out = _shift(_over_common_denominator(vec), p, q, table)
+    assert out == ref.shift(vec, Fraction(p, q))
+    assert all(table.values[v.numerator, v.denominator] is v for v in out)
 
 
 # A/D bases: 0, negative, and 6-digit denominators all occur.
